@@ -70,9 +70,6 @@ class QG:
             n >>= 1
         return out
 
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
 
@@ -123,12 +120,6 @@ def xp_mul(p: ExactPoly, q: ExactPoly) -> ExactPoly:
         for j, b in enumerate(q):
             out[i + j] = out[i + j] + a * b
     return xp_trim(out)
-
-
-def xp_scale(p: ExactPoly, c: QG) -> ExactPoly:
-    if not c:
-        return []
-    return [a * c for a in p]
 
 
 def xp_pow(p: ExactPoly, n: int) -> ExactPoly:

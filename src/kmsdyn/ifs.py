@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,10 +26,13 @@ from .errors import (
     OutOfRegime,
 )
 from .measure import (
+    DEFAULT_CUTOFF_RADIUS,
     PLANAR_MERGE_TOL,
     AtomicMeasure,
+    FibreTable,
     TestFunctionLibrary,
     merge_planar,
+    trace_conditions,
 )
 from .ratmap import DEFAULT_ATOM_BUDGET
 from .states import (
@@ -41,6 +44,7 @@ from .states import (
     ExtremeState,
     KMSMeasure,
     PhaseReport,
+    phase,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -315,14 +319,21 @@ def apply_F_beta_ifs(
         raise AtomBudgetExceeded(
             f"pullback would create up to {mu.n_atoms * gamma.n} atoms"
         )
-    scale = math.exp(-beta)
-    coords = []
-    weights = []
-    for y, w in mu.iter_atoms():
-        for x, _e in distinct_images(gamma, y, tol):
-            coords.append(x)
-            weights.append(scale * w)
-    return AtomicMeasure.from_planar_atoms(np.array(coords), np.array(weights), tol)
+    images = _image_table(gamma, mu, tol)
+    return AtomicMeasure.from_planar_atoms(
+        images.coords, math.exp(-beta) * mu.weights[images.owner], tol
+    )
+
+
+def _image_table(gamma: IFSSystem, mu: AtomicMeasure, tol: float) -> FibreTable:
+    """Distinct images of every atom of a planar measure, one distinct_images call each."""
+    table = FibreTable.collect(
+        mu.coords,
+        lambda y: distinct_images(gamma, y, tol),
+        lambda xs: np.array(xs).reshape(-1, mu.coords.shape[1]),
+    )
+    # coords already holds the images; their list of small arrays costs ~100 B each
+    return replace(table, points=None)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +468,7 @@ def check_K1_ifs(
     mu: AtomicMeasure,
     beta: float,
     lib: TestFunctionLibrary | None = None,
-    rho: float = 1e-3,
+    rho: float = DEFAULT_CUTOFF_RADIUS,
     tol: float = PLANAR_MERGE_TOL,
 ):
     """K1/K2 analogues against the planar library with a branch-set cutoff.
@@ -466,47 +477,10 @@ def check_K1_ifs(
     violation over shifted functions).
     """
     lib = lib or TestFunctionLibrary.plane(box=gamma.bounding_box())
-    branch_pts = [np.atleast_1d(x) for x in gamma.branch_structure().branch_points]
-
-    pre = []
-    owner = []
-    for i, (y, _w) in enumerate(mu.iter_atoms()):
-        for x, _e in distinct_images(gamma, y, tol):
-            pre.append(x)
-            owner.append(i)
-    pre = np.array(pre).reshape(-1, mu.coords.shape[1])
-    owner = np.array(owner, dtype=np.intp)
-
-    def cutoff(X):
-        if not branch_pts:
-            return np.ones(X.shape[0])
-        d = np.min(
-            np.stack([np.linalg.norm(X - b[None, :], axis=1) for b in branch_pts]), axis=0
-        )
-        t = np.clip((d - rho) / rho, 0.0, 1.0)
-        return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
-
-    fm_atoms = lib.values_matrix(mu.coords)
-    fm_pre = lib.values_matrix(pre)
-    cut_atoms = cutoff(mu.coords)
-    cut_pre = cutoff(pre)
-    w = mu.weights
-    wpre = w[owner]
-    eb = math.exp(-beta)
-
-    k1 = np.abs(eb * ((fm_pre * cut_pre[None, :]) @ wpre) - (fm_atoms * cut_atoms[None, :]) @ w)
-    k1_max = float(k1.max()) if len(k1) else 0.0
-
-    T = fm_pre @ wpre
-    I = fm_atoms @ w
-    C = float(wpre.sum())
-    M = mu.total_mass()
-    k2_max = 0.0
-    for k, f in enumerate(lib.functions):
-        for sign in (1.0, -1.0):
-            viol = eb * (f.sup_norm * C + sign * T[k]) - (f.sup_norm * M + sign * I[k])
-            k2_max = max(k2_max, viol)
-    return k1_max, max(k2_max, 0.0)
+    k1, k2, _masked = trace_conditions(
+        lib, mu, _image_table(gamma, mu, tol), beta, gamma.branch_structure().branch_points, rho
+    )
+    return (float(k1.max()) if len(k1) else 0.0), k2
 
 
 # ---------------------------------------------------------------------------
@@ -663,15 +637,8 @@ def classify_ifs(
             stacklevel=2,
         )
     log_n = math.log(gamma.n)
-    if critical:
-        beta_val = log_n
-    else:
-        if beta is None:
-            raise ValueError("beta required unless critical=True")
-        beta_val = float(beta)
-        if beta_val < 0:
-            raise ValueError("beta must be nonnegative")
-    if critical or abs(beta_val - log_n) < 1e-12:
+    beta_val, regime = phase(beta, critical, log_n)
+    if regime == CRITICAL:
         states = [ExtremeState(kind=INFINITE_TYPE, anchors=(), label="hutchinson")]
         return PhaseReport(beta_val, CRITICAL, states, counts=(0, 1))
     if beta_val < log_n:

@@ -31,7 +31,15 @@ from .errors import (
     OutOfRegime,
     WitnessNotFoundAtDepth,
 )
-from .measure import AtomicMeasure, TestFunctionLibrary
+from .measure import (
+    DEFAULT_CUTOFF_RADIUS,
+    AtomicMeasure,
+    TestFunctionLibrary,
+    fibre_table,
+    nearest_distance,
+    sphere_embedding,
+    trace_conditions,
+)
 from .projective import (
     DEFAULT_CLUSTER_TOL,
     SpherePoint,
@@ -41,6 +49,7 @@ from .projective import (
 from .ratmap import DEFAULT_ATOM_BUDGET, INDEX_WEIGHTED, SET_COUNT, RationalMap
 from .states import (
     CRITICAL,
+    CRITICAL_BETA_TOL,
     FINITE_TYPE,
     INFINITE_TYPE,
     SUBCRITICAL,
@@ -52,10 +61,8 @@ from .states import (
     PhaseReport,
     ResidualReport,
     ViolationReport,
+    phase,
 )
-
-CRITICAL_BETA_TOL = 1e-12
-DEFAULT_CUTOFF_RADIUS = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -186,30 +193,8 @@ def kms_measure(
 # trace-condition checks
 
 
-def _quintic_step(t):
-    t = np.clip(t, 0.0, 1.0)
-    return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
-
-
-def _branch_cutoff(points, branch_points, rho):
-    """Smooth factor: 0 within chordal rho of the branch set, 1 beyond 2 rho."""
-    if not branch_points:
-        return np.ones(len(points))
-    dists = np.array(
-        [min(chordal_distance(p, b) for b in branch_points) for p in points]
-    )
-    return _quintic_step((dists - rho) / rho)
-
-
-def _preimage_tableau(R, mu, tol):
-    """Distinct preimages of every atom, flattened with back references."""
-    pre_points = []
-    owner = []
-    for i, (p, _w) in enumerate(mu.iter_atoms()):
-        for x, _e in R.preimages(p, tol):
-            pre_points.append(x)
-            owner.append(i)
-    return pre_points, np.array(owner, dtype=np.intp)
+def _branch_embedding(R: RationalMap, tol: float):
+    return sphere_embedding([p for p, _e in R.branch_data(tol).branch_points])
 
 
 def check_K1(
@@ -227,22 +212,10 @@ def check_K1(
     test function; the report returns max |e^{-beta} int a~ dmu - int a dmu|.
     """
     lib = lib or TestFunctionLibrary.sphere()
-    branch_pts = [p for p, _e in R.branch_data(tol).branch_points]
-    pre_points, owner = _preimage_tableau(R, mu, tol)
-
-    cut_atoms = _branch_cutoff(mu.points, branch_pts, rho)
-    cut_pre = _branch_cutoff(pre_points, branch_pts, rho)
-    fm_atoms = lib.values_matrix(mu.embedding()) * cut_atoms[None, :]
-    emb_pre = np.array([p.embedding() for p in pre_points]).reshape(-1, 3)
-    fm_pre = lib.values_matrix(emb_pre) * cut_pre[None, :]
-
-    w_atoms = mu.weights
-    w_pre = w_atoms[owner]
-    lhs = math.exp(-beta) * (fm_pre @ w_pre)
-    rhs = fm_atoms @ w_atoms
-    residuals = np.abs(lhs - rhs)
+    residuals, _k2, masked = trace_conditions(
+        lib, mu, fibre_table(R, mu, tol), beta, _branch_embedding(R, tol), rho
+    )
     worst = int(np.argmax(residuals)) if len(residuals) else 0
-    masked = float(w_atoms[cut_atoms < 1.0].sum()) if len(w_atoms) else 0.0
     return ResidualReport(
         max_residual=float(residuals.max()) if len(residuals) else 0.0,
         worst_function=lib.functions[worst].exponents,
@@ -266,44 +239,21 @@ def check_K2(
     and equality off the branch set.
     """
     lib = lib or TestFunctionLibrary.sphere()
-    pre_points, owner = _preimage_tableau(R, mu, tol)
-    w_atoms = mu.weights
-    w_pre = w_atoms[owner]
-    fm_atoms = lib.values_matrix(mu.embedding())
-    emb_pre = np.array([p.embedding() for p in pre_points]).reshape(-1, 3)
-    fm_pre = lib.values_matrix(emb_pre)
+    _k1, func_violation, _masked = trace_conditions(lib, mu, fibre_table(R, mu, tol), beta)
 
-    ebeta = math.exp(-beta)
-    T = fm_pre @ w_pre          # int f~ dmu per function
-    I = fm_atoms @ w_atoms      # int f dmu per function
-    C = float(w_pre.sum())      # int 1~ dmu
-    M = mu.total_mass()
-    func_violation = 0.0
-    for k, f in enumerate(lib.functions):
-        s = f.sup_norm
-        for sign in (1.0, -1.0):
-            # a = s + sign * f  >= 0
-            viol = ebeta * (s * C + sign * T[k]) - (s * M + sign * I[k])
-            func_violation = max(func_violation, viol)
-
-    branch_pts = [p for p, _e in R.branch_data(tol).branch_points]
     grid = _SphereHash(tol)
     for i, p in enumerate(mu.points):
         grid.insert(p, i)
-    pm_violation = 0.0
-    pm_equality = 0.0
-    for p, w in mu.iter_atoms():
-        hit = grid.find(R.evaluate(p))
-        img_mass = mu.weights[hit] if hit is not None else 0.0
-        gap = ebeta * img_mass - w
-        pm_violation = max(pm_violation, gap)
-        if all(chordal_distance(p, b) > tol for b in branch_pts):
-            pm_equality = max(pm_equality, abs(gap))
+    hits = [grid.find(R.evaluate(p)) for p in mu.points]
+    img_mass = np.array([0.0 if hit is None else mu.weights[hit] for hit in hits])
+    gaps = math.exp(-beta) * img_mass - mu.weights
+    off_branch = nearest_distance(mu.embedding(), _branch_embedding(R, tol)) > tol
+    pm_violation = float(gaps.max(initial=0.0))
     return ViolationReport(
-        max_violation=max(func_violation, pm_violation, 0.0),
-        function_violation=max(func_violation, 0.0),
-        point_mass_violation=max(pm_violation, 0.0),
-        point_mass_equality_residual=pm_equality,
+        max_violation=max(func_violation, pm_violation),
+        function_violation=func_violation,
+        point_mass_violation=pm_violation,
+        point_mass_equality_residual=float(np.abs(gaps[off_branch]).max(initial=0.0)),
     )
 
 
@@ -455,12 +405,8 @@ def divergence_witness(
 
 
 def _avoids(tree, branch_values, avoid_tol):
-    for level in tree.levels:
-        for p, _w in level:
-            for c in branch_values:
-                if chordal_distance(p, c) <= avoid_tol:
-                    return False
-    return True
+    points = sphere_embedding([p for level in tree.levels for p, _w in level])
+    return bool(np.all(nearest_distance(points, sphere_embedding(branch_values)) > avoid_tol))
 
 
 def _levels_disjoint(tree, tol):
@@ -494,24 +440,7 @@ def classify(
     exceptional anchors.  beta = 0: invariant traces determined by the
     exceptional orbit classes (a swapped pair yields one symmetric state).
     """
-    log_n = math.log(R.n)
-    if critical:
-        beta_val = log_n
-        regime = CRITICAL
-    else:
-        if beta is None:
-            raise ValueError("beta required unless critical=True")
-        beta_val = float(beta)
-        if beta_val < 0:
-            raise ValueError("beta must be nonnegative")
-        if beta_val == 0.0:
-            regime = ZERO
-        elif abs(beta_val - log_n) < CRITICAL_BETA_TOL:
-            regime = CRITICAL
-        elif beta_val < log_n:
-            regime = SUBCRITICAL
-        else:
-            regime = SUPERCRITICAL
+    beta_val, regime = phase(beta, critical, math.log(R.n))
 
     exc = R.exceptional_points(tol)
     states: list[ExtremeState] = []
@@ -583,21 +512,18 @@ def classify_julia(
     exceptional points, so nothing survives below log N and the critical
     state is the unique invariant one.
     """
-    log_n = math.log(R.n)
-    beta_val = log_n if critical else float(beta)
+    beta_val, regime = phase(beta, critical, math.log(R.n))
     data = R.branch_data(tol)
     asserted = []
     for p in julia_branch_points:
         if data.index_at(p) < 2:
             raise NotABranchPoint(f"{p} asserted in the Julia set is not a branched point")
         asserted.append(p)
-    if critical or abs(beta_val - log_n) < CRITICAL_BETA_TOL:
+    if regime == CRITICAL:
         states = [ExtremeState(kind=INFINITE_TYPE, anchors=(), label="lyubich")]
         return PhaseReport(beta_val, CRITICAL, states, counts=(0, 1))
-    if beta_val < log_n:
-        return PhaseReport(
-            beta_val, ZERO if beta_val == 0.0 else SUBCRITICAL, [], counts=(0, 0)
-        )
+    if regime != SUPERCRITICAL:
+        return PhaseReport(beta_val, regime, [], counts=(0, 0))
     states = [
         ExtremeState(kind=FINITE_TYPE, anchors=(w,), label=_point_label(w)) for w in asserted
     ]

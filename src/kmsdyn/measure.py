@@ -6,6 +6,15 @@ of maximal entropy, self-similar measures) exist only as sequences of atomic
 approximants compared in a finite test-function library, which acts as a
 fixed proxy for the weak-* topology.
 
+One FibreTable holds the fibres of a whole measure: the distinct preimages
+under R, or the distinct images under an IFS, each with its owner atom and
+local degree.  fibre_table builds it on the sphere and keeps it on the
+measure; ifs.py fills it from distinct_images.  Its readers are pullback_F,
+pullback_G, kms.check_K1, kms.check_K2, ifs.apply_F_beta_ifs and
+ifs.check_K1_ifs.  The three checks share one trace-condition kernel:
+quintic_cutoff near the branch set, and trace_conditions, which reduces the
+library to the (K1) residuals and the (K2) shifted-library sweep.
+
 The operators:
     pullback_F   F(delta_y) = sum over distinct preimages x of delta_x
     pullback_G   adds the branch index: atoms (x, e(x) w); mass scales by N
@@ -25,12 +34,12 @@ from .projective import (
     DEFAULT_CLUSTER_TOL,
     SpherePoint,
     _SphereHash,
-    chordal_distance,
     merge_weighted,
 )
 from .ratmap import DEFAULT_ATOM_BUDGET, RationalMap
 
 PLANAR_MERGE_TOL = 1e-9
+DEFAULT_CUTOFF_RADIUS = 1e-3
 
 SPHERE = "sphere"
 PLANE = "plane"
@@ -162,6 +171,7 @@ class AtomicMeasure:
         if np.any(self.weights <= 0):
             raise ValueError("atom weights must be positive")
         self._embedding = None
+        self._fibres = None  # (R, tol, FibreTable) of the last fibre_table call
 
     # -- constructors ------------------------------------------------------
 
@@ -221,21 +231,17 @@ class AtomicMeasure:
         if self.space == PLANE:
             return self.coords
         if self._embedding is None:
-            self._embedding = np.array([p.embedding() for p in self.points]).reshape(-1, 3)
+            self._embedding = sphere_embedding(self.points)
         return self._embedding
 
     def point_mass(self, point, tol=None) -> float:
         """Total weight within tol of the given point."""
         if self.space == SPHERE:
             tol = DEFAULT_CLUSTER_TOL if tol is None else tol
-            return sum(
-                w for p, w in zip(self.points, self.weights) if chordal_distance(p, point) <= tol
-            )
-        tol = PLANAR_MERGE_TOL if tol is None else tol
-        point = np.atleast_1d(np.asarray(point, dtype=np.float64))
-        if self.n_atoms == 0:
-            return 0.0
-        d = np.linalg.norm(self.coords - point[None, :], axis=1)
+            point = point.embedding()
+        else:
+            tol = PLANAR_MERGE_TOL if tol is None else tol
+        d = nearest_distance(self.embedding(), [np.atleast_1d(np.asarray(point, dtype=np.float64))])
         return float(self.weights[d <= tol].sum())
 
     def to_jsonable(self):
@@ -253,6 +259,11 @@ class AtomicMeasure:
 
     def __repr__(self):
         return f"AtomicMeasure({self.space}, {self.n_atoms} atoms, mass={self.total_mass():.6g})"
+
+
+def sphere_embedding(points):
+    """Unit-sphere embeddings of SpherePoints, one row each."""
+    return np.array([p.embedding() for p in points]).reshape(-1, 3)
 
 
 def measure_sum(measures, tol=None) -> AtomicMeasure:
@@ -375,7 +386,7 @@ def _sphere_monomial_sup(a, b, c):
 
 
 # ---------------------------------------------------------------------------
-# integration and transfer operators
+# integration
 
 
 def _as_callable(f):
@@ -406,6 +417,103 @@ def tilde(R: RationalMap, f, y: SpherePoint, tol: float = DEFAULT_CLUSTER_TOL) -
     return float(sum(g(x) for x, _e in R.preimages(y, tol)))
 
 
+# ---------------------------------------------------------------------------
+# fibre tables and the trace-condition kernel
+
+
+@dataclass(frozen=True)
+class FibreTable:
+    """The fibres of every atom of a measure, flattened.
+
+    points[k] lies over atom owner[k] with local degree degree[k]; coords[k]
+    is its row in the library's coordinates (the R^3 embedding on the
+    sphere, the point itself on the plane, where points may be None).
+    """
+
+    points: list
+    owner: np.ndarray
+    degree: np.ndarray
+    coords: np.ndarray
+
+    @staticmethod
+    def collect(atoms, solve, embed) -> "FibreTable":
+        """Flatten solve(atom) -> [(point, local degree)] over the atoms."""
+        points, owner, degree = [], [], []
+        for i, atom in enumerate(atoms):
+            for x, e in solve(atom):
+                points.append(x)
+                owner.append(i)
+                degree.append(e)
+        return FibreTable(
+            points, np.array(owner, dtype=np.intp), np.array(degree, dtype=np.int64), embed(points)
+        )
+
+
+def fibre_table(R: RationalMap, mu: AtomicMeasure, tol: float = DEFAULT_CLUSTER_TOL) -> FibreTable:
+    """Distinct preimages of every atom of a sphere measure, with local degrees.
+
+    Kept on mu for the last (R, tol) asked for, R compared by identity, so
+    the checks and pullbacks that follow one another solve each atom once.
+    """
+    _require_sphere(mu)
+    memo = mu._fibres
+    if memo is not None and memo[0] is R and memo[1] == tol:
+        return memo[2]
+    table = FibreTable.collect(mu.points, lambda p: R.preimages(p, tol), sphere_embedding)
+    mu._fibres = (R, tol, table)
+    return table
+
+
+def nearest_distance(X, centers):
+    """Euclidean distance from each row of X to the nearest center (inf if none).
+
+    Sphere callers pass unit-sphere embeddings, whose Euclidean distance is
+    the chordal metric.
+    """
+    d = np.full(X.shape[0], np.inf)
+    for c in centers:
+        d = np.minimum(d, np.linalg.norm(X - c, axis=1))
+    return d
+
+
+def quintic_cutoff(X, centers, rho: float):
+    """Smooth factor per row of X: 0 within rho of the nearest center, 1 beyond 2 rho."""
+    t = np.clip((nearest_distance(X, centers) - rho) / rho, 0.0, 1.0)
+    return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
+
+
+def trace_conditions(lib: TestFunctionLibrary, mu: AtomicMeasure, fibres: FibreTable, beta: float,
+                     branch=(), rho: float = DEFAULT_CUTOFF_RADIUS):
+    """Both trace conditions of mu, read through its fibre table.
+
+    Returns (k1, k2, masked).  With c the quintic_cutoff at radius rho around
+    the branch points (library coordinates; c = 1 without them), k1[j] is
+    |e^{-beta} int (c f_j)~ dmu - int c f_j dmu| for each library function
+    f_j, and masked is the weight of the atoms where c < 1.  k2 is the worst
+    e^{-beta} int a~ dmu - int a dmu over the shifted library
+    a = sup|f| +/- f >= 0, floored at 0.
+    """
+    ebeta = math.exp(-beta)
+    w = mu.weights
+    w_pre = w[fibres.owner]
+    cut = quintic_cutoff(mu.embedding(), branch, rho)
+    cut_pre = quintic_cutoff(fibres.coords, branch, rho)
+    fm = lib.values_matrix(mu.embedding())
+    fm_pre = lib.values_matrix(fibres.coords)
+    k1 = np.abs(ebeta * (fm_pre @ (cut_pre * w_pre)) - fm @ (cut * w))
+    T = fm_pre @ w_pre  # int f~ dmu per function
+    I = fm @ w  # int f dmu per function
+    sups = np.array([f.sup_norm for f in lib.functions])
+    C = float(w_pre.sum())  # int 1~ dmu
+    M = mu.total_mass()
+    viol = np.maximum(ebeta * (sups * C + T) - (sups * M + I), ebeta * (sups * C - T) - (sups * M - I))
+    return k1, float(viol.max(initial=0.0)), float(w[cut < 1.0].sum())
+
+
+# ---------------------------------------------------------------------------
+# transfer operators
+
+
 def pullback_F(
     R: RationalMap,
     mu: AtomicMeasure,
@@ -413,16 +521,8 @@ def pullback_F(
     atom_budget: int = DEFAULT_ATOM_BUDGET,
 ) -> AtomicMeasure:
     """Transfer-operator pullback: each atom spreads over its distinct preimages."""
-    _require_sphere(mu)
-    if mu.n_atoms * R.n > atom_budget:
-        raise AtomBudgetExceeded(
-            f"pullback would create up to {mu.n_atoms * R.n} atoms (budget {atom_budget})"
-        )
-    children = []
-    for p, w in mu.iter_atoms():
-        for x, _e in R.preimages(p, tol):
-            children.append((x, w))
-    return AtomicMeasure.from_sphere_atoms(children, tol)
+    fib = _pullback_fibres(R, mu, tol, atom_budget)
+    return AtomicMeasure.from_sphere_atoms(zip(fib.points, mu.weights[fib.owner]), tol)
 
 
 def pullback_G(
@@ -432,16 +532,17 @@ def pullback_G(
     atom_budget: int = DEFAULT_ATOM_BUDGET,
 ) -> AtomicMeasure:
     """Index-weighted pullback; total mass multiplies by exactly N."""
+    fib = _pullback_fibres(R, mu, tol, atom_budget)
+    return AtomicMeasure.from_sphere_atoms(zip(fib.points, mu.weights[fib.owner] * fib.degree), tol)
+
+
+def _pullback_fibres(R, mu, tol, atom_budget):
     _require_sphere(mu)
     if mu.n_atoms * R.n > atom_budget:
         raise AtomBudgetExceeded(
             f"pullback would create up to {mu.n_atoms * R.n} atoms (budget {atom_budget})"
         )
-    children = []
-    for p, w in mu.iter_atoms():
-        for x, e in R.preimages(p, tol):
-            children.append((x, w * e))
-    return AtomicMeasure.from_sphere_atoms(children, tol)
+    return fibre_table(R, mu, tol)
 
 
 def apply_F_beta(

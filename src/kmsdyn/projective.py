@@ -77,9 +77,6 @@ class SpherePoint:
         n2 = abs(self.z) ** 2 + abs(self.w) ** 2
         return (2.0 * s.real / n2, 2.0 * s.imag / n2, (abs(self.z) ** 2 - abs(self.w) ** 2) / n2)
 
-    def approx_equal(self, other: "SpherePoint", tol: float = DEFAULT_CLUSTER_TOL) -> bool:
-        return chordal_distance(self, other) <= tol
-
     def to_jsonable(self):
         """JSON form: finite points as [re, im], infinity as "inf"."""
         if self.is_infinity():

@@ -63,22 +63,17 @@ def _write(obj, out):
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def write_sphere_atoms_csv(measure, path, levels=None):
-    """Columns re, im, is_inf (0/1), weight[, level]."""
+def write_sphere_atoms_csv(measure, path):
+    """Columns re, im, is_inf (0/1), weight."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["re", "im", "is_inf", "weight"]
-        if levels is not None:
-            header.append("level")
-        writer.writerow(header)
-        for k, (p, w) in enumerate(measure.iter_atoms()):
+        writer.writerow(["re", "im", "is_inf", "weight"])
+        for p, w in measure.iter_atoms():
             if p.is_infinity():
                 row = ["0", "0", "1", format_float(float(w))]
             else:
                 a = p.to_affine()
                 row = [format_float(a.real), format_float(a.imag), "0", format_float(float(w))]
-            if levels is not None:
-                row.append(str(levels[k]))
             writer.writerow(row)
 
 

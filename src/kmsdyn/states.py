@@ -12,6 +12,23 @@ SUBCRITICAL = "Subcritical"
 CRITICAL = "Critical"
 SUPERCRITICAL = "Supercritical"
 ZERO = "Zero"
+CRITICAL_BETA_TOL = 1e-12
+
+
+def phase(beta, critical: bool, log_n: float):
+    """(beta, regime) of a classification: beta = log N when critical, else beta >= 0."""
+    if critical:
+        return log_n, CRITICAL
+    if beta is None:
+        raise ValueError("beta required unless critical=True")
+    beta_val = float(beta)
+    if beta_val < 0:
+        raise ValueError("beta must be nonnegative")
+    if abs(beta_val - log_n) < CRITICAL_BETA_TOL:
+        return beta_val, CRITICAL
+    if beta_val == 0.0:
+        return beta_val, ZERO
+    return beta_val, SUBCRITICAL if beta_val < log_n else SUPERCRITICAL
 
 
 def _anchor_jsonable(anchor):

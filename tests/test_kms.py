@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from kmsdyn.errors import (
@@ -21,9 +22,11 @@ from kmsdyn.kms import (
     lyubich,
     lyubich_invariance_residual,
 )
+from kmsdyn.ifs import check_K1_ifs, kms_measure_ifs, preset, tilde_ifs
 from kmsdyn.mapexpr import parse_map
-from kmsdyn.measure import AtomicMeasure, TestFunctionLibrary
+from kmsdyn.measure import AtomicMeasure, TestFunctionLibrary, integrate, tilde
 from kmsdyn.projective import SpherePoint, chordal_distance
+from kmsdyn.ratmap import RationalMap
 
 LIB = TestFunctionLibrary.sphere()
 INF = SpherePoint.infinity()
@@ -144,6 +147,76 @@ def test_k2_detects_subcritical_point_mass():
     mu = AtomicMeasure.delta(aff(1))
     rep = check_K2(R, mu, 0.5, LIB)
     assert rep.max_violation > 0.1
+
+
+def _scalar_trace_conditions(mu, beta, lib, tilde_at, branch, dist, rho=1e-3):
+    """Per-function K1 residuals and the worst K2 violation, point by point.
+
+    tilde_at(a, y) sums a over the fibre of y; dist is the metric of the
+    branch cutoff.
+    """
+
+    def cutoff(x):
+        d = min((dist(x, b) for b in branch), default=math.inf)
+        t = min(max((d - rho) / rho, 0.0), 1.0)
+        return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
+
+    eb = math.exp(-beta)
+    k1, k2 = [], 0.0
+    for f in lib.functions:
+        a = lambda x, f=f: f(x) * cutoff(x)
+        k1.append(abs(eb * integrate(mu, lambda y: tilde_at(a, y)) - integrate(mu, a)))
+        for sign in (1.0, -1.0):
+            a = lambda x, f=f, sign=sign: f.sup_norm + sign * f(x)
+            k2 = max(k2, eb * integrate(mu, lambda y: tilde_at(a, y)) - integrate(mu, a))
+    return k1, k2
+
+
+def test_rational_trace_checks_match_scalar_oracle():
+    R = parse_map("z^2+1")
+    mu = kms_measure(R, aff(0), 1.0, depth=6).measure
+    k1, k2 = _scalar_trace_conditions(
+        mu, 1.0, LIB, lambda a, y: tilde(R, a, y),
+        [p for p, _e in R.branch_data().branch_points], chordal_distance,
+    )
+    rep1 = check_K1(R, mu, 1.0, LIB)
+    assert rep1.per_function == pytest.approx(k1, rel=0.0, abs=1e-12)
+    assert rep1.max_residual == pytest.approx(max(k1), rel=0.0, abs=1e-12)
+    assert check_K2(R, mu, 1.0, LIB).function_violation == pytest.approx(k2, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name, anchor, beta, depth", [
+    ("tent", [0.5], math.log(4.0), 8),
+    ("sierpinski-twisted", None, 1.5, 3),
+])
+def test_ifs_trace_checks_match_scalar_oracle(name, anchor, beta, depth):
+    gamma = preset(name)
+    branch = gamma.branch_structure().branch_points
+    mu = kms_measure_ifs(gamma, branch[0] if anchor is None else anchor, beta, depth=depth).measure
+    lib = TestFunctionLibrary.plane(box=gamma.bounding_box())
+    k1, k2 = _scalar_trace_conditions(
+        mu, beta, lib, lambda a, y: tilde_ifs(gamma, a, y),
+        branch, lambda x, b: float(np.linalg.norm(x - b)),
+    )
+    got_k1, got_k2 = check_K1_ifs(gamma, mu, beta, lib)
+    assert got_k1 == pytest.approx(max(k1), rel=0.0, abs=1e-12)
+    assert got_k2 == pytest.approx(k2, rel=0.0, abs=1e-12)
+
+
+def test_k1_then_k2_solve_each_fibre_once(monkeypatch):
+    R = parse_map("z^2+1")
+    mu = kms_measure(R, aff(0), 1.0, depth=6).measure
+    solved = []
+    original = RationalMap.preimages
+
+    def counting(self, y, *args, **kwargs):
+        solved.append(y)
+        return original(self, y, *args, **kwargs)
+
+    monkeypatch.setattr(RationalMap, "preimages", counting)
+    check_K1(R, mu, 1.0, LIB)
+    check_K2(R, mu, 1.0, LIB)
+    assert len(solved) == mu.n_atoms
 
 
 def test_delta_infinity_satisfies_K2_for_all_beta():
@@ -297,6 +370,11 @@ def test_classify_julia_variant():
     assert rep.counts == (2, 0)
     with pytest.raises(NotABranchPoint):
         classify_julia(R, 2.0, julia_branch_points=[aff(0.5)])
+    # the same typed errors as classify, not a raw TypeError or a silent report
+    with pytest.raises(ValueError, match="beta required unless critical=True"):
+        classify_julia(R)
+    with pytest.raises(ValueError, match="beta must be nonnegative"):
+        classify_julia(R, -0.5)
 
 
 def test_supercritical_states_carry_exceptional_restrictions():
