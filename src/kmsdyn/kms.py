@@ -42,9 +42,12 @@ from .measure import (
 )
 from .projective import (
     DEFAULT_CLUSTER_TOL,
+    CellIndex,
     SpherePoint,
-    _SphereHash,
     chordal_distance,
+    embedding_array,
+    founders,
+    homogeneous,
 )
 from .ratmap import DEFAULT_ATOM_BUDGET, INDEX_WEIGHTED, SET_COUNT, RationalMap
 from .states import (
@@ -241,11 +244,9 @@ def check_K2(
     lib = lib or TestFunctionLibrary.sphere()
     _k1, func_violation, _masked = trace_conditions(lib, mu, fibre_table(R, mu, tol), beta)
 
-    grid = _SphereHash(tol)
-    for i, p in enumerate(mu.points):
-        grid.insert(p, i)
-    hits = [grid.find(R.evaluate(p)) for p in mu.points]
-    img_mass = np.array([0.0 if hit is None else mu.weights[hit] for hit in hits])
+    z, w = homogeneous(mu.points)
+    hits = CellIndex(z, w, tol).find(*R.evaluate_array(z, w))
+    img_mass = np.where(hits >= 0, mu.weights[hits], 0.0)
     gaps = math.exp(-beta) * img_mass - mu.weights
     off_branch = nearest_distance(mu.embedding(), _branch_embedding(R, tol)) > tol
     pm_violation = float(gaps.max(initial=0.0))
@@ -291,8 +292,7 @@ def lyubich_invariance_residual(
     lib = lib or TestFunctionLibrary.sphere()
     if mu.n_atoms == 0:
         return 0.0
-    pushed = [R.evaluate(p) for p in mu.points]
-    emb = np.array([p.embedding() for p in pushed]).reshape(-1, 3)
+    emb = embedding_array(*R.evaluate_array(*homogeneous(mu.points)))
     lhs = lib.values_matrix(emb) @ mu.weights
     rhs = lib.values_matrix(mu.embedding()) @ mu.weights
     return float(np.max(np.abs(lhs - rhs)))
@@ -364,16 +364,15 @@ def divergence_witness(
         raise ExceptionalSeed(f"seed {z} is exceptional; its backward orbit is finite")
     branch_values = R.branch_data(tol).branch_values
 
-    candidate_tree = R.backward_orbit(z, depth, SET_COUNT, tol, atom_budget)
-    candidates = []
-    seen = _SphereHash(tol)
-    for gen, level in enumerate(candidate_tree.levels):
-        for p, _w in level:
-            if seen.find(p) is None:
-                seen.insert(p, len(candidates))
-                candidates.append((p, gen))
-        if len(candidates) >= max_candidates:
-            break
+    levels = R.backward_orbit(z, depth, SET_COUNT, tol, atom_budget).levels
+    points = [p for level in levels for p, _w in level]
+    gens = np.repeat(np.arange(len(levels)), [len(level) for level in levels])
+    new = np.flatnonzero(founders(points, tol) == np.arange(len(points)))
+    # candidates are the new points of each level, up to the first level
+    # that brings their count to max_candidates
+    count = np.cumsum(np.bincount(gens[new], minlength=len(levels)))
+    last = np.argmax(count >= max_candidates) if count[-1] >= max_candidates else len(levels) - 1
+    candidates = [(points[i], int(gens[i])) for i in new if gens[i] <= last]
     q = R.n * math.exp(-beta)
     sums = list(np.cumsum([q**n for n in range(depth + 1)]))
 
@@ -410,16 +409,8 @@ def _avoids(tree, branch_values, avoid_tol):
 
 
 def _levels_disjoint(tree, tol):
-    grid = _SphereHash(tol)
-    idx = 0
-    for k, level in enumerate(tree.levels):
-        for p, _w in level:
-            hit = grid.find(p)
-            if hit is not None:
-                return False
-            grid.insert(p, idx)
-            idx += 1
-    return True
+    points = [p for level in tree.levels for p, _w in level]
+    return bool(np.all(founders(points, tol) == np.arange(len(points))))
 
 
 # ---------------------------------------------------------------------------

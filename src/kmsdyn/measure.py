@@ -32,8 +32,10 @@ import numpy as np
 from .errors import AtomBudgetExceeded, NotSubinvariant
 from .projective import (
     DEFAULT_CLUSTER_TOL,
+    CellIndex,
     SpherePoint,
-    _SphereHash,
+    embedding_array,
+    homogeneous,
     merge_weighted,
 )
 from .ratmap import DEFAULT_ATOM_BUDGET, RationalMap
@@ -263,7 +265,7 @@ class AtomicMeasure:
 
 def sphere_embedding(points):
     """Unit-sphere embeddings of SpherePoints, one row each."""
-    return np.array([p.embedding() for p in points]).reshape(-1, 3)
+    return embedding_array(*homogeneous(points))
 
 
 def measure_sum(measures, tol=None) -> AtomicMeasure:
@@ -601,24 +603,19 @@ def decompose_trace(
     fmu = apply_F_beta(R, mu, beta, tol, atom_budget)
 
     # signed subtraction mu - fmu, clipping small negative atoms
-    grid = _SphereHash(tol)
-    pts = list(mu.points)
-    wts = list(mu.weights.astype(float))
-    for i, p in enumerate(pts):
-        grid.insert(p, i)
-    clipped = 0.0
-    for q, w in fmu.iter_atoms():
-        idx = grid.find(q)
-        if idx is None:
-            if w > neg_tol:
-                raise NotSubinvariant(
-                    f"mu - F_beta(mu) has an atom of weight {-w:.3e} at {q}"
-                )
-            clipped += w
-            continue
-        wts[idx] -= w
+    hits = CellIndex(*homogeneous(mu.points), tol).find(*homogeneous(fmu.points))
+    miss = hits < 0
+    deficit = np.flatnonzero(miss & (fmu.weights > neg_tol))
+    if len(deficit):
+        i = deficit[0]
+        raise NotSubinvariant(
+            f"mu - F_beta(mu) has an atom of weight {-fmu.weights[i]:.3e} at {fmu.points[i]}"
+        )
+    clipped = sum(fmu.weights[miss], 0.0)
+    wts = mu.weights.copy()
+    np.subtract.at(wts, hits[~miss], fmu.weights[~miss])
     mu0_pairs = []
-    for p, w in zip(pts, wts):
+    for p, w in zip(mu.points, wts):
         if w < -neg_tol:
             raise NotSubinvariant(f"mu - F_beta(mu) has an atom of weight {w:.3e} at {p}")
         if w <= 0.0:

@@ -5,11 +5,21 @@ A point is an equivalence class [z : w] with (z, w) != (0, 0); infinity is
 analysis free of special cases at infinity.  Points are stored normalized by
 the coordinate of larger modulus, so max(|z|, |w|) == 1 exactly and the pivot
 coordinate is exactly 1.0.
+
+Atoms are clustered under the chordal metric by one array kernel: CellIndex
+hashes the R^3 embeddings of homogeneous (z, w) arrays into tol-sized cells
+and finds, by sorted probes over the 27 neighbour cells, the stored atoms
+near each query.  founders uses it to settle every atom with no other atom
+in its 27 cells at once; only the crowded rest goes through the greedy
+founder loop over _SphereHash.  cluster and merge_weighted reduce over
+founders.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 DEFAULT_CLUSTER_TOL = 1e-8
 
@@ -113,7 +123,7 @@ def sphere_point_from_json(obj) -> SpherePoint:
 
 
 class _SphereHash:
-    """Spatial hash on the R^3 embedding for near-linear-time clustering.
+    """Spatial hash on the R^3 embedding, for the crowded points of founders.
 
     Cell size is the tolerance, so any two points within tol share a cell or
     sit in adjacent cells; lookups scan the 27-cell neighborhood.
@@ -147,6 +157,149 @@ class _SphereHash:
         self.buckets.setdefault(self._key(emb), []).append((idx, point))
 
 
+def homogeneous(points):
+    """Homogeneous coordinate arrays (z, w) of a sequence of SpherePoints."""
+    return (
+        np.array([p.z for p in points], dtype=np.complex128),
+        np.array([p.w for p in points], dtype=np.complex128),
+    )
+
+
+def embedding_array(z, w):
+    """Unit-sphere embeddings of homogeneous arrays, one row per point.
+
+    The array form of SpherePoint.embedding, equal to it up to rounding;
+    the pairs must be normalized (max(|z|, |w|) == 1), as SpherePoints and
+    RationalMap.evaluate_array return them.
+    """
+    s = z * np.conj(w)
+    az = z.real**2 + z.imag**2
+    aw = w.real**2 + w.imag**2
+    n2 = az + aw
+    return np.stack([2.0 * s.real / n2, 2.0 * s.imag / n2, (az - aw) / n2], axis=-1)
+
+
+def chordal_array(z1, w1, z2, w2):
+    """Elementwise chordal_distance between two arrays of homogeneous pairs."""
+    cross = z1 * w2 - z2 * w1
+    return 2.0 * np.abs(cross) / (np.hypot(np.abs(z1), np.abs(w1)) * np.hypot(np.abs(z2), np.abs(w2)))
+
+
+# odd 64-bit multipliers of the linear cell hash
+_HASH = (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9)
+
+
+def _cell_hash(emb, tol):
+    """Hash mod 2^64 of each row's cell key floor(xi / tol), per _SphereHash._key.
+
+    A key triple does not fit one int64 at small tol (about 2e8 cells per
+    axis at 1e-8).  The hash is linear, so a neighbour cell's hash is the
+    cell's hash plus a fixed delta; a collision only adds a candidate.
+    """
+    keys = np.clip(np.floor(emb / max(tol, 1e-300)), -(2.0**62), 2.0**62)
+    keys = keys.astype(np.int64).view(np.uint64)
+    a, b, c = (np.uint64(m) for m in _HASH)
+    return keys[:, 0] * a + keys[:, 1] * b + keys[:, 2] * c
+
+
+def _offset_deltas(half=False):
+    """Hash deltas of the 27 neighbour offsets in _SphereHash.find's scan order.
+
+    With half, only the 13 offsets after (0, 0, 0), one of each mirror pair.
+    """
+    offsets = [(i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1)]
+    if half:
+        offsets = [off for off in offsets if off > (0, 0, 0)]
+    return [np.uint64(sum(o * m for o, m in zip(off, _HASH)) % 2**64) for off in offsets]
+
+
+class CellIndex:
+    """Stored sphere atoms sorted by the hash of their tol-sized cell.
+
+    The array counterpart of _SphereHash, with the same cells.  Two atoms
+    within tol sit in the same cell or in adjacent ones, so the candidates
+    near a query are the stored atoms whose hash is the query's plus one of
+    the 27 offset deltas, found by searchsorted.
+    """
+
+    def __init__(self, z, w, tol: float = DEFAULT_CLUSTER_TOL):
+        self.z = z
+        self.w = w
+        self.tol = tol
+        h = _cell_hash(embedding_array(z, w), tol)
+        self.order = np.argsort(h, kind="stable")
+        self.sorted = h[self.order]
+
+    def crowded(self):
+        """Mask of the stored atoms that share their 27 cells with another one."""
+        s = self.sorted
+        hit = np.zeros(len(s), dtype=bool)
+        if len(s) < 2:
+            return hit
+        same = s[1:] == s[:-1]
+        hit[1:] |= same
+        hit[:-1] |= same
+        # adjacency is symmetric: a probe that hits marks both ends
+        for delta in _offset_deltas(half=True):
+            probe = s + delta
+            pos = np.minimum(np.searchsorted(s, probe), len(s) - 1)
+            found = s[pos] == probe
+            hit |= found
+            hit[pos[found]] = True
+        out = np.empty_like(hit)
+        out[self.order] = hit
+        return out
+
+    def find(self, z, w):
+        """Per query pair, the first stored atom within tol, else -1.
+
+        "First" follows _SphereHash.find: neighbour cells in scan order,
+        atoms of one cell in index order.
+        """
+        h = _cell_hash(embedding_array(z, w), self.tol)
+        qorder = np.argsort(h)  # sorted probes search faster
+        h = h[qorder]
+        qs, ss = [], []
+        for delta in _offset_deltas():
+            probe = h + delta
+            lo = np.searchsorted(self.sorted, probe, "left")
+            count = np.searchsorted(self.sorted, probe, "right") - lo
+            start = np.repeat(lo - (np.cumsum(count) - count), count)
+            qs.append(np.repeat(qorder, count))
+            ss.append(self.order[start + np.arange(len(start))])
+        q = np.concatenate(qs)
+        s = np.concatenate(ss)
+        close = chordal_array(self.z[s], self.w[s], z[q], w[q]) <= self.tol
+        q, s = q[close], s[close]
+        hits = np.full(len(h), -1, dtype=np.intp)
+        uq, first = np.unique(q, return_index=True)
+        hits[uq] = s[first]
+        return hits
+
+
+def founders(points, tol: float = DEFAULT_CLUSTER_TOL):
+    """Greedy cluster founder of each point, as an index into points.
+
+    Points are scanned in order; each joins the first founder within tol
+    (in _SphereHash.find's scan order), otherwise it founds a cluster.  A
+    point with no other point in its 27 cells is its own founder, so only
+    the crowded points run the scalar loop.
+    """
+    label = np.arange(len(points))
+    if len(points) < 2:
+        return label
+    grid = _SphereHash(tol)
+    for i in np.flatnonzero(CellIndex(*homogeneous(points), tol).crowded()):
+        p = points[i]
+        emb = p.embedding()
+        hit = grid.find(p, emb)
+        if hit is None:
+            grid.insert(p, int(i), emb)
+        else:
+            label[i] = hit
+    return label
+
+
 def cluster(points, tol: float = DEFAULT_CLUSTER_TOL):
     """Greedy clustering under the chordal metric.
 
@@ -157,57 +310,51 @@ def cluster(points, tol: float = DEFAULT_CLUSTER_TOL):
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    reps = []
-    counts = []
-    grid = _SphereHash(tol)
-    for p in points:
-        emb = p.embedding()
-        idx = grid.find(p, emb)
-        if idx is None:
-            grid.insert(p, len(reps), emb)
-            reps.append(p)
-            counts.append(1)
-        else:
-            counts[idx] += 1
-    return list(zip(reps, counts))
+    points = list(points)
+    label = founders(points, tol)
+    counts = np.bincount(label, minlength=len(points))
+    return [(points[i], int(counts[i])) for i in np.flatnonzero(label == np.arange(len(points)))]
+
+
+def _sort_order(points):
+    """The stable order of sorting points by SpherePoint.sort_key."""
+    inf = np.array([p.w == 0.0 for p in points], dtype=bool)
+    a = np.array([0j if p.w == 0.0 else p.z / p.w for p in points], dtype=np.complex128)
+    return np.lexsort((a.imag, a.real, inf))
 
 
 def merge_weighted(pairs, tol: float = DEFAULT_CLUSTER_TOL, sort_first: bool = False):
     """Merge (point, weight) atoms closer than tol; weights add.
 
-    The representative is the weight average of the merged homogeneous pairs
-    (phase-aligned to the first member), renormalized.  With sort_first the
-    input is ordered by (re, im, inf) beforehand so the result does not depend
-    on the caller's atom order.
+    Clusters are those of founders.  A merged representative is the weight
+    average of the members' homogeneous pairs (phase-aligned to the
+    founder), renormalized; an atom alone in its cluster is kept as it is.
+    With sort_first the input is ordered by (re, im, inf) beforehand so the
+    result does not depend on the caller's atom order.
     """
     pairs = list(pairs)
+    points = [p for p, _w in pairs]
     if sort_first:
-        pairs.sort(key=lambda pw: pw[0].sort_key())
-    grid = _SphereHash(tol)
-    reps: list[SpherePoint] = []
-    zs: list[complex] = []
-    ws: list[complex] = []
-    wt: list[float] = []
-    for p, weight in pairs:
-        emb = p.embedding()
-        idx = grid.find(p, emb)
-        if idx is None:
-            grid.insert(p, len(reps), emb)
-            reps.append(p)
-            zs.append(p.z * weight)
-            ws.append(p.w * weight)
-            wt.append(weight)
-        else:
-            ref = reps[idx]
-            # align the homogeneous phase with the cluster founder
-            inner = p.z * ref.z.conjugate() + p.w * ref.w.conjugate()
-            phase = inner / abs(inner) if inner != 0 else 1.0
-            zs[idx] += (p.z / phase) * weight
-            ws[idx] += (p.w / phase) * weight
-            wt[idx] += weight
-    out = []
-    for k in range(len(reps)):
-        out.append((SpherePoint(zs[k], ws[k]), wt[k]))
-    return out
-
-
+        order = _sort_order(points).tolist()
+        pairs = [pairs[i] for i in order]
+        points = [points[i] for i in order]
+    label = founders(points, tol)
+    sums = {}
+    for i in np.flatnonzero(label != np.arange(len(pairs))).tolist():
+        f = int(label[i])
+        ref, wf = pairs[f]
+        acc = sums.setdefault(f, [ref.z * wf, ref.w * wf, wf])
+        p, weight = pairs[i]
+        # align the homogeneous phase with the cluster founder
+        inner = p.z * ref.z.conjugate() + p.w * ref.w.conjugate()
+        phase = inner / abs(inner) if inner != 0 else 1.0
+        acc[0] += (p.z / phase) * weight
+        acc[1] += (p.w / phase) * weight
+        acc[2] += weight
+    keep = np.flatnonzero(label == np.arange(len(pairs))).tolist()
+    if not sums:
+        return [tuple(pairs[i]) for i in keep]
+    return [
+        (SpherePoint(sums[i][0], sums[i][1]), sums[i][2]) if i in sums else tuple(pairs[i])
+        for i in keep
+    ]

@@ -104,6 +104,25 @@ class RationalMap:
         den = self._form(self._hq, p.z, p.w)
         return SpherePoint(num, den)
 
+    def evaluate_array(self, z, w):
+        """The array form of evaluate: R on homogeneous (z, w) arrays, normalized.
+
+        Each binary form is evaluated by Horner's rule in the ratio of the
+        smaller coordinate to the larger, the pivot rule of _form.
+        """
+        use_w = np.abs(w) >= np.abs(z)
+        t = np.where(use_w, z, w) / np.where(use_w, w, z)
+        num = np.zeros_like(t)
+        den = np.zeros_like(t)
+        for k in range(self.n + 1):
+            num = num * t + np.where(use_w, self._hp[self.n - k], self._hp[k])
+            den = den * t + np.where(use_w, self._hq[self.n - k], self._hq[k])
+        # the common factor pivot^n cancels here: divide by the larger image
+        # coordinate, as SpherePoint normalizes
+        num_big = np.abs(num) >= np.abs(den)
+        ratio = np.where(num_big, den, num) / np.where(num_big, num, den)
+        return np.where(num_big, 1.0, ratio), np.where(num_big, ratio, 1.0)
+
     def __call__(self, p: SpherePoint) -> SpherePoint:
         return self.evaluate(p)
 

@@ -25,7 +25,7 @@ from kmsdyn.kms import (
 from kmsdyn.ifs import check_K1_ifs, kms_measure_ifs, preset, tilde_ifs
 from kmsdyn.mapexpr import parse_map
 from kmsdyn.measure import AtomicMeasure, TestFunctionLibrary, integrate, tilde
-from kmsdyn.projective import SpherePoint, chordal_distance
+from kmsdyn.projective import SpherePoint, _SphereHash, chordal_distance
 from kmsdyn.ratmap import RationalMap
 
 LIB = TestFunctionLibrary.sphere()
@@ -94,6 +94,15 @@ def test_kms_measure_point_mass_chain():
             continue
         img = mu.point_mass(R.evaluate(p))
         assert abs(ebeta * img - w) <= 1e-9 * km.normalization
+
+
+def test_kms_measure_merges_across_levels():
+    # 0 -> -1 -> 0 under z^2 - 1, so 0 recurs in the even levels of its own orbit
+    R = parse_map("z^2-1")
+    assert R.backward_orbit(aff(0), 6).atom_count() == 88
+    km = kms_measure(R, aff(0), 1.0, depth=6)
+    assert km.measure.n_atoms == 65
+    assert km.measure.point_mass(aff(0)) == pytest.approx(0.3991085051563811, rel=0.0, abs=1e-12)
 
 
 def test_kms_measure_regime_errors():
@@ -201,6 +210,24 @@ def test_ifs_trace_checks_match_scalar_oracle(name, anchor, beta, depth):
     got_k1, got_k2 = check_K1_ifs(gamma, mu, beta, lib)
     assert got_k1 == pytest.approx(max(k1), rel=0.0, abs=1e-12)
     assert got_k2 == pytest.approx(k2, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("source", ["z^2+1", "z^2-1"])
+def test_k2_point_masses_match_sphere_hash_oracle(source):
+    R = parse_map(source)
+    mu = kms_measure(R, aff(0), 1.0, depth=6).measure
+    grid = _SphereHash(1e-8)
+    for i, p in enumerate(mu.points):
+        grid.insert(p, i)
+    hits = [grid.find(R.evaluate(p)) for p in mu.points]
+    img_mass = np.array([0.0 if hit is None else mu.weights[hit] for hit in hits])
+    gaps = math.exp(-1.0) * img_mass - mu.weights
+    branch = [p for p, _e in R.branch_data().branch_points]
+    off_branch = [min(chordal_distance(p, b) for b in branch) > 1e-8 for p in mu.points]
+    rep = check_K2(R, mu, 1.0, LIB)
+    assert rep.point_mass_violation == max(gaps.max(), 0.0)
+    assert rep.point_mass_equality_residual == np.abs(gaps[off_branch]).max(initial=0.0)
+    assert any(hit is not None for hit in hits)
 
 
 def test_k1_then_k2_solve_each_fibre_once(monkeypatch):

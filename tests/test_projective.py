@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from kmsdyn.projective import (
+    CellIndex,
     SpherePoint,
+    _SphereHash,
     chordal_distance,
     cluster,
+    homogeneous,
     merge_weighted,
     sphere_point_from_json,
 )
@@ -110,6 +113,90 @@ def test_merge_weighted_sums_weights():
     assert len(out) == 2
     assert out[0][1] == pytest.approx(0.75)
     assert out[1][0].is_infinity() and out[1][1] == 1.0
+
+
+def _greedy_merge_oracle(pairs, tol, sort_first=False):
+    """merge_weighted as one greedy founder loop over every atom."""
+    pairs = list(pairs)
+    if sort_first:
+        pairs.sort(key=lambda pw: pw[0].sort_key())
+    grid = _SphereHash(tol)
+    reps, zs, ws, wt = [], [], [], []
+    for p, weight in pairs:
+        emb = p.embedding()
+        idx = grid.find(p, emb)
+        if idx is None:
+            grid.insert(p, len(reps), emb)
+            reps.append(p)
+            zs.append(p.z * weight)
+            ws.append(p.w * weight)
+            wt.append(weight)
+        else:
+            ref = reps[idx]
+            inner = p.z * ref.z.conjugate() + p.w * ref.w.conjugate()
+            phase = inner / abs(inner) if inner != 0 else 1.0
+            zs[idx] += (p.z / phase) * weight
+            ws[idx] += (p.w / phase) * weight
+            wt[idx] += weight
+    return [(SpherePoint(zs[k], ws[k]), wt[k]) for k in range(len(reps))]
+
+
+def _planted_points(rng, scale, tol):
+    """Random points at one scale, near-duplicates at 0.2-3 tol, repeats, infinity."""
+    base = [SpherePoint.from_affine(complex(a, b) * scale) for a, b in rng.normal(size=(60, 2))]
+    pts = list(base)
+    for p in base[:20]:
+        a = p.to_affine()
+        # chordal distance is about 2 |da| / (1 + |a|^2)
+        step = rng.uniform(0.2, 3.0) * tol * (1.0 + abs(a) ** 2) / 2.0
+        pts.append(SpherePoint.from_affine(a + step * np.exp(2j * np.pi * rng.random())))
+    pts += base[20:30] + [SpherePoint.infinity()] * 3 + [SpherePoint(1.0, tol * 0.5)]
+    pts += [SpherePoint.from_affine(p.to_affine().conjugate()) for p in pts[:15] if not p.is_infinity()]
+    return [pts[i] for i in rng.permutation(len(pts))]
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_merge_weighted_matches_greedy_oracle(scale):
+    rng = np.random.default_rng(int(scale * 1e3))
+    tol = 1e-8
+    for trial in range(20):
+        pts = _planted_points(rng, scale, tol)
+        pairs = [(p, float(w)) for p, w in zip(pts, rng.uniform(0.1, 1.0, len(pts)))]
+        for sort_first in (False, True):
+            got = merge_weighted(pairs, tol, sort_first)
+            want = _greedy_merge_oracle(pairs, tol, sort_first)
+            assert len(got) == len(want) < len(pairs)
+            assert [w for _p, w in got] == [w for _p, w in want]
+            assert all(chordal_distance(p, q) <= 1e-15 for (p, _), (q, _) in zip(got, want))
+        counts = [m for _p, m in cluster(pts, tol)]
+        assert counts == [w for _p, w in _greedy_merge_oracle([(p, 1) for p in pts], tol)]
+
+
+def test_merge_weighted_conjugate_pairs_stay_apart():
+    # a real map with a real anchor makes conjugate pairs with one x key
+    rng = np.random.default_rng(17)
+    a = rng.normal(size=200) + 1j * rng.uniform(1e-6, 1.0, size=200)
+    pts = [SpherePoint.from_affine(c) for c in np.concatenate([a, a.conj()])]
+    assert not CellIndex(*homogeneous(pts), 1e-8).crowded().any()
+    got = merge_weighted([(p, 1.0) for p in pts], 1e-8, sort_first=True)
+    assert [(p.z, p.w) for p, _w in got] == [
+        (p.z, p.w) for p in sorted(pts, key=SpherePoint.sort_key)
+    ]
+
+
+def test_cell_index_find_matches_sphere_hash():
+    rng = np.random.default_rng(23)
+    tol = 1e-8
+    for scale in (1e-3, 1.0, 1e3):
+        pts = _planted_points(rng, scale, tol)
+        stored, queries = pts[::2], pts[1::2]
+        grid = _SphereHash(tol)
+        for i, p in enumerate(stored):
+            grid.insert(p, i)
+        want = [-1 if (hit := grid.find(q)) is None else hit for q in queries]
+        got = CellIndex(*homogeneous(stored), tol).find(*homogeneous(queries))
+        assert got.tolist() == want
+        assert any(h >= 0 for h in want)
 
 
 def test_json_round_trip():

@@ -9,7 +9,7 @@ import pytest
 
 from kmsdyn.errors import DegreeTooLow, ExceptionalSeed
 from kmsdyn.mapexpr import parse_map
-from kmsdyn.projective import SpherePoint, chordal_distance
+from kmsdyn.projective import SpherePoint, chordal_distance, embedding_array, homogeneous
 from kmsdyn.ratmap import INDEX_WEIGHTED, SET_COUNT, RationalMap
 
 
@@ -76,6 +76,24 @@ def test_evaluate_examples():
     assert chordal_distance(Rinv.evaluate(INF), SpherePoint.zero()) < 1e-15
     Rp = parse_map("z^2+1")
     assert Rp.evaluate(aff(2)).to_affine() == pytest.approx(5)
+
+
+@pytest.mark.parametrize("source, poles", [
+    ("z^2", []),
+    ("z^3-z", []),
+    ("z^5-z+3/10", []),
+    ("(z^2+1)/(z^2-1)", [1, -1]),
+    ("1/z^2", [0]),
+])
+def test_evaluate_array_matches_evaluate(source, poles):
+    R = parse_map(source)
+    rng = np.random.default_rng(len(source))
+    moduli = 10.0 ** rng.uniform(-4, 4, 400)
+    pts = [aff(c) for c in moduli * np.exp(2j * np.pi * rng.random(400))]
+    pts += [SpherePoint.zero(), INF] + [aff(c) for c in poles]
+    got = embedding_array(*R.evaluate_array(*homogeneous(pts)))
+    want = np.array([R.evaluate(p).embedding() for p in pts])
+    assert np.linalg.norm(got - want, axis=1).max() <= 1e-15
 
 
 def test_degree_too_low():
