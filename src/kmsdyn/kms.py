@@ -42,10 +42,10 @@ from .measure import (
 )
 from .projective import (
     DEFAULT_CLUSTER_TOL,
-    CellIndex,
     SpherePoint,
     chordal_distance,
     embedding_array,
+    first_within,
     founders,
     homogeneous,
 )
@@ -245,7 +245,7 @@ def check_K2(
     _k1, func_violation, _masked = trace_conditions(lib, mu, fibre_table(R, mu, tol), beta)
 
     z, w = homogeneous(mu.points)
-    hits = CellIndex(z, w, tol).find(*R.evaluate_array(z, w))
+    hits = first_within(z, w, *R.evaluate_array(z, w), tol)
     img_mass = np.where(hits >= 0, mu.weights[hits], 0.0)
     gaps = math.exp(-beta) * img_mass - mu.weights
     off_branch = nearest_distance(mu.embedding(), _branch_embedding(R, tol)) > tol

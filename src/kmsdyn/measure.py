@@ -35,6 +35,7 @@ from .projective import (
     CellIndex,
     SpherePoint,
     embedding_array,
+    first_within,
     homogeneous,
     merge_weighted,
 )
@@ -54,91 +55,56 @@ PLANE = "plane"
 def merge_planar(coords, weights, tol: float = PLANAR_MERGE_TOL):
     """Merge planar atoms closer than tol; weights add, centroids average.
 
-    Cell-quantized so exact collisions merge in O(n); a second pass links
-    occupied adjacent cells whose representatives actually sit within tol.
+    Atoms are binned into the cells round(x / tol), and each occupied cell
+    becomes the weighted centroid of its atoms.  Two cells that are grid
+    neighbours join when their centroids lie within tol; a cluster is a
+    connected component of that relation and comes out as the weighted
+    centroid of its cells.  Clusters are ordered by their first cell in
+    lexicographic order.  Coordinates must be finite with |x| < 2^62 tol.
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))
     weights = np.asarray(weights, dtype=np.float64)
     if coords.shape[0] == 0:
         return coords, weights
+    if not np.all(np.abs(coords) < 2.0**62 * tol):  # false for nan too
+        raise ValueError(f"planar coordinates must be finite and below {2.0**62 * tol:.6g} in modulus")
     cells = np.round(coords / tol).astype(np.int64)
-    uniq, inverse = np.unique(cells, axis=0, return_inverse=True)
-    inverse = np.ravel(inverse)  # shape differs across numpy versions
+    order = np.lexsort(cells.T[::-1])
+    cells = cells[order]
+    first = np.ones(len(cells), dtype=bool)
+    first[1:] = np.any(cells[1:] != cells[:-1], axis=1)
+    uniq = cells[first]
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
     wsum = np.bincount(inverse, weights=weights)
     reps = np.empty((len(uniq), coords.shape[1]))
     for d in range(coords.shape[1]):
         reps[:, d] = np.bincount(inverse, weights=weights * coords[:, d]) / wsum
 
-    pairs = _adjacent_cell_pairs(uniq)
-    close = [(i, j) for i, j in pairs if np.linalg.norm(reps[i] - reps[j]) <= tol]
-    if not close:
+    index = CellIndex(uniq)
+    crowd = np.flatnonzero(index.crowded())
+    q, j = index.pairs(uniq[crowd])
+    i = crowd[q]
+    close = (i != j) & (np.linalg.norm(reps[i] - reps[j], axis=1) <= tol)
+    if not close.any():
         return reps, wsum
-    parent = np.arange(len(uniq))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in close:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
+    i, j = i[close], j[close]
+    # each cell takes the least cell index of its component
+    label = np.arange(len(uniq))
     while True:
-        compressed = parent[parent]
-        if np.array_equal(compressed, parent):
+        low = label.copy()
+        np.minimum.at(low, i, label[j])
+        low = low[low]
+        if np.array_equal(low, label):
             break
-        parent = compressed
-    wgrp = np.bincount(parent, weights=wsum, minlength=len(uniq))
+        label = low
+    wgrp = np.bincount(label, weights=wsum, minlength=len(uniq))
     keep = wgrp > 0
     out = np.empty((int(keep.sum()), coords.shape[1]))
     for d in range(coords.shape[1]):
-        out[:, d] = np.bincount(parent, weights=wsum * reps[:, d], minlength=len(uniq))[keep]
+        out[:, d] = np.bincount(label, weights=wsum * reps[:, d], minlength=len(uniq))[keep]
     out /= wgrp[keep, None]
     return out, wgrp[keep]
-
-
-def _adjacent_cell_pairs(uniq):
-    """Index pairs of occupied cells that are grid neighbors."""
-    dim = uniq.shape[1]
-    if dim == 1:
-        order = np.argsort(uniq[:, 0])
-        vals = uniq[order, 0]
-        hits = np.nonzero(np.diff(vals) == 1)[0]
-        return [(int(order[k]), int(order[k + 1])) for k in hits]
-    # positive half of the 3^dim neighborhood; mirrors are covered symmetrically
-    offsets = [tuple(v - 1 for v in off) for off in np.ndindex(*(3,) * dim)]
-    offsets = [off for off in offsets if off > (0,) * dim]
-    mins = uniq.min(axis=0)
-    spans = uniq.max(axis=0) - mins + 3  # 2 slack cells prevent key wrap-around
-    if float(np.prod(spans.astype(np.float64))) < 2.0**62:
-        shifted = (uniq - mins).astype(np.int64)
-        key = shifted[:, 0].copy()
-        for d in range(1, dim):
-            key = key * spans[d] + shifted[:, d]
-        order = np.argsort(key)
-        skey = key[order]
-        pairs = []
-        for off in offsets:
-            delta = np.int64(off[0])
-            for d in range(1, dim):
-                delta = delta * spans[d] + off[d]
-            probe = key + delta
-            pos = np.searchsorted(skey, probe)
-            pos_c = np.minimum(pos, len(skey) - 1)
-            valid = skey[pos_c] == probe
-            for i in np.nonzero(valid)[0]:
-                pairs.append((int(i), int(order[pos_c[i]])))
-        return pairs
-    lookup = {tuple(c): i for i, c in enumerate(uniq)}
-    pairs = []
-    for i, c in enumerate(uniq):
-        for off in offsets:
-            j = lookup.get(tuple(c + np.array(off)))
-            if j is not None:
-                pairs.append((i, j))
-    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +569,7 @@ def decompose_trace(
     fmu = apply_F_beta(R, mu, beta, tol, atom_budget)
 
     # signed subtraction mu - fmu, clipping small negative atoms
-    hits = CellIndex(*homogeneous(mu.points), tol).find(*homogeneous(fmu.points))
+    hits = first_within(*homogeneous(mu.points), *homogeneous(fmu.points), tol)
     miss = hits < 0
     deficit = np.flatnonzero(miss & (fmu.weights > neg_tol))
     if len(deficit):

@@ -6,17 +6,20 @@ analysis free of special cases at infinity.  Points are stored normalized by
 the coordinate of larger modulus, so max(|z|, |w|) == 1 exactly and the pivot
 coordinate is exactly 1.0.
 
-Atoms are clustered under the chordal metric by one array kernel: CellIndex
-hashes the R^3 embeddings of homogeneous (z, w) arrays into tol-sized cells
-and finds, by sorted probes over the 27 neighbour cells, the stored atoms
-near each query.  founders uses it to settle every atom with no other atom
-in its 27 cells at once; only the crowded rest goes through the greedy
-founder loop over _SphereHash.  cluster and merge_weighted reduce over
-founders.
+Atoms are clustered by one array kernel, CellIndex, which takes integer
+cell keys of any width: it sorts them by a linear hash, marks the crowded
+atoms (those with another atom in their 3^d neighbour cells) and lists the
+stored atoms in each query's neighbour cells.  The caller picks the cells
+and the metric.  Here the cells are floor(xi / tol) on the R^3 embedding and
+the metric is chordal: founders pairs the crowded atoms and runs the greedy
+founder rule over the close pairs, cluster and merge_weighted reduce over
+founders, and first_within finds stored atoms near queries.
+measure.merge_planar uses the same kernel on the plane.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -122,41 +125,6 @@ def sphere_point_from_json(obj) -> SpherePoint:
     return SpherePoint.from_affine(complex(re, im))
 
 
-class _SphereHash:
-    """Spatial hash on the R^3 embedding, for the crowded points of founders.
-
-    Cell size is the tolerance, so any two points within tol share a cell or
-    sit in adjacent cells; lookups scan the 27-cell neighborhood.
-    """
-
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.cell = max(tol, 1e-300)
-        self.buckets: dict = {}
-
-    def _key(self, emb):
-        c = self.cell
-        return (int(math.floor(emb[0] / c)), int(math.floor(emb[1] / c)), int(math.floor(emb[2] / c)))
-
-    def find(self, point: SpherePoint, emb=None):
-        """Index of a stored point within tol of `point`, else None."""
-        if emb is None:
-            emb = point.embedding()
-        i, j, k = self._key(emb)
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                for dk in (-1, 0, 1):
-                    for idx, stored in self.buckets.get((i + di, j + dj, k + dk), ()):
-                        if chordal_distance(stored, point) <= self.tol:
-                            return idx
-        return None
-
-    def insert(self, point: SpherePoint, idx: int, emb=None):
-        if emb is None:
-            emb = point.embedding()
-        self.buckets.setdefault(self._key(emb), []).append((idx, point))
-
-
 def homogeneous(points):
     """Homogeneous coordinate arrays (z, w) of a sequence of SpherePoints."""
     return (
@@ -185,53 +153,57 @@ def chordal_array(z1, w1, z2, w2):
     return 2.0 * np.abs(cross) / (np.hypot(np.abs(z1), np.abs(w1)) * np.hypot(np.abs(z2), np.abs(w2)))
 
 
-# odd 64-bit multipliers of the linear cell hash
-_HASH = (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9)
+# odd 64-bit multiplier of the linear cell hash; key axis k uses its (k+1)-th power
+_HASH = 0x9E3779B97F4A7C15
 
 
-def _cell_hash(emb, tol):
-    """Hash mod 2^64 of each row's cell key floor(xi / tol), per _SphereHash._key.
+def _cell_hash(keys):
+    """Hash mod 2^64 of each row of an (n, d) int64 array of cell keys.
+
+    The hash is linear, so a neighbour cell's hash is the cell's hash plus
+    the hash of the offset.
+    """
+    h = np.zeros(len(keys), dtype=np.uint64)
+    for k in range(keys.shape[1]):
+        h += keys[:, k].view(np.uint64) * np.uint64(pow(_HASH, k + 1, 2**64))
+    return h
+
+
+def sphere_cells(z, w, tol: float):
+    """Cell keys floor(xi / tol) of the R^3 embeddings of homogeneous arrays.
 
     A key triple does not fit one int64 at small tol (about 2e8 cells per
-    axis at 1e-8).  The hash is linear, so a neighbour cell's hash is the
-    cell's hash plus a fixed delta; a collision only adds a candidate.
+    axis at 1e-8), so keys go to CellIndex, which hashes them.
     """
-    keys = np.clip(np.floor(emb / max(tol, 1e-300)), -(2.0**62), 2.0**62)
-    keys = keys.astype(np.int64).view(np.uint64)
-    a, b, c = (np.uint64(m) for m in _HASH)
-    return keys[:, 0] * a + keys[:, 1] * b + keys[:, 2] * c
-
-
-def _offset_deltas(half=False):
-    """Hash deltas of the 27 neighbour offsets in _SphereHash.find's scan order.
-
-    With half, only the 13 offsets after (0, 0, 0), one of each mirror pair.
-    """
-    offsets = [(i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1)]
-    if half:
-        offsets = [off for off in offsets if off > (0, 0, 0)]
-    return [np.uint64(sum(o * m for o, m in zip(off, _HASH)) % 2**64) for off in offsets]
+    keys = np.clip(np.floor(embedding_array(z, w) / max(tol, 1e-300)), -(2.0**62), 2.0**62)
+    return keys.astype(np.int64)
 
 
 class CellIndex:
-    """Stored sphere atoms sorted by the hash of their tol-sized cell.
+    """Stored atoms sorted by the hash of their integer cell keys.
 
-    The array counterpart of _SphereHash, with the same cells.  Two atoms
-    within tol sit in the same cell or in adjacent ones, so the candidates
+    Keys are an (n, d) int64 array, one row per atom, for any d >= 1; callers
+    choose the cells and apply their own metric.  Two atoms closer than one
+    cell width sit in the same cell or in adjacent ones, so the candidates
     near a query are the stored atoms whose hash is the query's plus one of
-    the 27 offset deltas, found by searchsorted.
+    the 3^d offset hashes, found by searchsorted.  A hash collision only adds
+    a candidate, which the key comparison in pairs drops.
     """
 
-    def __init__(self, z, w, tol: float = DEFAULT_CLUSTER_TOL):
-        self.z = z
-        self.w = w
-        self.tol = tol
-        h = _cell_hash(embedding_array(z, w), tol)
+    def __init__(self, keys):
+        self.keys = keys
+        # lexicographic, so the zero offset sits in the middle
+        self.offsets = np.array(list(itertools.product((-1, 0, 1), repeat=keys.shape[1])), dtype=np.int64)
+        self.deltas = _cell_hash(self.offsets)
+        h = _cell_hash(keys)
         self.order = np.argsort(h, kind="stable")
         self.sorted = h[self.order]
 
     def crowded(self):
-        """Mask of the stored atoms that share their 27 cells with another one."""
+        """Mask of the stored atoms that may share their 3^d cells with another one.
+
+        Every atom that does is marked; a hash collision can mark more.
+        """
         s = self.sorted
         hit = np.zeros(len(s), dtype=bool)
         if len(s) < 2:
@@ -239,8 +211,8 @@ class CellIndex:
         same = s[1:] == s[:-1]
         hit[1:] |= same
         hit[:-1] |= same
-        # adjacency is symmetric: a probe that hits marks both ends
-        for delta in _offset_deltas(half=True):
+        # adjacency is symmetric: a probe past the zero offset that hits marks both ends
+        for delta in self.deltas[len(self.deltas) // 2 + 1 :]:
             probe = s + delta
             pos = np.minimum(np.searchsorted(s, probe), len(s) - 1)
             found = s[pos] == probe
@@ -250,53 +222,65 @@ class CellIndex:
         out[self.order] = hit
         return out
 
-    def find(self, z, w):
-        """Per query pair, the first stored atom within tol, else -1.
+    def pairs(self, keys):
+        """(query, stored) index pairs of the stored atoms in each query's 3^d cells.
 
-        "First" follows _SphereHash.find: neighbour cells in scan order,
-        atoms of one cell in index order.
+        Grouped by query in index order; within a query, neighbour cells in
+        lexicographic offset order, and one cell's atoms in index order.
         """
-        h = _cell_hash(embedding_array(z, w), self.tol)
+        h = _cell_hash(keys)
         qorder = np.argsort(h)  # sorted probes search faster
         h = h[qorder]
         qs, ss = [], []
-        for delta in _offset_deltas():
+        for off, delta in zip(self.offsets, self.deltas):
             probe = h + delta
             lo = np.searchsorted(self.sorted, probe, "left")
             count = np.searchsorted(self.sorted, probe, "right") - lo
             start = np.repeat(lo - (np.cumsum(count) - count), count)
-            qs.append(np.repeat(qorder, count))
-            ss.append(self.order[start + np.arange(len(start))])
+            q = np.repeat(qorder, count)
+            s = self.order[start + np.arange(len(start))]
+            cell = np.all(self.keys[s] == keys[q] + off, axis=1)
+            qs.append(q[cell])
+            ss.append(s[cell])
         q = np.concatenate(qs)
-        s = np.concatenate(ss)
-        close = chordal_array(self.z[s], self.w[s], z[q], w[q]) <= self.tol
-        q, s = q[close], s[close]
-        hits = np.full(len(h), -1, dtype=np.intp)
-        uq, first = np.unique(q, return_index=True)
-        hits[uq] = s[first]
-        return hits
+        group = np.argsort(q, kind="stable")
+        return q[group], np.concatenate(ss)[group]
+
+
+def first_within(z, w, qz, qw, tol: float = DEFAULT_CLUSTER_TOL):
+    """Per query pair (qz, qw), the first stored pair (z, w) within tol, else -1.
+
+    "First" follows CellIndex.pairs: neighbour cells in offset order, atoms
+    of one cell in index order.
+    """
+    q, s = CellIndex(sphere_cells(z, w, tol)).pairs(sphere_cells(qz, qw, tol))
+    close = chordal_array(z[s], w[s], qz[q], qw[q]) <= tol
+    hits = np.full(len(qz), -1, dtype=np.intp)
+    uq, first = np.unique(q[close], return_index=True)
+    hits[uq] = s[close][first]
+    return hits
 
 
 def founders(points, tol: float = DEFAULT_CLUSTER_TOL):
     """Greedy cluster founder of each point, as an index into points.
 
     Points are scanned in order; each joins the first founder within tol
-    (in _SphereHash.find's scan order), otherwise it founds a cluster.  A
-    point with no other point in its 27 cells is its own founder, so only
-    the crowded points run the scalar loop.
+    (in CellIndex.pairs order), otherwise it founds a cluster.  Only the
+    crowded points can have a point within tol, so only they are paired.
     """
     label = np.arange(len(points))
     if len(points) < 2:
         return label
-    grid = _SphereHash(tol)
-    for i in np.flatnonzero(CellIndex(*homogeneous(points), tol).crowded()):
-        p = points[i]
-        emb = p.embedding()
-        hit = grid.find(p, emb)
-        if hit is None:
-            grid.insert(p, int(i), emb)
-        else:
-            label[i] = hit
+    z, w = homogeneous(points)
+    keys = sphere_cells(z, w, tol)
+    index = CellIndex(keys)
+    crowd = np.flatnonzero(index.crowded())
+    q, j = index.pairs(keys[crowd])
+    i = crowd[q]
+    close = (j < i) & (chordal_array(z[j], w[j], z[i], w[i]) <= tol)
+    for a, b in zip(i[close].tolist(), j[close].tolist()):
+        if label[a] == a and label[b] == b:
+            label[a] = b
     return label
 
 

@@ -121,19 +121,27 @@ def test_ifs_kms_tent(capsys):
 
 
 def test_ifs_custom_system_file(tmp_path, capsys):
-    spec = {
-        "dim": 1,
-        "maps": [
-            {"linear": [[0.5]], "offset": [0.0]},
-            {"linear": [[-0.5]], "offset": [1.0]},
-        ],
-    }
-    path = tmp_path / "tent.json"
-    path.write_text(json.dumps(spec))
-    code, out, _e = run_cli(capsys, "ifs", "analyze", "--system", str(path))
+    def tent(offset):
+        spec = {
+            "dim": 1,
+            "maps": [
+                {"linear": [[0.5]], "offset": [0.0]},
+                {"linear": [[-0.5]], "offset": [offset]},
+            ],
+        }
+        path = tmp_path / f"tent-{offset:g}.json"
+        path.write_text(json.dumps(spec))
+        return str(path)
+
+    code, out, _e = run_cli(capsys, "ifs", "analyze", "--system", tent(1.0))
     assert code == 0
     doc = json.loads(out)
     assert doc["branch_structure"]["branch_points"] == [[0.5]]
+    # scaled by 2e10 the atoms lie past 2^62 cells of the merge tolerance,
+    # beyond what an int64 cell key holds
+    code, out, err = run_cli(capsys, "ifs", "hutchinson", "--system", tent(2e10), "--iters", "8")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["kind"] == "ValueError"
 
 
 def test_out_file(tmp_path, capsys):

@@ -25,8 +25,10 @@ from kmsdyn.kms import (
 from kmsdyn.ifs import check_K1_ifs, kms_measure_ifs, preset, tilde_ifs
 from kmsdyn.mapexpr import parse_map
 from kmsdyn.measure import AtomicMeasure, TestFunctionLibrary, integrate, tilde
-from kmsdyn.projective import SpherePoint, _SphereHash, chordal_distance
+from kmsdyn.projective import SpherePoint, chordal_distance
 from kmsdyn.ratmap import RationalMap
+
+from merge_oracles import _SphereHash
 
 LIB = TestFunctionLibrary.sphere()
 INF = SpherePoint.infinity()

@@ -4,11 +4,13 @@ The semigroup oracle re-enumerates backward paths recursively through
 numpy.roots, independent of the production pullback.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from kmsdyn import projective
 from kmsdyn.errors import NotSubinvariant
 from kmsdyn.mapexpr import parse_map
 from kmsdyn.measure import (
@@ -18,6 +20,7 @@ from kmsdyn.measure import (
     decompose_trace,
     integrate,
     measure_sum,
+    merge_planar,
     pullback_F,
     pullback_G,
     tilde,
@@ -25,6 +28,7 @@ from kmsdyn.measure import (
 )
 from kmsdyn.projective import SpherePoint, chordal_distance
 
+from merge_oracles import merge_planar as merge_planar_union_find
 from test_ratmap import oracle_level_sets
 
 
@@ -274,6 +278,102 @@ def test_planar_measure_merge_and_moments():
     lib = TestFunctionLibrary.plane(degree=2, box=((0.0, 1.0),))
     x1 = [f for f in lib.functions if f.exponents == (1,)][0]
     assert integrate(mu, x1) == pytest.approx(0.5)
+
+
+def _planted_planar(rng, dim, scale, tol):
+    """Random atoms at one scale with near-duplicates, chains and exact repeats."""
+    base = rng.uniform(-1.0, 1.0, size=(40, dim)) * scale
+    parts = [base, base[30:40]]
+    for p in base[:15]:
+        u = rng.normal(size=dim)
+        parts.append(p + rng.uniform(0.1, 2.0) * tol * u / np.linalg.norm(u))
+    for p in base[15:20]:
+        # 5-8 atoms 0.6 tol apart span at least 2.4 tol, at least 1.2 tol
+        # along the longest axis, so every chain crosses a cell boundary
+        u = rng.normal(size=dim)
+        steps = np.arange(rng.integers(5, 9))[:, None]
+        parts.append(p + 0.6 * tol * steps * u / np.linalg.norm(u))
+    x = np.vstack(parts)
+    return x[rng.permutation(len(x))]
+
+
+def _cluster_weights_by_first_cell(x, w, tol):
+    """Cluster weights of merge_planar's rule, by brute force, in first-cell order.
+
+    Cells round(x / tol) hold their atoms' weighted centroid; grid
+    neighbours whose centroids lie within tol link up; a cluster is a
+    component, weighed over its cells in lexicographic order.
+    """
+    cells = [tuple(c) for c in np.round(x / tol).astype(np.int64).tolist()]
+    uniq = sorted(set(cells))
+    at = {c: k for k, c in enumerate(uniq)}
+    mass, moment = np.zeros(len(uniq)), np.zeros((len(uniq), x.shape[1]))
+    for c, xi, wi in zip(cells, x, w):
+        mass[at[c]] += wi
+        moment[at[c]] += wi * xi
+    rep = moment / mass[:, None]
+    comp = [-1] * len(uniq)
+    for k in range(len(uniq)):  # components in order of their first cell
+        if comp[k] < 0:
+            comp[k], stack = k, [k]
+            while stack:
+                a = stack.pop()
+                for off in itertools.product((-1, 0, 1), repeat=x.shape[1]):
+                    b = at.get(tuple(u + o for u, o in zip(uniq[a], off)), -1)
+                    if b >= 0 and comp[b] < 0 and np.linalg.norm(rep[a] - rep[b]) <= tol:
+                        comp[b] = k
+                        stack.append(b)
+    out = {}
+    for k in range(len(uniq)):
+        out[comp[k]] = out.get(comp[k], 0.0) + mass[k]
+    return [out[k] for k in sorted(out)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("hash_base", [None, 0, 1], ids=["hash", "hash0", "hash1"])
+def test_merge_planar_matches_union_find_oracle(monkeypatch, dim, hash_base):
+    # hash bases 0 and 1 make distinct cells share hashes (0: all of them,
+    # 1: cells with one coordinate sum); the result must not change
+    if hash_base is not None:
+        monkeypatch.setattr(projective, "_HASH", hash_base)
+    rng = np.random.default_rng(dim)
+    tol = 1e-9
+    merged = 0
+    for trial in range(25 if hash_base is None else 5):
+        for scale in (1.0, 1e6, 1e9):
+            x = _planted_planar(rng, dim, scale, tol)
+            w = rng.uniform(0.1, 1.0, len(x))
+            got = merge_planar(x, w, tol)
+            want = merge_planar_union_find(x, w, tol)
+            # the oracle orders clusters by their union-find root cell, which
+            # is not always their first cell; the atoms agree bit for bit
+            rows = [np.lexsort(np.column_stack(out).T) for out in (got, want)]
+            assert np.array_equal(got[0][rows[0]], want[0][rows[1]])
+            assert np.array_equal(got[1][rows[0]], want[1][rows[1]])
+            assert got[1].tolist() == _cluster_weights_by_first_cell(x, w, tol)
+            merged += len(x) - len(got[1])
+    assert merged > 0
+
+
+def test_merge_planar_orders_clusters_by_first_cell():
+    # cells (0,2) (1,0) (1,1) (1,2) (2,2); (0,2)-(1,2)-(2,2)-(1,1) link up
+    x = np.array([[0.4, 2.0], [1.0, -0.4], [1.4, 0.7], [1.0, 2.0], [1.6, 1.6]])
+    got = merge_planar(x, np.ones(5), 1.0)
+    assert got[1].tolist() == [4.0, 1.0]
+    np.testing.assert_allclose(got[0], [[1.1, 1.575], [1.0, -0.4]], rtol=0, atol=1e-15)
+    want = merge_planar_union_find(x, np.ones(5), 1.0)  # root at the (1,1) cell
+    assert np.array_equal(got[0], want[0][::-1]) and np.array_equal(got[1], want[1][::-1])
+
+
+@pytest.mark.parametrize("coords", [
+    [[1e10], [2e10], [-3e10]],
+    [[0.0, 0.0], [np.nan, 1.0]],
+    [[np.inf]],
+    [[-(2.0**62) * 1e-9]],
+])
+def test_merge_planar_rejects_coordinates_past_the_cell_range(coords):
+    with pytest.raises(ValueError, match="finite"):
+        merge_planar(coords, np.ones(len(coords)))
 
 
 def test_planar_library_sup_norms():

@@ -5,16 +5,20 @@ import math
 import numpy as np
 import pytest
 
+from kmsdyn import projective
 from kmsdyn.projective import (
     CellIndex,
     SpherePoint,
-    _SphereHash,
     chordal_distance,
     cluster,
+    first_within,
     homogeneous,
     merge_weighted,
+    sphere_cells,
     sphere_point_from_json,
 )
+
+from merge_oracles import _SphereHash
 
 
 def test_from_affine_examples():
@@ -177,7 +181,7 @@ def test_merge_weighted_conjugate_pairs_stay_apart():
     rng = np.random.default_rng(17)
     a = rng.normal(size=200) + 1j * rng.uniform(1e-6, 1.0, size=200)
     pts = [SpherePoint.from_affine(c) for c in np.concatenate([a, a.conj()])]
-    assert not CellIndex(*homogeneous(pts), 1e-8).crowded().any()
+    assert not CellIndex(sphere_cells(*homogeneous(pts), 1e-8)).crowded().any()
     got = merge_weighted([(p, 1.0) for p in pts], 1e-8, sort_first=True)
     assert [(p.z, p.w) for p, _w in got] == [
         (p.z, p.w) for p in sorted(pts, key=SpherePoint.sort_key)
@@ -194,9 +198,50 @@ def test_cell_index_find_matches_sphere_hash():
         for i, p in enumerate(stored):
             grid.insert(p, i)
         want = [-1 if (hit := grid.find(q)) is None else hit for q in queries]
-        got = CellIndex(*homogeneous(stored), tol).find(*homogeneous(queries))
+        got = first_within(*homogeneous(stored), *homogeneous(queries), tol)
         assert got.tolist() == want
         assert any(h >= 0 for h in want)
+
+
+def _straddled_points(rng, scale, tol):
+    """Per random point a: two points 1.6 tol apart, then a, within tol of both.
+
+    a joins whichever of the two comes first in CellIndex.pairs order.
+    """
+    pts = []
+    for a in rng.normal(size=20) * scale + 1j * rng.normal(size=20) * scale:
+        step = 0.8 * tol * (1.0 + abs(a) ** 2) / 2.0 * np.exp(2j * np.pi * rng.random())
+        pts += [SpherePoint.from_affine(a + step), SpherePoint.from_affine(a - step)]
+        pts.append(SpherePoint.from_affine(a))
+    return pts
+
+
+@pytest.mark.parametrize("hash_base", [None, 0, 1], ids=["hash", "hash0", "hash1"])
+def test_sphere_results_survive_hash_collisions(monkeypatch, hash_base):
+    # hash bases 0 and 1 make distinct cells share hashes (0: all of them,
+    # 1: cells with one coordinate sum); a collision only adds a candidate
+    if hash_base is not None:
+        monkeypatch.setattr(projective, "_HASH", hash_base)
+    rng = np.random.default_rng(29)
+    tol = 1e-8
+    for scale in (1e-3, 1.0, 1e3):
+        pts = _planted_points(rng, scale, tol) + _straddled_points(rng, scale, tol)
+        keys = sphere_cells(*homogeneous(pts), tol)
+        if hash_base is not None:
+            assert len(np.unique(projective._cell_hash(keys))) < len(np.unique(keys, axis=0))
+        pairs = [(p, float(w)) for p, w in zip(pts, rng.uniform(0.1, 1.0, len(pts)))]
+        got = merge_weighted(pairs, tol)
+        want = _greedy_merge_oracle(pairs, tol)
+        assert [w for _p, w in got] == [w for _p, w in want]
+        assert all(chordal_distance(p, q) <= 1e-15 for (p, _), (q, _) in zip(got, want))
+        counts = [m for _p, m in cluster(pts, tol)]
+        assert counts == [w for _p, w in _greedy_merge_oracle([(p, 1) for p in pts], tol)]
+        stored, queries = pts[::2], pts[1::2]
+        grid = _SphereHash(tol)
+        for i, p in enumerate(stored):
+            grid.insert(p, i)
+        want_hits = [-1 if (hit := grid.find(q)) is None else hit for q in queries]
+        assert first_within(*homogeneous(stored), *homogeneous(queries), tol).tolist() == want_hits
 
 
 def test_json_round_trip():
