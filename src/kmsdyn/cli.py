@@ -361,6 +361,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        tol = getattr(args, "tol", 1.0)
+        if not 0.0 < tol < math.inf:
+            raise ValueError(f"--tol must be finite and positive, got {tol!r}")
         payload = args.func(args)
     except KmsdynError as exc:
         kind = type(exc).__name__

@@ -28,6 +28,7 @@ from .errors import (
 from .measure import (
     DEFAULT_CUTOFF_RADIUS,
     PLANAR_MERGE_TOL,
+    PLANE,
     AtomicMeasure,
     FibreTable,
     TestFunctionLibrary,
@@ -370,7 +371,7 @@ def hutchinson(
                     f"deterministic pushforward needs {len(weights)} atoms"
                 )
         info = {"mode": "deterministic", "iterations": n}
-        return AtomicMeasure.from_planar_atoms(coords, weights, tol, merge=False, info=info)
+        return AtomicMeasure(PLANE, coords=coords, weights=weights, info=info)
 
     if chaos_samples < 1:
         raise ValueError("chaos game needs at least one sample")
@@ -450,7 +451,7 @@ def kms_measure_ifs(
     all_coords, all_weights = merge_planar(
         np.concatenate(acc_coords), np.concatenate(acc_weights), tol
     )
-    measure = AtomicMeasure.from_planar_atoms(all_coords, all_weights, tol, merge=False)
+    measure = AtomicMeasure(PLANE, coords=all_coords, weights=all_weights)
     tail = q ** (depth + 1)
     return KMSMeasure(
         measure=measure,

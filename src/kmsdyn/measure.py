@@ -55,12 +55,12 @@ PLANE = "plane"
 def merge_planar(coords, weights, tol: float = PLANAR_MERGE_TOL):
     """Merge planar atoms closer than tol; weights add, centroids average.
 
-    Atoms are binned into the cells round(x / tol), and each occupied cell
-    becomes the weighted centroid of its atoms.  Two cells that are grid
-    neighbours join when their centroids lie within tol; a cluster is a
-    connected component of that relation and comes out as the weighted
-    centroid of its cells.  Clusters are ordered by their first cell in
-    lexicographic order.  Coordinates must be finite with |x| < 2^62 tol.
+    The rule is the sphere's, CellIndex.founders: atoms are put in
+    lexicographic order of their cells round(x / tol), and each joins the
+    first earlier founder within tol (Euclidean), otherwise it founds a
+    cluster.  A cluster is thus at most 2 tol wide.  Clusters come out as
+    the weighted centroids of their atoms, in lexicographic cell order of
+    their founders.  Coordinates must be finite with |x| < 2^62 tol.
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))
     weights = np.asarray(weights, dtype=np.float64)
@@ -70,41 +70,15 @@ def merge_planar(coords, weights, tol: float = PLANAR_MERGE_TOL):
         raise ValueError(f"planar coordinates must be finite and below {2.0**62 * tol:.6g} in modulus")
     cells = np.round(coords / tol).astype(np.int64)
     order = np.lexsort(cells.T[::-1])
-    cells = cells[order]
-    first = np.ones(len(cells), dtype=bool)
-    first[1:] = np.any(cells[1:] != cells[:-1], axis=1)
-    uniq = cells[first]
-    inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    wsum = np.bincount(inverse, weights=weights)
-    reps = np.empty((len(uniq), coords.shape[1]))
-    for d in range(coords.shape[1]):
-        reps[:, d] = np.bincount(inverse, weights=weights * coords[:, d]) / wsum
-
-    index = CellIndex(uniq)
-    crowd = np.flatnonzero(index.crowded())
-    q, j = index.pairs(uniq[crowd])
-    i = crowd[q]
-    close = (i != j) & (np.linalg.norm(reps[i] - reps[j], axis=1) <= tol)
-    if not close.any():
-        return reps, wsum
-    i, j = i[close], j[close]
-    # each cell takes the least cell index of its component
-    label = np.arange(len(uniq))
-    while True:
-        low = label.copy()
-        np.minimum.at(low, i, label[j])
-        low = low[low]
-        if np.array_equal(low, label):
-            break
-        label = low
-    wgrp = np.bincount(label, weights=wsum, minlength=len(uniq))
-    keep = wgrp > 0
-    out = np.empty((int(keep.sum()), coords.shape[1]))
-    for d in range(coords.shape[1]):
-        out[:, d] = np.bincount(label, weights=wsum * reps[:, d], minlength=len(uniq))[keep]
-    out /= wgrp[keep, None]
-    return out, wgrp[keep]
+    x, w = coords[order], weights[order]
+    label = CellIndex(cells[order]).founders(lambda i, j: np.linalg.norm(x[i] - x[j], axis=1) <= tol)
+    root = label == np.arange(len(label))
+    group = (np.cumsum(root) - 1)[label]
+    wsum = np.bincount(group, weights=w)
+    out = np.empty((len(wsum), x.shape[1]))
+    for d in range(x.shape[1]):
+        out[:, d] = np.bincount(group, weights=w * x[:, d]) / wsum
+    return out, wsum
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +118,8 @@ class AtomicMeasure:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_sphere_atoms(pairs, tol: float = DEFAULT_CLUSTER_TOL, merge: bool = True, info=None):
-        pairs = list(pairs)
-        if merge:
-            pairs = merge_weighted(pairs, tol, sort_first=True)
+    def from_sphere_atoms(pairs, tol: float = DEFAULT_CLUSTER_TOL, info=None):
+        pairs = merge_weighted(pairs, tol)
         pts = [p for p, _w in pairs]
         ws = [w for _p, w in pairs]
         return AtomicMeasure(SPHERE, points=pts, weights=ws, info=info)
@@ -157,11 +129,8 @@ class AtomicMeasure:
         return AtomicMeasure(SPHERE, points=[point], weights=[1.0])
 
     @staticmethod
-    def from_planar_atoms(coords, weights, tol: float = PLANAR_MERGE_TOL, merge: bool = True, info=None):
-        coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))
-        weights = np.asarray(weights, dtype=np.float64)
-        if merge and coords.shape[0]:
-            coords, weights = merge_planar(coords, weights, tol)
+    def from_planar_atoms(coords, weights, tol: float = PLANAR_MERGE_TOL, info=None):
+        coords, weights = merge_planar(coords, weights, tol)
         return AtomicMeasure(PLANE, coords=coords, weights=weights, info=info)
 
     @staticmethod

@@ -8,13 +8,17 @@ coordinate is exactly 1.0.
 
 Atoms are clustered by one array kernel, CellIndex, which takes integer
 cell keys of any width: it sorts them by a linear hash, marks the crowded
-atoms (those with another atom in their 3^d neighbour cells) and lists the
-stored atoms in each query's neighbour cells.  The caller picks the cells
-and the metric.  Here the cells are floor(xi / tol) on the R^3 embedding and
-the metric is chordal: founders pairs the crowded atoms and runs the greedy
-founder rule over the close pairs, cluster and merge_weighted reduce over
+atoms (those with another atom in their 3^d neighbour cells), lists the
+stored atoms in each query's neighbour cells, and carries the one cluster
+rule of both engines.  That rule is greedy: atoms are scanned in index
+order and each joins the first earlier founder within tol (neighbour cells
+in offset order, then index order), otherwise it founds a cluster.  Every
+member lies within tol of its founder, so a cluster is at most 2 tol wide,
+and clusters come out in the order of their founders.  The caller picks the
+cells and the metric.  Here the cells are floor(xi / tol) on the R^3
+embedding and the metric is chordal: cluster and merge_weighted reduce over
 founders, and first_within finds stored atoms near queries.
-measure.merge_planar uses the same kernel on the plane.
+measure.merge_planar runs the same rule on the plane.
 """
 
 from __future__ import annotations
@@ -222,11 +226,12 @@ class CellIndex:
         out[self.order] = hit
         return out
 
-    def pairs(self, keys):
+    def pairs(self, keys, cap=None):
         """(query, stored) index pairs of the stored atoms in each query's 3^d cells.
 
         Grouped by query in index order; within a query, neighbour cells in
         lexicographic offset order, and one cell's atoms in index order.
+        With a cap, only the first cap stored atoms of each hash are paired.
         """
         h = _cell_hash(keys)
         qorder = np.argsort(h)  # sorted probes search faster
@@ -236,6 +241,8 @@ class CellIndex:
             probe = h + delta
             lo = np.searchsorted(self.sorted, probe, "left")
             count = np.searchsorted(self.sorted, probe, "right") - lo
+            if cap is not None:
+                count = np.minimum(count, cap)
             start = np.repeat(lo - (np.cumsum(count) - count), count)
             q = np.repeat(qorder, count)
             s = self.order[start + np.arange(len(start))]
@@ -245,6 +252,39 @@ class CellIndex:
         q = np.concatenate(qs)
         group = np.argsort(q, kind="stable")
         return q[group], np.concatenate(ss)[group]
+
+    def founders(self, close):
+        """Greedy cluster founder of each stored atom, as an index into them.
+
+        Atoms are scanned in index order; each joins the first founder
+        before it in pairs order for which close holds, otherwise it founds
+        a cluster.  close(i, j) is the caller's metric: a mask over index
+        arrays of later atoms i and earlier atoms j.  Only the crowded atoms
+        can have a neighbour, so only they are paired.
+
+        Pairing all the atoms of a cell costs the square of its occupancy,
+        so atoms are paired with the first cap atoms of each hash only.  That
+        is exact when every founder is among those, as no other atom can then
+        be one; otherwise the cap grows and the loop runs again.
+        """
+        s = self.sorted
+        at = np.empty_like(self.order)  # position in the hash order
+        at[self.order] = np.arange(len(s))
+        crowd = np.flatnonzero(self.crowded())
+        cap = 4
+        while True:
+            label = np.arange(len(s))
+            q, j = self.pairs(self.keys[crowd], cap)
+            i = crowd[q]
+            i, j = i[j < i], j[j < i]
+            near = close(i, j)
+            for a, b in zip(i[near].tolist(), j[near].tolist()):
+                if label[a] == a and label[b] == b:
+                    label[a] = b
+            f = at[crowd[label[crowd] == crowd]]
+            if np.all(f - np.searchsorted(s, s[f]) < cap):
+                return label
+            cap *= 4
 
 
 def first_within(z, w, qz, qw, tol: float = DEFAULT_CLUSTER_TOL):
@@ -262,26 +302,10 @@ def first_within(z, w, qz, qw, tol: float = DEFAULT_CLUSTER_TOL):
 
 
 def founders(points, tol: float = DEFAULT_CLUSTER_TOL):
-    """Greedy cluster founder of each point, as an index into points.
-
-    Points are scanned in order; each joins the first founder within tol
-    (in CellIndex.pairs order), otherwise it founds a cluster.  Only the
-    crowded points can have a point within tol, so only they are paired.
-    """
-    label = np.arange(len(points))
-    if len(points) < 2:
-        return label
+    """Greedy cluster founder of each point under the chordal metric (CellIndex.founders)."""
     z, w = homogeneous(points)
-    keys = sphere_cells(z, w, tol)
-    index = CellIndex(keys)
-    crowd = np.flatnonzero(index.crowded())
-    q, j = index.pairs(keys[crowd])
-    i = crowd[q]
-    close = (j < i) & (chordal_array(z[j], w[j], z[i], w[i]) <= tol)
-    for a, b in zip(i[close].tolist(), j[close].tolist()):
-        if label[a] == a and label[b] == b:
-            label[a] = b
-    return label
+    index = CellIndex(sphere_cells(z, w, tol))
+    return index.founders(lambda i, j: chordal_array(z[j], w[j], z[i], w[i]) <= tol)
 
 
 def cluster(points, tol: float = DEFAULT_CLUSTER_TOL):
@@ -307,21 +331,19 @@ def _sort_order(points):
     return np.lexsort((a.imag, a.real, inf))
 
 
-def merge_weighted(pairs, tol: float = DEFAULT_CLUSTER_TOL, sort_first: bool = False):
+def merge_weighted(pairs, tol: float = DEFAULT_CLUSTER_TOL):
     """Merge (point, weight) atoms closer than tol; weights add.
 
-    Clusters are those of founders.  A merged representative is the weight
-    average of the members' homogeneous pairs (phase-aligned to the
-    founder), renormalized; an atom alone in its cluster is kept as it is.
-    With sort_first the input is ordered by (re, im, inf) beforehand so the
-    result does not depend on the caller's atom order.
+    The input is first ordered by (re, im, inf), so the result does not
+    depend on the caller's atom order; clusters are then those of founders.
+    A merged representative is the weight average of the members'
+    homogeneous pairs (phase-aligned to the founder), renormalized; an atom
+    alone in its cluster is kept as it is.
     """
     pairs = list(pairs)
+    order = _sort_order([p for p, _w in pairs]).tolist()
+    pairs = [pairs[i] for i in order]
     points = [p for p, _w in pairs]
-    if sort_first:
-        order = _sort_order(points).tolist()
-        pairs = [pairs[i] for i in order]
-        points = [points[i] for i in order]
     label = founders(points, tol)
     sums = {}
     for i in np.flatnonzero(label != np.arange(len(pairs))).tolist():

@@ -285,7 +285,7 @@ class RationalMap:
                         children.append((x, weight))
                     else:
                         children.append((x, weight * e / self.n))
-            merged = merge_weighted(children, tol, sort_first=True)
+            merged = merge_weighted(children, tol)
             if total + len(merged) > atom_budget:
                 truncated = True
                 break

@@ -144,6 +144,22 @@ def test_ifs_custom_system_file(tmp_path, capsys):
     assert json.loads(err)["error"]["kind"] == "ValueError"
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_rat_rejects_a_tol_that_is_not_finite_and_positive(capsys, tol):
+    for argv in (
+        ("analyze",),
+        ("kms", "--beta", "1.0"),
+        ("lyubich", "--seed", "1"),
+        ("phase", "--beta-grid", "0.2:1.2:0.5"),
+        ("witness", "--point", "1", "--beta", "0.5"),
+    ):
+        code, out, err = run_cli(capsys, "rat", *argv, "--map", "z^2+1", f"--tol={tol}")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {
+            "kind": "ValueError", "detail": f"--tol must be finite and positive, got {float(tol)!r}"
+        }
+
+
 def test_out_file(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out, _e = run_cli(capsys, "rat", "analyze", "--map", "z^3", "--out", str(out_path))

@@ -26,9 +26,8 @@ from kmsdyn.measure import (
     tilde,
     weak_star_distance,
 )
-from kmsdyn.projective import SpherePoint, chordal_distance
+from kmsdyn.projective import SpherePoint, chordal_distance, merge_weighted
 
-from merge_oracles import merge_planar as merge_planar_union_find
 from test_ratmap import oracle_level_sets
 
 
@@ -297,43 +296,45 @@ def _planted_planar(rng, dim, scale, tol):
     return x[rng.permutation(len(x))]
 
 
-def _cluster_weights_by_first_cell(x, w, tol):
-    """Cluster weights of merge_planar's rule, by brute force, in first-cell order.
+def _greedy_planar_oracle(x, w, tol):
+    """merge_planar's rule by brute force: one greedy founder loop over every atom.
 
-    Cells round(x / tol) hold their atoms' weighted centroid; grid
-    neighbours whose centroids lie within tol link up; a cluster is a
-    component, weighed over its cells in lexicographic order.
+    Atoms go in lexicographic order of their cells round(x / tol); each
+    joins the first earlier founder within tol, taken in neighbour-offset
+    order and then index order, or founds a cluster.  Clusters come out in
+    founder order, their centroids summed in atom order.
     """
     cells = [tuple(c) for c in np.round(x / tol).astype(np.int64).tolist()]
-    uniq = sorted(set(cells))
-    at = {c: k for k, c in enumerate(uniq)}
-    mass, moment = np.zeros(len(uniq)), np.zeros((len(uniq), x.shape[1]))
-    for c, xi, wi in zip(cells, x, w):
-        mass[at[c]] += wi
-        moment[at[c]] += wi * xi
-    rep = moment / mass[:, None]
-    comp = [-1] * len(uniq)
-    for k in range(len(uniq)):  # components in order of their first cell
-        if comp[k] < 0:
-            comp[k], stack = k, [k]
-            while stack:
-                a = stack.pop()
-                for off in itertools.product((-1, 0, 1), repeat=x.shape[1]):
-                    b = at.get(tuple(u + o for u, o in zip(uniq[a], off)), -1)
-                    if b >= 0 and comp[b] < 0 and np.linalg.norm(rep[a] - rep[b]) <= tol:
-                        comp[b] = k
-                        stack.append(b)
-    out = {}
-    for k in range(len(uniq)):
-        out[comp[k]] = out.get(comp[k], 0.0) + mass[k]
-    return [out[k] for k in sorted(out)]
+    order = sorted(range(len(x)), key=lambda k: cells[k])
+    found, members = {}, {}
+    for k in order:
+        for off in itertools.product((-1, 0, 1), repeat=x.shape[1]):
+            near = tuple(u + o for u, o in zip(cells[k], off))
+            hit = next((f for f in found.get(near, ()) if np.linalg.norm(x[f] - x[k]) <= tol), None)
+            if hit is not None:
+                members[hit].append(k)
+                break
+        else:
+            found.setdefault(cells[k], []).append(k)
+            members[k] = [k]
+    coords, weights = [], []
+    for ks in members.values():
+        mass, moment = 0.0, [0.0] * x.shape[1]
+        for k in ks:
+            mass += w[k]
+            moment = [m + w[k] * v for m, v in zip(moment, x[k])]
+        coords.append([m / mass for m in moment])
+        weights.append(mass)
+    return np.array(coords), np.array(weights)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 @pytest.mark.parametrize("hash_base", [None, 0, 1], ids=["hash", "hash0", "hash1"])
 def test_merge_planar_matches_union_find_oracle(monkeypatch, dim, hash_base):
-    # hash bases 0 and 1 make distinct cells share hashes (0: all of them,
-    # 1: cells with one coordinate sum); the result must not change
+    # the oracle is the greedy founder loop, not the union-find merge the
+    # name recalls; hash bases 0 and 1 make distinct cells share hashes
+    # (0: all of them, 1: cells with one coordinate sum); the result must
+    # not change
     if hash_base is not None:
         monkeypatch.setattr(projective, "_HASH", hash_base)
     rng = np.random.default_rng(dim)
@@ -344,25 +345,50 @@ def test_merge_planar_matches_union_find_oracle(monkeypatch, dim, hash_base):
             x = _planted_planar(rng, dim, scale, tol)
             w = rng.uniform(0.1, 1.0, len(x))
             got = merge_planar(x, w, tol)
-            want = merge_planar_union_find(x, w, tol)
-            # the oracle orders clusters by their union-find root cell, which
-            # is not always their first cell; the atoms agree bit for bit
-            rows = [np.lexsort(np.column_stack(out).T) for out in (got, want)]
-            assert np.array_equal(got[0][rows[0]], want[0][rows[1]])
-            assert np.array_equal(got[1][rows[0]], want[1][rows[1]])
-            assert got[1].tolist() == _cluster_weights_by_first_cell(x, w, tol)
+            want = _greedy_planar_oracle(x, w, tol)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
             merged += len(x) - len(got[1])
     assert merged > 0
 
 
+def test_merge_planar_matches_greedy_oracle_in_crowded_cells():
+    # atoms are paired with the first few atoms of each cell, and more when
+    # a founder lies past them: 3,000 atoms in one cell, and a founder late
+    # in its cell (x = 1.45, after ten members of the x = 0 founder)
+    rng = np.random.default_rng(41)
+    for x, tol in [
+        (rng.uniform(0.0, 0.4e-9, size=(3000, 1)), 1e-9),
+        (rng.uniform(0.0, 0.4e-9, size=(3000, 2)), 1e-9),
+        (np.array([[0.0]] + [[0.9 + 0.01 * k] for k in range(10)] + [[1.45], [2.0]]), 1.0),
+    ]:
+        w = rng.uniform(0.1, 1.0, len(x))
+        got = merge_planar(x, w, tol)
+        want = _greedy_planar_oracle(x, w, tol)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert len(got[1]) == 2 and np.array_equal(got[0][1], [(1.45 * w[-2] + 2.0 * w[-1]) / (w[-2] + w[-1])])
+
+
 def test_merge_planar_orders_clusters_by_first_cell():
-    # cells (0,2) (1,0) (1,1) (1,2) (2,2); (0,2)-(1,2)-(2,2)-(1,1) link up
+    # cells (0,2) (1,0) (1,1) (1,2) (2,2); (1,2) joins the (0,2) founder,
+    # (2,2) the (1,1) founder, which is too far from (1,0) to join it
     x = np.array([[0.4, 2.0], [1.0, -0.4], [1.4, 0.7], [1.0, 2.0], [1.6, 1.6]])
     got = merge_planar(x, np.ones(5), 1.0)
-    assert got[1].tolist() == [4.0, 1.0]
-    np.testing.assert_allclose(got[0], [[1.1, 1.575], [1.0, -0.4]], rtol=0, atol=1e-15)
-    want = merge_planar_union_find(x, np.ones(5), 1.0)  # root at the (1,1) cell
-    assert np.array_equal(got[0], want[0][::-1]) and np.array_equal(got[1], want[1][::-1])
+    assert got[1].tolist() == [2.0, 1.0, 2.0]
+    np.testing.assert_allclose(got[0], [[0.7, 2.0], [1.0, -0.4], [1.5, 1.15]], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_merge_rule_is_one_across_engines(dim):
+    # a chain of 8 atoms 0.6 tol apart: each founder takes the next atom
+    # and the one after founds a cluster, so both engines give 4 clusters
+    tol = 1e-9
+    u = np.array([1.0, 0.0] if dim == 1 else [0.6, 0.8])[:dim]
+    x = 0.123 + 0.6 * tol * np.arange(8)[:, None] * u
+    assert len(merge_planar(x, np.ones(8), tol)[1]) == 4
+    # near 0 the chordal metric is about twice the affine one
+    chain = [SpherePoint.from_affine(1e-3 + 0.3e-8 * k) for k in range(8)]
+    assert len(merge_weighted([(p, 1.0) for p in chain], 1e-8)) == 4
 
 
 @pytest.mark.parametrize("coords", [

@@ -166,12 +166,11 @@ def test_merge_weighted_matches_greedy_oracle(scale):
     for trial in range(20):
         pts = _planted_points(rng, scale, tol)
         pairs = [(p, float(w)) for p, w in zip(pts, rng.uniform(0.1, 1.0, len(pts)))]
-        for sort_first in (False, True):
-            got = merge_weighted(pairs, tol, sort_first)
-            want = _greedy_merge_oracle(pairs, tol, sort_first)
-            assert len(got) == len(want) < len(pairs)
-            assert [w for _p, w in got] == [w for _p, w in want]
-            assert all(chordal_distance(p, q) <= 1e-15 for (p, _), (q, _) in zip(got, want))
+        got = merge_weighted(pairs, tol)
+        want = _greedy_merge_oracle(pairs, tol, sort_first=True)
+        assert len(got) == len(want) < len(pairs)
+        assert [w for _p, w in got] == [w for _p, w in want]
+        assert all(chordal_distance(p, q) <= 1e-15 for (p, _), (q, _) in zip(got, want))
         counts = [m for _p, m in cluster(pts, tol)]
         assert counts == [w for _p, w in _greedy_merge_oracle([(p, 1) for p in pts], tol)]
 
@@ -182,10 +181,24 @@ def test_merge_weighted_conjugate_pairs_stay_apart():
     a = rng.normal(size=200) + 1j * rng.uniform(1e-6, 1.0, size=200)
     pts = [SpherePoint.from_affine(c) for c in np.concatenate([a, a.conj()])]
     assert not CellIndex(sphere_cells(*homogeneous(pts), 1e-8)).crowded().any()
-    got = merge_weighted([(p, 1.0) for p in pts], 1e-8, sort_first=True)
+    got = merge_weighted([(p, 1.0) for p in pts], 1e-8)
     assert [(p.z, p.w) for p, _w in got] == [
         (p.z, p.w) for p in sorted(pts, key=SpherePoint.sort_key)
     ]
+
+
+def test_merge_weighted_matches_greedy_oracle_in_a_crowded_cell():
+    # 2,000 points in one or two cells, paired with the first few of each
+    rng = np.random.default_rng(31)
+    tol = 1e-8
+    pts = [SpherePoint.from_affine(0.5 + complex(a, b)) for a, b in rng.uniform(0, 2e-9, size=(2000, 2))]
+    pairs = [(p, float(w)) for p, w in zip(pts, rng.uniform(0.1, 1.0, len(pts)))]
+    got = merge_weighted(pairs, tol)
+    want = _greedy_merge_oracle(pairs, tol, sort_first=True)
+    assert [w for _p, w in got] == [w for _p, w in want]
+    assert all(chordal_distance(p, q) <= 1e-15 for (p, _), (q, _) in zip(got, want))
+    counts = [m for _p, m in cluster(pts, tol)]
+    assert counts == [w for _p, w in _greedy_merge_oracle([(p, 1) for p in pts], tol)]
 
 
 def test_cell_index_find_matches_sphere_hash():
@@ -231,7 +244,7 @@ def test_sphere_results_survive_hash_collisions(monkeypatch, hash_base):
             assert len(np.unique(projective._cell_hash(keys))) < len(np.unique(keys, axis=0))
         pairs = [(p, float(w)) for p, w in zip(pts, rng.uniform(0.1, 1.0, len(pts)))]
         got = merge_weighted(pairs, tol)
-        want = _greedy_merge_oracle(pairs, tol)
+        want = _greedy_merge_oracle(pairs, tol, sort_first=True)
         assert [w for _p, w in got] == [w for _p, w in want]
         assert all(chordal_distance(p, q) <= 1e-15 for (p, _), (q, _) in zip(got, want))
         counts = [m for _p, m in cluster(pts, tol)]
