@@ -41,6 +41,7 @@ from .measure import TestFunctionLibrary, integrate
 from .projective import SpherePoint
 from .ratmap import DEFAULT_ATOM_BUDGET, analysis_report
 from .serialize import stable_dumps, write_planar_atoms_csv, write_sphere_atoms_csv
+from .states import SUPERCRITICAL
 
 SCHEMA_VERSION = 1
 
@@ -210,16 +211,19 @@ def _cmd_ifs_analyze(args) -> dict:
 def _cmd_ifs_kms(args) -> dict:
     gamma = _load_system(args)
     beta, critical = _beta_args(args)
-    beta_val = math.log(gamma.n) if critical else float(beta)
-    data = gamma.branch_structure()
+    report = ifsmod.classify_ifs(gamma, beta=beta, critical=critical)
+    if report.regime != SUPERCRITICAL:
+        states = [s.to_jsonable() for s in report.extreme_states]
+        return {"system": gamma.to_jsonable(), "beta": report.beta, "states": states}
     anchors = (
-        [_parse_planar_point(args.branch_point)] if args.branch_point else list(data.branch_points)
+        [_parse_planar_point(args.branch_point)] if args.branch_point
+        else list(gamma.branch_structure().branch_points)
     )
     lib = TestFunctionLibrary.plane(box=gamma.bounding_box())
     states = []
     for k, b in enumerate(anchors):
         km = ifsmod.kms_measure_ifs(
-            gamma, b, beta_val, depth=args.depth, atom_budget=atom_budget()
+            gamma, b, report.beta, depth=args.depth, atom_budget=atom_budget()
         )
         ref = None
         if args.atoms_csv:
@@ -227,11 +231,11 @@ def _cmd_ifs_kms(args) -> dict:
             write_planar_atoms_csv(km.measure, ref)
         entry = km.to_jsonable(atoms_ref=ref)
         if not args.skip_residuals:
-            k1, k2 = ifsmod.check_K1_ifs(gamma, km.measure, beta_val, lib)
+            k1, k2 = ifsmod.check_K1_ifs(gamma, km.measure, report.beta, lib)
             entry["k1_residual"] = k1
             entry["k2_violation"] = k2
         states.append(entry)
-    return {"system": gamma.to_jsonable(), "beta": beta_val, "states": states}
+    return {"system": gamma.to_jsonable(), "beta": report.beta, "states": states}
 
 
 def _cmd_ifs_hutchinson(args) -> dict:

@@ -9,6 +9,8 @@ classification theorem assumes.
 
 Only affine maps are supported: branch values solve the linear systems
 gamma_j(y) = gamma_j'(y), which is what makes the analysis finite.
+Every length threshold is relative to IFSSystem.radius, the radius of the
+invariant ball, so a rescaled system gives rescaled answers.
 """
 
 from __future__ import annotations
@@ -108,8 +110,8 @@ class IFSSystem:
             raise ValueError("all maps must share one dimension")
         for i in range(len(maps)):
             for j in range(i + 1, len(maps)):
-                if np.allclose(maps[i].linear, maps[j].linear, atol=1e-14) and np.allclose(
-                    maps[i].offset, maps[j].offset, atol=1e-14
+                if np.allclose(maps[i].linear, maps[j].linear, rtol=0.0, atol=1e-14) and np.allclose(
+                    maps[i].offset, maps[j].offset, rtol=1e-14, atol=0.0
                 ):
                     raise ValueError(f"maps {i} and {j} coincide; system is degenerate")
         self.maps = maps
@@ -123,6 +125,7 @@ class IFSSystem:
         self.center = fixed.mean(axis=0)
         drift = max(np.linalg.norm(m(self.center) - self.center) for m in maps)
         self.radius = drift / (1.0 - self.c2) if drift > 0 else 1.0
+        self.tol = PLANAR_MERGE_TOL * self.radius  # the one merge and dedup length
         self.seed = maps[0].fixed_point()
         self._branch_cache = None
 
@@ -131,20 +134,20 @@ class IFSSystem:
         hi = self.center + self.radius
         return tuple((float(a), float(b)) for a, b in zip(lo, hi))
 
-    def in_ball(self, x, slack: float = 1e-9) -> bool:
+    def in_ball(self, x, slack: float) -> bool:
         return float(np.linalg.norm(np.asarray(x) - self.center)) <= self.radius + slack
 
-    def membership_depth(self, resolution: float = 1e-6) -> int:
-        """Depth at which attractor cover cells have diameter < resolution.
+    def membership_depth(self) -> int:
+        """Depth at which attractor cover cells have diameter < 1e-6 radius.
 
         Capped where inverse iteration amplifies double-precision error
-        (by 1/c1 per step) beyond the resolution itself.
+        (by 1/c1 per step) beyond that resolution itself.
         """
         diam = 2.0 * self.radius
         d = 1
-        while diam * self.c2**d >= resolution:
+        while diam * self.c2**d >= 1e-6 * self.radius:
             d += 1
-        cap = int(math.log(resolution / (2.3e-16 * (1 + self.radius))) / math.log(1.0 / self.c1))
+        cap = int(math.log(1e-6 * self.radius / (2.3e-16 * diam)) / math.log(1.0 / self.c1))
         return min(d, max(cap, 1))
 
     def in_attractor(self, y, depth: int | None = None, width_cap: int = 512) -> bool:
@@ -157,12 +160,12 @@ class IFSSystem:
         """
         y = np.atleast_1d(np.asarray(y, dtype=np.float64))
         depth = depth if depth is not None else self.membership_depth()
-        base_slack = 1e-7 * (1 + self.radius)
+        base_slack = 2e-7 * self.radius
         if not self.in_ball(y, slack=base_slack):
             return False
         frontier = [y]
         for k in range(depth):
-            slack = base_slack + 2.3e-16 * (1 + self.radius) / self.c1 ** (k + 1)
+            slack = base_slack + 4.6e-16 * self.radius / self.c1 ** (k + 1)
             nxt = []
             for p in frontier:
                 for m in self.maps:
@@ -172,9 +175,7 @@ class IFSSystem:
             if not nxt:
                 return False
             if len(nxt) > 1:
-                coords, _w = merge_planar(
-                    np.array(nxt), np.ones(len(nxt)), PLANAR_MERGE_TOL
-                )
+                coords, _w = merge_planar(np.array(nxt), np.ones(len(nxt)), self.tol)
                 nxt = list(coords)
             frontier = nxt[:width_cap]
         return True
@@ -231,7 +232,7 @@ def branch_structure(gamma: IFSSystem, attractor_depth: int | None = None) -> IF
     """
     values = []  # list of (y, [(j, j')])
     singular = []
-    tol = PLANAR_MERGE_TOL
+    tol = gamma.tol
     for j in range(gamma.n):
         for jp in range(j + 1, gamma.n):
             mdiff = gamma.maps[j].linear - gamma.maps[jp].linear
@@ -241,8 +242,8 @@ def branch_structure(gamma: IFSSystem, attractor_depth: int | None = None) -> IF
             if not np.isfinite(cond) or cond > 1e12:
                 # singular difference: either no collision or a whole subspace
                 sol, _res, rank, _sv = np.linalg.lstsq(mdiff, bdiff, rcond=None)
-                if rank < gamma.dim and np.linalg.norm(mdiff @ sol - bdiff) <= 1e-9 * max(
-                    1.0, np.linalg.norm(bdiff)
+                if rank < gamma.dim and np.linalg.norm(mdiff @ sol - bdiff) <= tol * max(
+                    1.0, np.linalg.norm(bdiff) / gamma.radius
                 ):
                     raise ValueError(
                         f"branches {j} and {jp} agree on an affine subspace; "
@@ -276,21 +277,21 @@ def branch_structure(gamma: IFSSystem, attractor_depth: int | None = None) -> IF
                          singular_pairs=singular)
 
 
-def image_multiplicity(gamma: IFSSystem, x, y, tol: float = PLANAR_MERGE_TOL) -> int:
+def image_multiplicity(gamma: IFSSystem, x, y) -> int:
     """e(x, y) = number of branches with gamma_j(y) = x."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    return sum(1 for m in gamma.maps if np.linalg.norm(m(y) - x) <= tol)
+    return sum(1 for m in gamma.maps if np.linalg.norm(m(y) - x) <= gamma.tol)
 
 
-def distinct_images(gamma: IFSSystem, y, tol: float = PLANAR_MERGE_TOL):
+def distinct_images(gamma: IFSSystem, y):
     """The set gamma(y) with multiplicities: [(x, e(x, y))]."""
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     images = np.array([m(y) for m in gamma.maps])
     out = []
     for img in images:
         for entry in out:
-            if np.linalg.norm(entry[0] - img) <= tol:
+            if np.linalg.norm(entry[0] - img) <= gamma.tol:
                 entry[1] += 1
                 break
         else:
@@ -298,17 +299,16 @@ def distinct_images(gamma: IFSSystem, y, tol: float = PLANAR_MERGE_TOL):
     return [(x, e) for x, e in out]
 
 
-def tilde_ifs(gamma: IFSSystem, f, y, tol: float = PLANAR_MERGE_TOL) -> float:
+def tilde_ifs(gamma: IFSSystem, f, y) -> float:
     """Set-sum of f over the distinct branch images of y."""
     g = f if callable(f) else (lambda _p, _c=float(f): _c)
-    return float(sum(g(x) for x, _e in distinct_images(gamma, y, tol)))
+    return float(sum(g(x) for x, _e in distinct_images(gamma, y)))
 
 
 def apply_F_beta_ifs(
     gamma: IFSSystem,
     mu: AtomicMeasure,
     beta: float,
-    tol: float = PLANAR_MERGE_TOL,
     atom_budget: int = DEFAULT_ATOM_BUDGET,
 ) -> AtomicMeasure:
     """F_beta(delta_y) = e^{-beta} sum over distinct images, extended linearly."""
@@ -320,17 +320,17 @@ def apply_F_beta_ifs(
         raise AtomBudgetExceeded(
             f"pullback would create up to {mu.n_atoms * gamma.n} atoms"
         )
-    images = _image_table(gamma, mu, tol)
+    images = _image_table(gamma, mu)
     return AtomicMeasure.from_planar_atoms(
-        images.coords, math.exp(-beta) * mu.weights[images.owner], tol
+        images.coords, math.exp(-beta) * mu.weights[images.owner], gamma.tol
     )
 
 
-def _image_table(gamma: IFSSystem, mu: AtomicMeasure, tol: float) -> FibreTable:
+def _image_table(gamma: IFSSystem, mu: AtomicMeasure) -> FibreTable:
     """Distinct images of every atom of a planar measure, one distinct_images call each."""
     table = FibreTable.collect(
         mu.coords,
-        lambda y: distinct_images(gamma, y, tol),
+        lambda y: distinct_images(gamma, y),
         lambda xs: np.array(xs).reshape(-1, mu.coords.shape[1]),
     )
     # coords already holds the images; their list of small arrays costs ~100 B each
@@ -346,7 +346,6 @@ def hutchinson(
     n: int,
     chaos_samples: int | None = None,
     seed: int = 0,
-    tol: float = PLANAR_MERGE_TOL,
     atom_budget: int = DEFAULT_ATOM_BUDGET,
 ) -> AtomicMeasure:
     """Approximant of the self-similar invariant probability measure.
@@ -363,13 +362,13 @@ def hutchinson(
         coords = gamma.seed[None, :].copy()
         weights = np.array([1.0])
         for _ in range(n):
+            if gamma.n * len(weights) > atom_budget:
+                raise AtomBudgetExceeded(
+                    f"deterministic pushforward needs up to {gamma.n * len(weights)} atoms"
+                )
             coords = np.concatenate([m(coords) for m in gamma.maps])
             weights = np.tile(weights / gamma.n, gamma.n)
-            coords, weights = merge_planar(coords, weights, tol)
-            if len(weights) > atom_budget:
-                raise AtomBudgetExceeded(
-                    f"deterministic pushforward needs {len(weights)} atoms"
-                )
+            coords, weights = merge_planar(coords, weights, gamma.tol)
         info = {"mode": "deterministic", "iterations": n}
         return AtomicMeasure(PLANE, coords=coords, weights=weights, info=info)
 
@@ -400,7 +399,7 @@ def hutchinson(
     weights = np.full(len(samples), 1.0 / len(samples))
     info = {"mode": "chaos", "samples": int(chaos_samples), "seed": int(seed),
             "burn_in": burn_in, "chains": int(chains)}
-    return AtomicMeasure.from_planar_atoms(samples, weights, tol, info=info)
+    return AtomicMeasure.from_planar_atoms(samples, weights, gamma.tol, info=info)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +411,6 @@ def kms_measure_ifs(
     b,
     beta: float,
     depth: int = 16,
-    tol: float = PLANAR_MERGE_TOL,
     atom_budget: int = DEFAULT_ATOM_BUDGET,
 ) -> KMSMeasure:
     """Word-sum KMS measure anchored at a branch point b, for beta > log N.
@@ -424,7 +422,7 @@ def kms_measure_ifs(
     """
     b = np.atleast_1d(np.asarray(b, dtype=np.float64))
     data = gamma.branch_structure()
-    if not any(np.linalg.norm(b - x) <= 1e-7 for x in data.branch_points):
+    if not any(np.linalg.norm(b - x) <= 1e-7 * gamma.radius for x in data.branch_points):
         raise NotABranchPoint(f"{b} is not a branch point of the system")
     log_n = math.log(gamma.n)
     if beta <= log_n:
@@ -440,16 +438,16 @@ def kms_measure_ifs(
     acc_weights = [weights]
     total = 1
     for k in range(1, depth + 1):
+        if total + gamma.n * len(weights) > atom_budget:
+            raise AtomBudgetExceeded(f"word sum needs more than {atom_budget} atoms")
         coords = np.concatenate([m(coords) for m in gamma.maps])
         weights = np.tile(weights * ebeta, gamma.n)
-        coords, weights = merge_planar(coords, weights, tol)
+        coords, weights = merge_planar(coords, weights, gamma.tol)
         total += len(weights)
-        if total > atom_budget:
-            raise AtomBudgetExceeded(f"word sum needs more than {atom_budget} atoms")
         acc_coords.append(coords)
         acc_weights.append(weights)
     all_coords, all_weights = merge_planar(
-        np.concatenate(acc_coords), np.concatenate(acc_weights), tol
+        np.concatenate(acc_coords), np.concatenate(acc_weights), gamma.tol
     )
     measure = AtomicMeasure(PLANE, coords=all_coords, weights=all_weights)
     tail = q ** (depth + 1)
@@ -469,17 +467,16 @@ def check_K1_ifs(
     mu: AtomicMeasure,
     beta: float,
     lib: TestFunctionLibrary | None = None,
-    rho: float = DEFAULT_CUTOFF_RADIUS,
-    tol: float = PLANAR_MERGE_TOL,
 ):
     """K1/K2 analogues against the planar library with a branch-set cutoff.
 
-    Returns (max equality residual over cutoff functions, max positivity
-    violation over shifted functions).
+    Cutoff radius DEFAULT_CUTOFF_RADIUS * gamma.radius.  Returns (max equality
+    residual over cutoff functions, max positivity violation over shifted functions).
     """
     lib = lib or TestFunctionLibrary.plane(box=gamma.bounding_box())
     k1, k2, _masked = trace_conditions(
-        lib, mu, _image_table(gamma, mu, tol), beta, gamma.branch_structure().branch_points, rho
+        lib, mu, _image_table(gamma, mu), beta, gamma.branch_structure().branch_points,
+        DEFAULT_CUTOFF_RADIUS * gamma.radius,
     )
     return (float(k1.max()) if len(k1) else 0.0), k2
 
@@ -525,7 +522,6 @@ class OrbitConditionReport:
 def orbit_condition(
     gamma: IFSSystem,
     depth: int = 12,
-    tol: float = PLANAR_MERGE_TOL,
     width_cap: int = 4096,
 ) -> OrbitConditionReport:
     """Certify: every branch value y has x in O(y) whose orbit avoids C(gamma).
@@ -553,11 +549,11 @@ def orbit_condition(
         for p in frontier:
             for m in gamma.maps:
                 q = m.inverse(p)
-                if not gamma.in_ball(q, slack=1e-7 * (1 + gamma.radius)):
+                if not gamma.in_ball(q, slack=2e-7 * gamma.radius):
                     continue
-                if any(np.linalg.norm(q - r) <= tol for r in closure):
+                if any(np.linalg.norm(q - r) <= gamma.tol for r in closure):
                     continue
-                if any(np.linalg.norm(q - r) <= tol for r in new):
+                if any(np.linalg.norm(q - r) <= gamma.tol for r in new):
                     continue
                 new.append(q)
         if not new:
@@ -569,7 +565,7 @@ def orbit_condition(
             break
 
     def in_closure(x):
-        return any(np.linalg.norm(x - r) <= tol for r in closure)
+        return any(np.linalg.norm(x - r) <= gamma.tol for r in closure)
 
     entries = []
     for y in cvalues:
@@ -590,7 +586,7 @@ def orbit_condition(
             for x in frontier:
                 for m in gamma.maps:
                     q = m(x)
-                    if any(np.linalg.norm(q - r) <= tol for r in seen):
+                    if any(np.linalg.norm(q - r) <= gamma.tol for r in seen):
                         continue
                     seen.append(q)
                     nxt.append(q)
@@ -621,7 +617,6 @@ def classify_ifs(
     beta: float | None = None,
     critical: bool = False,
     orbit_depth: int = 12,
-    tol: float = PLANAR_MERGE_TOL,
 ) -> PhaseReport:
     """Extreme KMS states for the system at inverse temperature beta.
 
@@ -630,7 +625,7 @@ def classify_ifs(
     none at all when the branch set is empty).  Runs the orbit-condition
     certificate first and warns if it is inconclusive.
     """
-    report = orbit_condition(gamma, orbit_depth, tol)
+    report = orbit_condition(gamma, orbit_depth)
     if not report.certified:
         warnings.warn(
             "orbit condition not certified at this depth; classification assumes it",

@@ -197,6 +197,7 @@ def roots(p: Poly, tol: float = DEFAULT_ROOT_TOL, max_iter: int = DEFAULT_MAX_IT
         raise ValueError("root finding needs degree >= 1")
     if n == 1:
         return [(-coeffs[0] / coeffs[1], 1)]
+    dcoeffs = [coeffs[k] * k for k in range(1, len(coeffs))]
     if n == 2:
         c0, c1, c2 = coeffs
         disc = c1 * c1 - 4.0 * c2 * c0
@@ -209,10 +210,8 @@ def roots(p: Poly, tol: float = DEFAULT_ROOT_TOL, max_iter: int = DEFAULT_MAX_IT
         else:
             approx = [-c1 / (2.0 * c2)] * 2
     else:
-        dcoeffs = [coeffs[k] * k for k in range(1, len(coeffs))]
         approx = _aberth_iterate(coeffs, dcoeffs, max_iter)
 
-    dcoeffs = [coeffs[k] * k for k in range(1, len(coeffs))]
     radii = _weierstrass_radii(coeffs, approx)
 
     # union-find over overlapping inclusion discs (plus the caller tolerance)
@@ -247,12 +246,11 @@ def roots(p: Poly, tol: float = DEFAULT_ROOT_TOL, max_iter: int = DEFAULT_MAX_IT
         refined = _polish(coeffs, dcoeffs, center, m)
         out.append((refined, m))
 
-    poly = Poly(coeffs)
     for r, _m in out:
-        scale = poly.eval_scale(r)
-        if abs(poly(r)) > tol * max(scale, 1e-300):
+        scale = p.eval_scale(r)
+        if abs(p(r)) > tol * max(scale, 1e-300):
             raise NonConvergence(
-                f"root residual {abs(poly(r)):.3e} exceeds {tol:.1e} * scale "
+                f"root residual {abs(p(r)):.3e} exceeds {tol:.1e} * scale "
                 f"{scale:.3e}; input is ill-conditioned"
             )
     out.sort(key=lambda rm: (rm[0].real, rm[0].imag))

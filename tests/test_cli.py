@@ -120,26 +120,48 @@ def test_ifs_kms_tent(capsys):
     assert doc["states"][0]["normalization"] == 0.5
 
 
+@pytest.mark.parametrize("beta_args, beta, states", [
+    (("--critical",), math.log(2.0), [{"anchor": "hutchinson", "kind": "infinite"}]),
+    (("--beta", "0.5"), 0.5, []),
+])
+def test_ifs_kms_at_and_below_log_n_reports_the_classification(capsys, beta_args, beta, states):
+    code, out, _e = run_cli(capsys, "ifs", "kms", "--preset", "tent", *beta_args)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["beta"] == beta and doc["states"] == states
+
+
+def test_ifs_kms_rejects_a_negative_beta(capsys):
+    code, out, err = run_cli(capsys, "ifs", "kms", "--preset", "tent", "--beta", "-1")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["kind"] == "ValueError"
+
+
 def test_ifs_custom_system_file(tmp_path, capsys):
-    def tent(offset):
+    def tent(scale=1.0, shift=0.0):
+        # the tent scaled by `scale`, then translated by `shift`
         spec = {
             "dim": 1,
             "maps": [
-                {"linear": [[0.5]], "offset": [0.0]},
-                {"linear": [[-0.5]], "offset": [offset]},
+                {"linear": [[0.5]], "offset": [shift / 2]},
+                {"linear": [[-0.5]], "offset": [scale + 1.5 * shift]},
             ],
         }
-        path = tmp_path / f"tent-{offset:g}.json"
+        path = tmp_path / f"tent-{scale:g}-{shift:g}.json"
         path.write_text(json.dumps(spec))
         return str(path)
 
-    code, out, _e = run_cli(capsys, "ifs", "analyze", "--system", tent(1.0))
+    code, out, _e = run_cli(capsys, "ifs", "analyze", "--system", tent())
     assert code == 0
     doc = json.loads(out)
     assert doc["branch_structure"]["branch_points"] == [[0.5]]
-    # scaled by 2e10 the atoms lie past 2^62 cells of the merge tolerance,
-    # beyond what an int64 cell key holds
-    code, out, err = run_cli(capsys, "ifs", "hutchinson", "--system", tent(2e10), "--iters", "8")
+    # the merge tolerance is relative to the system's radius, so the tent
+    # scaled by 2e10 merges like the unit tent
+    code, out, _e = run_cli(capsys, "ifs", "hutchinson", "--system", tent(scale=2e10), "--iters", "8")
+    assert code == 0 and json.loads(out)["atoms"] == 129
+    # translated by 2e10 at unit radius, the atoms lie past 2^62 cells of the
+    # merge tolerance, beyond what an int64 cell key holds
+    code, out, err = run_cli(capsys, "ifs", "hutchinson", "--system", tent(shift=2e10), "--iters", "8")
     assert code == 1 and out == ""
     assert json.loads(err)["error"]["kind"] == "ValueError"
 

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from kmsdyn import ifs as ifs_module
 from kmsdyn.errors import AtomBudgetExceeded, HypothesisUncertified, NotABranchPoint, OutOfRegime
 from kmsdyn.ifs import (
     AffineMap,
@@ -50,6 +51,12 @@ def test_affine_map_contraction_validation():
 def test_duplicate_maps_rejected():
     with pytest.raises(ValueError):
         IFSSystem([AffineMap([[0.5]], [0.0]), AffineMap([[0.5]], [0.0])])
+
+
+def test_close_offsets_far_from_origin_are_distinct_maps():
+    # 4e-3 apart at 1e3 is within numpy's default rtol, but not a coincidence
+    gamma = IFSSystem([AffineMap([[0.5]], [1000.0]), AffineMap([[0.5]], [1000.004])])
+    assert gamma.n == 2
 
 
 def test_system_json_round_trip():
@@ -216,6 +223,29 @@ def test_hutchinson_budget():
         hutchinson(preset("sierpinski"), 10, atom_budget=1000)
 
 
+@pytest.mark.parametrize("build", [
+    lambda budget: hutchinson(preset("sierpinski"), 10, atom_budget=budget),
+    lambda budget: kms_measure_ifs(
+        preset("sierpinski-twisted"), B_POINTS[1], 1.5, depth=10, atom_budget=budget
+    ),
+], ids=["hutchinson", "kms_measure_ifs"])
+def test_budget_is_checked_before_the_push(monkeypatch, build):
+    # a level is refused before it is built, so no merge ever sees more
+    # atoms than the budget
+    budget = 500
+    sizes = []
+    original = ifs_module.merge_planar
+
+    def counting(coords, weights, tol):
+        sizes.append(len(weights))
+        return original(coords, weights, tol)
+
+    monkeypatch.setattr(ifs_module, "merge_planar", counting)
+    with pytest.raises(AtomBudgetExceeded):
+        build(budget)
+    assert sizes and max(sizes) <= budget
+
+
 # ---------------------------------------------------------------------------
 # KMS word sums
 
@@ -342,3 +372,59 @@ def test_branch_pairs_actually_collide():
 def test_chaos_game_respects_budget():
     with pytest.raises(AtomBudgetExceeded):
         hutchinson(preset("tent"), 0, chaos_samples=5000, atom_budget=100)
+
+
+# ---------------------------------------------------------------------------
+# units
+
+
+def _scaled(gamma, s):
+    """The conjugate x -> s gamma(x / s): the same system in other units."""
+    return IFSSystem([AffineMap(m.linear, s * m.offset) for m in gamma.maps], name=gamma.name)
+
+
+def _scale_free_results(gamma, s=1.0):
+    """Results of the system, with every length divided by s."""
+    data = gamma.branch_structure()
+    out = {
+        "radius": gamma.radius / s,
+        "branch_values": [(y / s, prs) for y, prs in data.branch_values],
+        "branch_points": [x / s for x in data.branch_points],
+        "orbit": orbit_condition(gamma, depth=10).to_jsonable(),
+    }
+    for entry in out["orbit"]["entries"]:
+        for key in ("branch_value", "witness"):
+            if key in entry:
+                entry[key] = [v / s for v in entry[key]]
+    measures = {
+        "deterministic": hutchinson(gamma, 10),
+        "chaos": hutchinson(gamma, 0, chaos_samples=20_000, seed=3),
+    }
+    for k, b in enumerate(data.branch_points):
+        measures[f"kms{k}"] = kms_measure_ifs(gamma, b, 1.5, depth=7).measure
+    out["measures"] = {k: (mu.coords / s, mu.weights) for k, mu in measures.items()}
+    return out
+
+
+@pytest.mark.parametrize("name", ["tent", "binary", "sierpinski", "sierpinski-twisted"])
+@pytest.mark.parametrize("exponent", [-40, -20, 20, 30])
+def test_rescaled_system_gives_rescaled_results(name, exponent):
+    # by a power of two every float operation scales exactly, so the
+    # rescaled system must reproduce the unit results bit for bit
+    gamma = preset(name)
+    unit = _scale_free_results(gamma)
+    s = 2.0**exponent
+    got = _scale_free_results(_scaled(gamma, s), s)
+    assert got["radius"] == unit["radius"]
+    assert got["orbit"] == unit["orbit"]
+    assert len(got["branch_values"]) == len(unit["branch_values"])
+    for (y, prs), (y0, prs0) in zip(got["branch_values"], unit["branch_values"]):
+        assert np.array_equal(y, y0) and prs == prs0
+    assert len(got["branch_points"]) == len(unit["branch_points"])
+    for x, x0 in zip(got["branch_points"], unit["branch_points"]):
+        assert np.array_equal(x, x0)
+    assert got["measures"].keys() == unit["measures"].keys()
+    for key, (coords, weights) in got["measures"].items():
+        coords0, weights0 = unit["measures"][key]
+        assert np.array_equal(coords, coords0), key
+        assert np.array_equal(weights, weights0), key

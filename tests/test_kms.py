@@ -24,7 +24,7 @@ from kmsdyn.kms import (
 )
 from kmsdyn.ifs import check_K1_ifs, kms_measure_ifs, preset, tilde_ifs
 from kmsdyn.mapexpr import parse_map
-from kmsdyn.measure import AtomicMeasure, TestFunctionLibrary, integrate, tilde
+from kmsdyn.measure import DEFAULT_CUTOFF_RADIUS, AtomicMeasure, TestFunctionLibrary, integrate, tilde
 from kmsdyn.projective import SpherePoint, chordal_distance
 from kmsdyn.ratmap import RationalMap
 
@@ -207,11 +207,36 @@ def test_ifs_trace_checks_match_scalar_oracle(name, anchor, beta, depth):
     lib = TestFunctionLibrary.plane(box=gamma.bounding_box())
     k1, k2 = _scalar_trace_conditions(
         mu, beta, lib, lambda a, y: tilde_ifs(gamma, a, y),
-        branch, lambda x, b: float(np.linalg.norm(x - b)),
+        branch, lambda x, b: float(np.linalg.norm(x - b)), rho=DEFAULT_CUTOFF_RADIUS * gamma.radius,
     )
     got_k1, got_k2 = check_K1_ifs(gamma, mu, beta, lib)
     assert got_k1 == pytest.approx(max(k1), rel=0.0, abs=1e-12)
     assert got_k2 == pytest.approx(k2, rel=0.0, abs=1e-12)
+
+
+def test_ifs_trace_cutoff_radius_is_relative_to_the_system():
+    # an atom 0.9e-3 from a branch point of the twisted gasket (radius about
+    # 0.79) lies inside the unscaled radius 1e-3 but outside 1e-3 * radius,
+    # so only the relative cutoff weighs it
+    gamma = preset("sierpinski-twisted")
+    branch = gamma.branch_structure().branch_points
+    km = kms_measure_ifs(gamma, branch[0], 1.5, depth=3).measure
+    planted = branch[0] + np.array([0.9e-3, 0.0])
+    mu = AtomicMeasure(km.space, coords=np.vstack([km.coords, planted]),
+                       weights=np.append(km.weights, 0.05))
+    lib = TestFunctionLibrary.plane(box=gamma.bounding_box())
+
+    def oracle_k1(rho):
+        k1, _k2 = _scalar_trace_conditions(
+            mu, 1.5, lib, lambda a, y: tilde_ifs(gamma, a, y),
+            branch, lambda x, b: float(np.linalg.norm(x - b)), rho=rho,
+        )
+        return max(k1)
+
+    relative = oracle_k1(DEFAULT_CUTOFF_RADIUS * gamma.radius)
+    assert abs(relative - oracle_k1(DEFAULT_CUTOFF_RADIUS)) > 1e-6
+    got_k1, _got_k2 = check_K1_ifs(gamma, mu, 1.5, lib)
+    assert got_k1 == pytest.approx(relative, rel=0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("source", ["z^2+1", "z^2-1"])
