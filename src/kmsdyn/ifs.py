@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -328,13 +328,11 @@ def apply_F_beta_ifs(
 
 def _image_table(gamma: IFSSystem, mu: AtomicMeasure) -> FibreTable:
     """Distinct images of every atom of a planar measure, one distinct_images call each."""
-    table = FibreTable.collect(
+    return FibreTable.collect(
         mu.coords,
         lambda y: distinct_images(gamma, y),
         lambda xs: np.array(xs).reshape(-1, mu.coords.shape[1]),
     )
-    # coords already holds the images; their list of small arrays costs ~100 B each
-    return replace(table, points=None)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +368,7 @@ def hutchinson(
             weights = np.tile(weights / gamma.n, gamma.n)
             coords, weights = merge_planar(coords, weights, gamma.tol)
         info = {"mode": "deterministic", "iterations": n}
-        return AtomicMeasure(PLANE, coords=coords, weights=weights, info=info)
+        return AtomicMeasure(PLANE, coords=coords, weights=weights, info=info, tol=gamma.tol)
 
     if chaos_samples < 1:
         raise ValueError("chaos game needs at least one sample")
@@ -449,7 +447,7 @@ def kms_measure_ifs(
     all_coords, all_weights = merge_planar(
         np.concatenate(acc_coords), np.concatenate(acc_weights), gamma.tol
     )
-    measure = AtomicMeasure(PLANE, coords=all_coords, weights=all_weights)
+    measure = AtomicMeasure(PLANE, coords=all_coords, weights=all_weights, tol=gamma.tol)
     tail = q ** (depth + 1)
     return KMSMeasure(
         measure=measure,

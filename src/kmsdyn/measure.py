@@ -8,8 +8,11 @@ fixed proxy for the weak-* topology.
 
 One FibreTable holds the fibres of a whole measure: the distinct preimages
 under R, or the distinct images under an IFS, each with its owner atom and
-local degree.  fibre_table builds it on the sphere and keeps it on the
-measure; ifs.py fills it from distinct_images.  Its readers are pullback_F,
+local degree.  fibre_table builds it on the sphere in one batch solve,
+RationalMap.fibres, and keeps it on the measure as arrays; the scalar
+RationalMap.preimages stays the one-point API and the oracle
+(FibreTable.collect over it gives the same table).  ifs.py fills it from
+distinct_images.  Its readers are pullback_F,
 pullback_G, kms.check_K1, kms.check_K2, ifs.apply_F_beta_ifs and
 ifs.check_K1_ifs.  The three checks share one trace-condition kernel:
 quintic_cutoff near the branch set, and trace_conditions, which reduces the
@@ -86,11 +89,18 @@ def merge_planar(coords, weights, tol: float = PLANAR_MERGE_TOL):
 
 
 class AtomicMeasure:
-    """A finite positive weighted sum of Dirac atoms."""
+    """A finite positive weighted sum of Dirac atoms.
 
-    def __init__(self, space, points=None, coords=None, weights=None, info=None):
+    tol is the length atoms count as one point at, the default of
+    point_mass and measure_sum: DEFAULT_CLUSTER_TOL on the sphere, and on
+    the plane the tolerance the atoms were merged with (PLANAR_MERGE_TOL
+    if none is given), so planar answers scale with the system.
+    """
+
+    def __init__(self, space, points=None, coords=None, weights=None, info=None, tol=None):
         self.space = space
         self.info = info
+        self.tol = tol if tol is not None else (PLANAR_MERGE_TOL if space == PLANE else DEFAULT_CLUSTER_TOL)
         if space == SPHERE:
             self.points = list(points or [])
             self.coords = None
@@ -131,7 +141,7 @@ class AtomicMeasure:
     @staticmethod
     def from_planar_atoms(coords, weights, tol: float = PLANAR_MERGE_TOL, info=None):
         coords, weights = merge_planar(coords, weights, tol)
-        return AtomicMeasure(PLANE, coords=coords, weights=weights, info=info)
+        return AtomicMeasure(PLANE, coords=coords, weights=weights, info=info, tol=tol)
 
     @staticmethod
     def delta_plane(coord) -> "AtomicMeasure":
@@ -158,7 +168,7 @@ class AtomicMeasure:
             raise ValueError("scale factor must be positive")
         if self.space == SPHERE:
             return AtomicMeasure(SPHERE, points=self.points, weights=self.weights * c)
-        return AtomicMeasure(PLANE, coords=self.coords, weights=self.weights * c)
+        return AtomicMeasure(PLANE, coords=self.coords, weights=self.weights * c, tol=self.tol)
 
     def normalized(self) -> "AtomicMeasure":
         return self.scaled(1.0 / self.total_mass())
@@ -172,12 +182,10 @@ class AtomicMeasure:
         return self._embedding
 
     def point_mass(self, point, tol=None) -> float:
-        """Total weight within tol of the given point."""
+        """Total weight within tol (default self.tol) of the given point."""
+        tol = self.tol if tol is None else tol
         if self.space == SPHERE:
-            tol = DEFAULT_CLUSTER_TOL if tol is None else tol
             point = point.embedding()
-        else:
-            tol = PLANAR_MERGE_TOL if tol is None else tol
         d = nearest_distance(self.embedding(), [np.atleast_1d(np.asarray(point, dtype=np.float64))])
         return float(self.weights[d <= tol].sum())
 
@@ -204,19 +212,20 @@ def sphere_embedding(points):
 
 
 def measure_sum(measures, tol=None) -> AtomicMeasure:
-    """Sum of measures on a common space, atoms merged."""
+    """Sum of measures on a common space, atoms merged at tol (default the largest of their tols)."""
     measures = [m for m in measures if m.n_atoms > 0]
     if not measures:
         raise ValueError("empty sum; build an explicit empty measure instead")
     space = measures[0].space
     if any(m.space != space for m in measures):
         raise ValueError("cannot sum measures on different spaces")
+    tol = tol or max(m.tol for m in measures)
     if space == SPHERE:
         pairs = [(p, w) for m in measures for p, w in m.iter_atoms()]
-        return AtomicMeasure.from_sphere_atoms(pairs, tol or DEFAULT_CLUSTER_TOL)
+        return AtomicMeasure.from_sphere_atoms(pairs, tol)
     coords = np.concatenate([m.coords for m in measures])
     weights = np.concatenate([m.weights for m in measures])
-    return AtomicMeasure.from_planar_atoms(coords, weights, tol or PLANAR_MERGE_TOL)
+    return AtomicMeasure.from_planar_atoms(coords, weights, tol)
 
 
 def empty_measure(space: str, dim: int = 1) -> AtomicMeasure:
@@ -270,6 +279,16 @@ class TestFunctionLibrary:
         self.functions = functions
         self.degree = degree
         self.box = box
+        # each monomial as an earlier one times one axis: (parent index, axis),
+        # or None for the constant and for a monomial whose parent is missing
+        index = {f.exponents: k for k, f in enumerate(functions)}
+        self._steps = []
+        for f in functions:
+            axis = next((d for d, e in enumerate(f.exponents) if e), None)
+            parent = None
+            if axis is not None:
+                parent = index.get(f.exponents[:axis] + (f.exponents[axis] - 1,) + f.exponents[axis + 1 :])
+            self._steps.append(None if parent is None else (parent, axis))
 
     @staticmethod
     def sphere(degree: int = 4) -> "TestFunctionLibrary":
@@ -301,8 +320,19 @@ class TestFunctionLibrary:
         return len(self.functions)
 
     def values_matrix(self, X):
-        """(n_funcs, n_points) matrix of function values at rows of X."""
-        return np.array([f.evaluate_matrix(X) for f in self.functions])
+        """(n_funcs, n_points) matrix of function values at rows of X.
+
+        One pass: each monomial's row is its parent monomial's row times one
+        coordinate, written in place.
+        """
+        cols = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
+        out = np.empty((len(self.functions), cols.shape[1]))
+        for k, (f, step) in enumerate(zip(self.functions, self._steps)):
+            if step is None:
+                out[k] = f.evaluate_matrix(X)
+            else:
+                np.multiply(out[step[0]], cols[step[1]], out=out[k])
+        return out
 
     def integrate_all(self, mu: AtomicMeasure):
         if mu.n_atoms == 0:
@@ -362,15 +392,17 @@ def tilde(R: RationalMap, f, y: SpherePoint, tol: float = DEFAULT_CLUSTER_TOL) -
 class FibreTable:
     """The fibres of every atom of a measure, flattened.
 
-    points[k] lies over atom owner[k] with local degree degree[k]; coords[k]
+    Fibre k lies over atom owner[k] with local degree degree[k]; coords[k]
     is its row in the library's coordinates (the R^3 embedding on the
-    sphere, the point itself on the plane, where points may be None).
+    sphere, the point itself on the plane).  On the sphere, z and w hold
+    the fibres' normalized homogeneous pairs.
     """
 
-    points: list
     owner: np.ndarray
     degree: np.ndarray
     coords: np.ndarray
+    z: np.ndarray | None = None
+    w: np.ndarray | None = None
 
     @staticmethod
     def collect(atoms, solve, embed) -> "FibreTable":
@@ -381,22 +413,26 @@ class FibreTable:
                 points.append(x)
                 owner.append(i)
                 degree.append(e)
-        return FibreTable(
-            points, np.array(owner, dtype=np.intp), np.array(degree, dtype=np.int64), embed(points)
-        )
+        return FibreTable(np.array(owner, dtype=np.intp), np.array(degree, dtype=np.int64), embed(points))
+
+    def sphere_points(self):
+        """The fibres as SpherePoints, for the merge boundary."""
+        return [SpherePoint(a, b) for a, b in zip(self.z.tolist(), self.w.tolist())]
 
 
 def fibre_table(R: RationalMap, mu: AtomicMeasure, tol: float = DEFAULT_CLUSTER_TOL) -> FibreTable:
     """Distinct preimages of every atom of a sphere measure, with local degrees.
 
-    Kept on mu for the last (R, tol) asked for, R compared by identity, so
-    the checks and pullbacks that follow one another solve each atom once.
+    One batch solve, RationalMap.fibres, over all the atoms.  Kept on mu for
+    the last (R, tol) asked for, R compared by identity, so the checks and
+    pullbacks that follow one another solve each atom once.
     """
     _require_sphere(mu)
     memo = mu._fibres
     if memo is not None and memo[0] is R and memo[1] == tol:
         return memo[2]
-    table = FibreTable.collect(mu.points, lambda p: R.preimages(p, tol), sphere_embedding)
+    xz, xw, owner, degree = R.fibres(*homogeneous(mu.points), tol)
+    table = FibreTable(owner, degree, embedding_array(xz, xw), xz, xw)
     mu._fibres = (R, tol, table)
     return table
 
@@ -459,7 +495,7 @@ def pullback_F(
 ) -> AtomicMeasure:
     """Transfer-operator pullback: each atom spreads over its distinct preimages."""
     fib = _pullback_fibres(R, mu, tol, atom_budget)
-    return AtomicMeasure.from_sphere_atoms(zip(fib.points, mu.weights[fib.owner]), tol)
+    return AtomicMeasure.from_sphere_atoms(zip(fib.sphere_points(), mu.weights[fib.owner]), tol)
 
 
 def pullback_G(
@@ -470,7 +506,7 @@ def pullback_G(
 ) -> AtomicMeasure:
     """Index-weighted pullback; total mass multiplies by exactly N."""
     fib = _pullback_fibres(R, mu, tol, atom_budget)
-    return AtomicMeasure.from_sphere_atoms(zip(fib.points, mu.weights[fib.owner] * fib.degree), tol)
+    return AtomicMeasure.from_sphere_atoms(zip(fib.sphere_points(), mu.weights[fib.owner] * fib.degree), tol)
 
 
 def _pullback_fibres(R, mu, tol, atom_budget):

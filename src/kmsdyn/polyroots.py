@@ -7,6 +7,14 @@ with multiplicity-aware Newton steps (z -= m p/p', quadratic even at an
 m-fold root).  Cluster sizes are the multiplicities, so they always sum to
 the degree.
 
+roots solves one polynomial; it is the one-point API and the oracle of
+roots_batch, which runs the same steps on an (M, n+1) array of coefficient
+rows at once (closed forms at degrees 1-2, Aberth-Ehrlich above, the same
+inclusion radii, one multiplicity-1 polish step and the same residual gate;
+Aberth 1973, Bini & Fiorentino 2000).  A batch row whose discs come
+together, or that misses the gate, is flagged for roots, whose cluster path
+finds its multiple roots.
+
 Degrees here stay small (<= ~10); high-degree or adversarially
 ill-conditioned inputs are out of scope and surface as NonConvergence.
 """
@@ -22,6 +30,7 @@ from .errors import NonConvergence
 
 DEFAULT_ROOT_TOL = 1e-9
 DEFAULT_MAX_ITER = 200
+_BATCH_ROWS = 8192
 
 
 class Poly:
@@ -255,6 +264,110 @@ def roots(p: Poly, tol: float = DEFAULT_ROOT_TOL, max_iter: int = DEFAULT_MAX_IT
             )
     out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return out
+
+
+def _horner_rows(C, x):
+    """p_m(x[m, i]) for ascending coefficient rows C (M, n+1), n >= 1, and points x (M, k)."""
+    out = C[:, -1:]
+    for k in range(C.shape[1] - 2, -1, -1):
+        out = out * x + C[:, k : k + 1]
+    return out
+
+
+def _aberth_rows(C, D, max_iter):
+    """_aberth_iterate on every row at once; a row stops when its steps stop."""
+    M, n = C.shape[0], C.shape[1] - 1
+    radius = 1.0 + np.max(np.abs(C[:, :-1]), axis=1) / np.abs(C[:, -1])
+    k = np.arange(n)
+    X = radius[:, None] * np.exp(1j * (2.0 * math.pi * k / n + 0.4 + 0.01 * k))
+    live = np.arange(M)
+    for _ in range(max_iter):
+        x, c, d = X[live], C[live], D[live]
+        pv = _horner_rows(c, x)
+        dv = _horner_rows(d, x)
+        diff = x[:, :, None] - x[:, None, :]
+        diff[diff == 0] = 1e-300
+        inv = 1.0 / diff
+        inv[:, k, k] = 0.0
+        newton = pv / dv
+        denom = 1.0 - newton * inv.sum(axis=2)
+        step = np.where(denom == 0, newton, newton / denom)
+        step[pv == 0] = 0.0
+        flat = (dv == 0) & (pv != 0)  # a critical point: nudge off it and keep going
+        new = np.where(flat, x * (1.0 + 1e-8) + 1e-8, x - step)
+        rel = np.where(flat, math.inf, np.abs(step) / (1.0 + np.abs(new)))
+        X[live] = new
+        live = live[rel.max(axis=1) > 1e-14]
+        if not len(live):
+            break
+    return X
+
+
+def _polish_rows(C, D, X):
+    """One multiplicity-1 Newton step at every point, kept where the residual does not grow."""
+    pv = _horner_rows(C, X)
+    dv = _horner_rows(D, X)
+    step = pv / np.where(dv == 0, 1.0, dv)
+    step[(pv == 0) | (dv == 0)] = 0.0
+    new = X - step
+    return np.where(np.abs(_horner_rows(C, new)) <= np.abs(pv), new, X)
+
+
+def roots_batch(C, tol: float = DEFAULT_ROOT_TOL, max_iter: int = DEFAULT_MAX_ITER):
+    """The simple roots of many polynomials at once: roots, vectorised over rows.
+
+    C is an (M, n+1) array of ascending coefficient rows of true degree n.
+    Returns (X, fallback): X is (M, n), each row's roots sorted by (real,
+    imag) as roots sorts them.  Each row takes roots' path: the closed form
+    at degrees 1 and 2, Aberth-Ehrlich above, then Weierstrass inclusion
+    radii, one multiplicity-1 polish and the residual gate.  fallback marks
+    the rows whose X is not to be trusted: inclusion discs that overlap or
+    lie within the tol gap (where roots would form a cluster), a missed
+    residual gate, or a non-finite value.  Solve those with roots.
+    """
+    C = np.asarray(C, dtype=np.complex128)
+    M, n = C.shape[0], C.shape[1] - 1
+    if n < 1:
+        raise ValueError("root finding needs degree >= 1")
+    if M > _BATCH_ROWS:  # the pairwise (rows, n, n) arrays stay a few MB
+        parts = [roots_batch(C[i : i + _BATCH_ROWS], tol, max_iter) for i in range(0, M, _BATCH_ROWS)]
+        return np.concatenate([X for X, _f in parts]), np.concatenate([f for _X, f in parts])
+    with np.errstate(all="ignore"):
+        if n == 1:
+            X = -C[:, :1] / C[:, 1:]
+            return X, ~np.isfinite(X[:, 0])
+        D = C[:, 1:] * np.arange(1, n + 1)
+        if n == 2:
+            c0, c1, c2 = C.T
+            s = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
+            s = np.where((np.conj(c1) * s).real < 0.0, -s, s)
+            q = -0.5 * (c1 + s)
+            X = np.stack([q / c2, c0 / q], axis=1)
+            X[q == 0] = (-c1 / (2.0 * c2))[q == 0, None]
+        else:
+            X = _aberth_rows(C, D, max_iter)
+
+        # Weierstrass inclusion radii, floored at the evaluation noise
+        A = np.abs(C)
+        ax = np.abs(X)
+        noise = 2.0**-52 * _horner_rows(A, ax)
+        diff = X[:, :, None] - X[:, None, :]
+        k = np.arange(n)
+        diff[:, k, k] = 1.0
+        prod = np.abs(C[:, -1:] * np.prod(diff, axis=2))
+        radii = np.where(prod == 0, math.inf, n * np.maximum(np.abs(_horner_rows(C, X)), noise) / prod)
+        gap = np.abs(diff)
+        thresh = np.maximum(tol * np.maximum(1.0, np.maximum(ax[:, :, None], ax[:, None, :])),
+                            radii[:, :, None] + radii[:, None, :])
+        merged = gap <= thresh
+        merged[:, k, k] = False
+
+        X = _polish_rows(C, D, X)
+        scale = _horner_rows(A, np.abs(X))
+        missed = np.abs(_horner_rows(C, X)) > tol * np.maximum(scale, 1e-300)
+        fallback = merged.any(axis=(1, 2)) | missed.any(axis=1) | ~np.all(np.isfinite(X), axis=1)
+    order = np.lexsort((X.imag, X.real))
+    return np.take_along_axis(X, order, axis=1), fallback
 
 
 def multiplicity_of_root(p: Poly, r: complex, tol: float = 1e-6) -> int:

@@ -19,7 +19,7 @@ from .errors import (
     ExceptionalSeed,
     InternalConsistencyError,
 )
-from .polyroots import Poly, roots
+from .polyroots import Poly, roots, roots_batch
 from .projective import (
     DEFAULT_CLUSTER_TOL,
     SpherePoint,
@@ -161,6 +161,47 @@ class RationalMap:
                 f"preimage multiplicities sum to {total}, expected {self.n}"
             )
         return out
+
+    def fibres(self, z, w, tol: float = DEFAULT_CLUSTER_TOL):
+        """preimages of every target of homogeneous arrays (z, w), in one batch solve.
+
+        Returns flat arrays (x_z, x_w, owner, degree): preimage k is the
+        normalized pair (x_z[k], x_w[k]) over target owner[k] with local
+        degree degree[k], in preimages' order per target (infinity first,
+        then the sorted roots).  Rows of full degree go to roots_batch; a
+        row with a degree drop, or one the batch sends to fallback (the
+        multiple roots near branch values), is solved by preimages.
+        """
+        z = np.asarray(z, dtype=np.complex128)
+        w = np.asarray(w, dtype=np.complex128)
+        n = self.n
+        C = w[:, None] * self._hp - z[:, None] * self._hq
+        full = np.abs(C[:, n]) > _DEGREE_DROP_TOL * np.max(np.abs(C), axis=1)
+        rows = np.flatnonzero(full)
+        X, fallback = roots_batch(C[rows], tol)
+        X, rows = X[~fallback], rows[~fallback]
+        scalar = np.ones(len(z), dtype=bool)
+        scalar[rows] = False
+        solved = {i: self.preimages(SpherePoint(z[i], w[i]), tol)
+                  for i in np.flatnonzero(scalar).tolist()}
+
+        count = np.full(len(z), n, dtype=np.intp)
+        for i, pre in solved.items():
+            count[i] = len(pre)
+        start = np.cumsum(count) - count
+        xz = np.empty(count.sum(), dtype=np.complex128)
+        xw = np.empty_like(xz)
+        degree = np.ones(len(xz), dtype=np.int64)
+        at = (start[rows][:, None] + np.arange(n)).ravel()
+        r = X.ravel()
+        big = np.abs(r) >= 1.0  # pivot on the larger coordinate, as SpherePoint does
+        xz[at] = np.where(big, 1.0, r)
+        xw[at] = 1.0
+        xw[at[big]] = 1.0 / r[big]
+        for i, pre in solved.items():
+            for k, (x, e) in enumerate(pre, start[i]):
+                xz[k], xw[k], degree[k] = x.z, x.w, e
+        return xz, xw, np.repeat(np.arange(len(z)), count), degree
 
     # -- branch structure --------------------------------------------------
 

@@ -22,7 +22,7 @@ from kmsdyn.ifs import (
     system_from_jsonable,
     classify_ifs,
 )
-from kmsdyn.measure import AtomicMeasure, TestFunctionLibrary, integrate, weak_star_distance
+from kmsdyn.measure import AtomicMeasure, TestFunctionLibrary, integrate, measure_sum, weak_star_distance
 
 SQRT3 = math.sqrt(3.0)
 B_POINTS = [(0.25, SQRT3 / 4), (0.5, 0.0), (0.75, SQRT3 / 4)]
@@ -257,6 +257,19 @@ def test_tent_kms_measure_prefactor_and_anchor_weight():
     assert km.measure.point_mass([0.5]) >= 0.5
     assert km.measure.total_mass() == pytest.approx(1.0, abs=km.tail_bound)
     assert km.tail_bound == pytest.approx(0.5**13, rel=1e-12)
+
+
+def test_tent_point_mass_is_scale_free():
+    # a planar measure keeps the tol it was merged at, so point_mass and
+    # measure_sum default to the system's length, not an absolute one
+    for s in (1.0, 2.0**-40):
+        tent = _scaled(preset("tent"), s)
+        b = tent.branch_structure().branch_points[0]
+        mu = kms_measure_ifs(tent, b, math.log(4.0), depth=12).measure
+        assert mu.tol == tent.tol
+        assert mu.point_mass(b) == 0.5
+        assert mu.scaled(2.0).point_mass(b) == 1.0
+        assert measure_sum([mu, mu]).n_atoms == mu.n_atoms
 
 
 def test_tent_kms_passes_trace_analogues():

@@ -260,14 +260,27 @@ def test_k2_point_masses_match_sphere_hash_oracle(source):
 def test_k1_then_k2_solve_each_fibre_once(monkeypatch):
     R = parse_map("z^2+1")
     mu = kms_measure(R, aff(0), 1.0, depth=6).measure
+    # a target counts once per solve, batch (fibres) or scalar (preimages
+    # called from outside fibres, whose fallback rows it solves itself)
     solved = []
-    original = RationalMap.preimages
+    inside = []
+    fibres, preimages = RationalMap.fibres, RationalMap.preimages
 
-    def counting(self, y, *args, **kwargs):
-        solved.append(y)
-        return original(self, y, *args, **kwargs)
+    def counting_fibres(self, z, w, *args, **kwargs):
+        solved.extend(z)
+        inside.append(True)
+        try:
+            return fibres(self, z, w, *args, **kwargs)
+        finally:
+            inside.pop()
 
-    monkeypatch.setattr(RationalMap, "preimages", counting)
+    def counting_preimages(self, y, *args, **kwargs):
+        if not inside:
+            solved.append(y)
+        return preimages(self, y, *args, **kwargs)
+
+    monkeypatch.setattr(RationalMap, "fibres", counting_fibres)
+    monkeypatch.setattr(RationalMap, "preimages", counting_preimages)
     check_K1(R, mu, 1.0, LIB)
     check_K2(R, mu, 1.0, LIB)
     assert len(solved) == mu.n_atoms

@@ -13,16 +13,20 @@ import pytest
 from kmsdyn import projective
 from kmsdyn.errors import NotSubinvariant
 from kmsdyn.mapexpr import parse_map
+from kmsdyn.kms import kms_measure
 from kmsdyn.measure import (
     AtomicMeasure,
+    FibreTable,
     TestFunctionLibrary,
     apply_F_beta,
     decompose_trace,
+    fibre_table,
     integrate,
     measure_sum,
     merge_planar,
     pullback_F,
     pullback_G,
+    sphere_embedding,
     tilde,
     weak_star_distance,
 )
@@ -67,6 +71,14 @@ def test_library_contains_constant_and_sups():
     for f in LIB.functions:
         vals = np.abs(f.evaluate_matrix(X))
         assert np.all(vals <= f.sup_norm + 1e-12)
+
+
+@pytest.mark.parametrize("lib", [LIB, TestFunctionLibrary.plane(4, ((-2.0, 3.0), (0.0, 1.0))),
+                                 TestFunctionLibrary.plane(5, ((0.0, 1.0),))])
+def test_values_matrix_matches_evaluate_matrix(lib):
+    X = np.random.default_rng(5).normal(size=(500, len(lib.functions[0].exponents)))
+    oracle = np.array([f.evaluate_matrix(X) for f in lib.functions])
+    np.testing.assert_allclose(lib.values_matrix(X), oracle, rtol=1e-15, atol=0)
 
 
 def test_tilde_examples():
@@ -423,3 +435,20 @@ def test_pullback_G_linearity():
         pullback_G(R, AtomicMeasure.from_sphere_atoms(list(zip(pts, w2)))).scaled(1 - t),
     ])
     assert weak_star_distance(lhs, rhs, LIB) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# fibre tables
+
+
+@pytest.mark.parametrize("expr, beta, depth", [("z^2+1", 1.0, 8), ("z^2-1", 1.0, 8), ("z^3-z", 1.5, 6)])
+def test_fibre_table_matches_scalar_collect(expr, beta, depth):
+    R = parse_map(expr)
+    anchor = next(p for p, _e in R.branch_data().branch_points if not p.is_infinity())
+    mu = kms_measure(R, anchor, beta, depth=depth).measure
+    table = fibre_table(R, mu)
+    ref = FibreTable.collect(mu.points, R.preimages, sphere_embedding)
+    assert np.array_equal(table.owner, ref.owner)
+    assert np.array_equal(table.degree, ref.degree)
+    assert np.all(np.bincount(table.owner, weights=table.degree) == R.n)
+    assert np.max(np.abs(table.coords - ref.coords)) <= 1e-12

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kmsdyn.errors import NonConvergence
-from kmsdyn.polyroots import Poly, derivative, multiplicity_of_root, roots
+from kmsdyn.polyroots import Poly, derivative, multiplicity_of_root, roots, roots_batch
 
 
 def _sorted_roots(p, tol=1e-9):
@@ -134,3 +134,62 @@ def test_high_multiplicity_monomial():
 
 def test_nonconvergence_error_type():
     assert issubclass(NonConvergence, Exception)
+
+
+# ---------------------------------------------------------------------------
+# batch solver against the scalar one
+
+
+def _batch_rows(rng, deg, count):
+    """Random rows, then rows with a planted double root (the cluster path)."""
+    C = rng.normal(size=(count, deg + 1)) + 1j * rng.normal(size=(count, deg + 1))
+    C[:, -1] += 2.0
+    double = []
+    for _ in range(count // 4 if deg >= 2 else 0):
+        true = rng.normal(size=deg - 1) + 1j * rng.normal(size=deg - 1)
+        double.append(np.poly(np.concatenate([true[:1], true]))[::-1])
+    return np.vstack([C] + double) if double else C, len(C)
+
+
+@pytest.mark.parametrize("deg", [1, 2, 3, 4, 5, 6])
+def test_roots_batch_matches_scalar_roots(deg):
+    rng = np.random.default_rng(100 + deg)
+    C, n_random = _batch_rows(rng, deg, 60)
+    X, fallback = roots_batch(C, 1e-8)
+    assert X.shape == (len(C), deg)
+    assert not fallback[:n_random].any()
+    assert fallback[n_random:].all()  # every planted double root is sent back
+    for row, x, fb in zip(C, X, fallback):
+        ref = roots(Poly(row), 1e-8)
+        if fb:
+            assert any(m > 1 for _r, m in ref)
+            continue
+        # same order and values: roots sorts by (real, imag) too
+        assert [m for _r, m in ref] == [1] * deg
+        r = np.array([r for r, _m in ref])
+        assert np.all(np.abs(x - r) <= 1e-12 * np.maximum(1.0, np.abs(r)))
+
+
+def test_roots_batch_gate_and_degree():
+    with pytest.raises(ValueError):
+        roots_batch(np.ones((3, 1)))
+    X, fallback = roots_batch(np.zeros((0, 4)))
+    assert X.shape == (0, 3) and fallback.shape == (0,)
+    # a non-finite coefficient is never trusted
+    C = np.array([[1.0, 0.0, 1.0], [np.nan, 0.0, 1.0]], dtype=complex)
+    X, fallback = roots_batch(C, 1e-8)
+    assert fallback.tolist() == [False, True]
+    assert np.allclose(X[0], [-1j, 1j])
+
+
+def test_roots_batch_rows_are_independent():
+    # a long batch is solved in blocks of rows; no row depends on the others,
+    # up to the last-bit rounding of numpy's vector loops
+    rng = np.random.default_rng(6)
+    C = rng.normal(size=(20_000, 4)) + 1j * rng.normal(size=(20_000, 4))
+    C[:, -1] += 2.0
+    X, fallback = roots_batch(C, 1e-8)
+    for rows in (slice(0, 7), slice(8190, 8195), slice(19_990, 20_000)):
+        Xs, fs = roots_batch(C[rows], 1e-8)
+        assert np.array_equal(fallback[rows], fs)
+        np.testing.assert_allclose(X[rows], Xs, rtol=1e-15, atol=0)

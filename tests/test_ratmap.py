@@ -9,8 +9,12 @@ import pytest
 
 from kmsdyn.errors import DegreeTooLow, ExceptionalSeed
 from kmsdyn.mapexpr import parse_map
+from kmsdyn import exact as xq
+from kmsdyn.polyroots import Poly, derivative
 from kmsdyn.projective import SpherePoint, chordal_distance, embedding_array, homogeneous
 from kmsdyn.ratmap import INDEX_WEIGHTED, SET_COUNT, RationalMap
+
+from test_acceptance import _random_exact_poly
 
 
 def aff(c):
@@ -165,6 +169,77 @@ def test_preimages_match_oracle():
             assert len(mine) == len(ref)
             for x in mine:
                 assert min(chordal_distance(x, r) for r in ref) < 1e-7
+
+
+def _fibre_targets(R, rng):
+    """Random targets plus the hard ones: branch values, infinity (the poles),
+    R(infinity) (a degree drop) and 0."""
+    targets = [aff(complex(rng.normal(), rng.normal())) for _ in range(20)]
+    targets += [R.evaluate(pt) for pt, _e in R.branch_data().branch_points]
+    targets += R.branch_data().branch_values
+    targets += [INF, R.evaluate(INF), SpherePoint.zero()]
+    return targets
+
+
+def _preimage_form(R, y):
+    """The polynomial whose roots are the finite preimages of y, as preimages builds it."""
+    hp = np.zeros(R.n + 1, dtype=complex)
+    hq = np.zeros(R.n + 1, dtype=complex)
+    hp[: len(R.p.coeffs)] = R.p.coeffs
+    hq[: len(R.q.coeffs)] = R.q.coeffs
+    return Poly(y.w * hp - y.z * hq)
+
+
+def _inclusion_radius(p, r):
+    """n eps |p|(|r|) / |p'(r)|: how closely double precision can place a simple root r.
+
+    Tiny away from the branch values; near one, where two roots almost
+    meet, two sound solvers may differ by this much.
+    """
+    return p.degree * 2.0**-52 * p.eval_scale(r) / abs(derivative(p)(r))
+
+
+def _random_maps(count):
+    """Random reduced maps of degree 2..6 with exact coefficients, as in criterion 07."""
+    rng = np.random.default_rng(20261018)
+    maps = []
+    while len(maps) < count:
+        deg = int(rng.integers(2, 7))
+        p = _random_exact_poly(rng, deg, True)
+        q = _random_exact_poly(rng, int(rng.integers(0, deg + 1)), False)
+        if not xq.xp_trim(q) or max(xq.xp_degree(p), xq.xp_degree(q)) < 2:
+            continue
+        if xq.xp_degree(xq.xp_gcd(p, q)) != 0:
+            continue
+        R = RationalMap.from_exact(p, q) if len(maps) % 2 else RationalMap.from_exact(q, p)
+        maps.append((R, rng))
+    return maps
+
+
+@pytest.mark.parametrize("k", range(12))
+def test_fibres_match_scalar_preimages(k):
+    R, rng = _random_maps(12)[k]
+    targets = _fibre_targets(R, rng)
+    xz, xw, owner, degree = R.fibres(*homogeneous(targets))
+    assert np.array_equal(owner, np.sort(owner))
+    for i, y in enumerate(targets):
+        ref = R.preimages(y)
+        mine = owner == i
+        assert degree[mine].sum() == R.n
+        # preimages' order: infinity first, then the roots by (real, imag)
+        assert degree[mine].tolist() == [e for _x, e in ref]
+        form = _preimage_form(R, y)
+        for (x, e), a, b in zip(ref, xz[mine], xw[mine]):
+            if x.is_infinity() or e > 1:  # solved by preimages itself
+                assert (a, b) == (x.z, x.w)
+                continue
+            r = x.to_affine()
+            assert abs(a / b - r) <= 1e-12 * max(1.0, abs(r)) + _inclusion_radius(form, r), (R, y)
+
+
+def test_fibres_of_no_targets():
+    xz, xw, owner, degree = parse_map("z^2+1").fibres(np.zeros(0, complex), np.zeros(0, complex))
+    assert len(xz) == len(xw) == len(owner) == len(degree) == 0
 
 
 # ---------------------------------------------------------------------------
