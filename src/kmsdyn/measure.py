@@ -12,11 +12,11 @@ local degree.  fibre_table builds it on the sphere in one batch solve,
 RationalMap.fibres, and keeps it on the measure as arrays; the scalar
 RationalMap.preimages stays the one-point API and the oracle
 (FibreTable.collect over it gives the same table).  ifs.py fills it from
-distinct_images.  Its readers are pullback_F,
-pullback_G, kms.check_K1, kms.check_K2, ifs.apply_F_beta_ifs and
-ifs.check_K1_ifs.  The three checks share one trace-condition kernel:
-quintic_cutoff near the branch set, and trace_conditions, which reduces the
-library to the (K1) residuals and the (K2) shifted-library sweep.
+distinct_images.  Its readers are pullback_F, pullback_G, kms.check_K1,
+kms.check_K2, ifs.apply_F_beta_ifs and ifs.check_K1_ifs.  The three
+checks share one trace-condition kernel: quintic_cutoff near the branch
+set, and trace_conditions, which reduces the library to the (K1) residuals
+and the (K2) shifted-library sweep.
 
 The operators:
     pullback_F   F(delta_y) = sum over distinct preimages x of delta_x
@@ -46,6 +46,7 @@ from .ratmap import DEFAULT_ATOM_BUDGET, RationalMap
 
 PLANAR_MERGE_TOL = 1e-9
 DEFAULT_CUTOFF_RADIUS = 1e-3
+_SUM_ROWS = 8192  # rows per block of TestFunctionLibrary.sums
 
 SPHERE = "sphere"
 PLANE = "plane"
@@ -280,15 +281,17 @@ class TestFunctionLibrary:
         self.degree = degree
         self.box = box
         # each monomial as an earlier one times one axis: (parent index, axis),
-        # or None for the constant and for a monomial whose parent is missing
-        index = {f.exponents: k for k, f in enumerate(functions)}
+        # or None for the constant and for a monomial with no earlier parent
+        index = {}
         self._steps = []
-        for f in functions:
+        for k, f in enumerate(functions):
             axis = next((d for d, e in enumerate(f.exponents) if e), None)
             parent = None
             if axis is not None:
-                parent = index.get(f.exponents[:axis] + (f.exponents[axis] - 1,) + f.exponents[axis + 1 :])
+                e = f.exponents
+                parent = index.get(e[:axis] + (e[axis] - 1,) + e[axis + 1 :])
             self._steps.append(None if parent is None else (parent, axis))
+            index.setdefault(f.exponents, k)
 
     @staticmethod
     def sphere(degree: int = 4) -> "TestFunctionLibrary":
@@ -332,6 +335,17 @@ class TestFunctionLibrary:
                 out[k] = f.evaluate_matrix(X)
             else:
                 np.multiply(out[step[0]], cols[step[1]], out=out[k])
+        return out
+
+    def sums(self, X, V):
+        """values_matrix(X) @ V, a block of rows of X at a time.
+
+        The whole (n_funcs, n_points) matrix never exists, which keeps the
+        peak memory of the trace checks down.
+        """
+        out = np.zeros((len(self.functions), V.shape[1]))
+        for i in range(0, len(X), _SUM_ROWS):
+            out += self.values_matrix(X[i : i + _SUM_ROWS]) @ V[i : i + _SUM_ROWS]
         return out
 
     def integrate_all(self, mu: AtomicMeasure):
@@ -471,11 +485,11 @@ def trace_conditions(lib: TestFunctionLibrary, mu: AtomicMeasure, fibres: FibreT
     w_pre = w[fibres.owner]
     cut = quintic_cutoff(mu.embedding(), branch, rho)
     cut_pre = quintic_cutoff(fibres.coords, branch, rho)
-    fm = lib.values_matrix(mu.embedding())
-    fm_pre = lib.values_matrix(fibres.coords)
-    k1 = np.abs(ebeta * (fm_pre @ (cut_pre * w_pre)) - fm @ (cut * w))
-    T = fm_pre @ w_pre  # int f~ dmu per function
-    I = fm @ w  # int f dmu per function
+    on_atoms = lib.sums(mu.embedding(), np.stack([cut * w, w], axis=1))
+    on_fibres = lib.sums(fibres.coords, np.stack([cut_pre * w_pre, w_pre], axis=1))
+    k1 = np.abs(ebeta * on_fibres[:, 0] - on_atoms[:, 0])
+    T = on_fibres[:, 1]  # int f~ dmu per function
+    I = on_atoms[:, 1]  # int f dmu per function
     sups = np.array([f.sup_norm for f in lib.functions])
     C = float(w_pre.sum())  # int 1~ dmu
     M = mu.total_mass()

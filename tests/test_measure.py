@@ -79,6 +79,19 @@ def test_values_matrix_matches_evaluate_matrix(lib):
     X = np.random.default_rng(5).normal(size=(500, len(lib.functions[0].exponents)))
     oracle = np.array([f.evaluate_matrix(X) for f in lib.functions])
     np.testing.assert_allclose(lib.values_matrix(X), oracle, rtol=1e-15, atol=0)
+    # any order works: a monomial whose parent comes later is evaluated afresh
+    shuffled = TestFunctionLibrary(lib.space, lib.functions[::-1], lib.degree, lib.box)
+    np.testing.assert_allclose(shuffled.values_matrix(X), oracle[::-1], rtol=1e-15, atol=0)
+
+
+def test_library_sums_match_the_whole_matrix():
+    # sums works a block of rows at a time; 20,000 rows span three blocks
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(20_000, 3))
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    V = rng.random(size=(20_000, 2))
+    full = LIB.values_matrix(X)
+    assert np.all(np.abs(LIB.sums(X, V) - full @ V) <= 1e-13 * (np.abs(full) @ V))
 
 
 def test_tilde_examples():
