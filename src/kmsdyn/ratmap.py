@@ -180,14 +180,11 @@ class RationalMap:
         rows = np.flatnonzero(full)
         X, fallback = roots_batch(C[rows], tol)
         X, rows = X[~fallback], rows[~fallback]
-        scalar = np.ones(len(z), dtype=bool)
-        scalar[rows] = False
-        solved = {i: self.preimages(SpherePoint(z[i], w[i]), tol)
-                  for i in np.flatnonzero(scalar).tolist()}
+        rest = np.setdiff1d(np.arange(len(z)), rows)
+        solved = {i: self.preimages(SpherePoint(z[i], w[i]), tol) for i in rest.tolist()}
 
         count = np.full(len(z), n, dtype=np.intp)
-        for i, pre in solved.items():
-            count[i] = len(pre)
+        count[rest] = [len(pre) for pre in solved.values()]
         start = np.cumsum(count) - count
         xz = np.empty(count.sum(), dtype=np.complex128)
         xw = np.empty_like(xz)
