@@ -42,11 +42,11 @@ from .projective import (
     homogeneous,
     merge_weighted,
 )
+from .polyroots import BLOCK_ROWS
 from .ratmap import DEFAULT_ATOM_BUDGET, RationalMap
 
 PLANAR_MERGE_TOL = 1e-9
 DEFAULT_CUTOFF_RADIUS = 1e-3
-_SUM_ROWS = 8192  # rows per block of TestFunctionLibrary.sums
 
 SPHERE = "sphere"
 PLANE = "plane"
@@ -344,8 +344,8 @@ class TestFunctionLibrary:
         peak memory of the trace checks down.
         """
         out = np.zeros((len(self.functions), V.shape[1]))
-        for i in range(0, len(X), _SUM_ROWS):
-            out += self.values_matrix(X[i : i + _SUM_ROWS]) @ V[i : i + _SUM_ROWS]
+        for i in range(0, len(X), BLOCK_ROWS):
+            out += self.values_matrix(X[i : i + BLOCK_ROWS]) @ V[i : i + BLOCK_ROWS]
         return out
 
     def integrate_all(self, mu: AtomicMeasure):

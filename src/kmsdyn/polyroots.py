@@ -30,7 +30,7 @@ from .errors import NonConvergence
 
 DEFAULT_ROOT_TOL = 1e-9
 DEFAULT_MAX_ITER = 200
-_BATCH_ROWS = 8192
+BLOCK_ROWS = 8192  # rows per block of a vectorised pass; caps its temporaries
 
 
 class Poly:
@@ -274,14 +274,14 @@ def _horner_rows(C, x):
     return out
 
 
-def _aberth_rows(C, D, max_iter):
+def _aberth_rows(C, D):
     """_aberth_iterate on every row at once; a row stops when its steps stop."""
     M, n = C.shape[0], C.shape[1] - 1
     radius = 1.0 + np.max(np.abs(C[:, :-1]), axis=1) / np.abs(C[:, -1])
     k = np.arange(n)
     X = radius[:, None] * np.exp(1j * (2.0 * math.pi * k / n + 0.4 + 0.01 * k))
     live = np.arange(M)
-    for _ in range(max_iter):
+    for _ in range(DEFAULT_MAX_ITER):
         x, c, d = X[live], C[live], D[live]
         pv = _horner_rows(c, x)
         dv = _horner_rows(d, x)
@@ -313,7 +313,7 @@ def _polish_rows(C, D, X):
     return np.where(np.abs(_horner_rows(C, new)) <= np.abs(pv), new, X)
 
 
-def roots_batch(C, tol: float = DEFAULT_ROOT_TOL, max_iter: int = DEFAULT_MAX_ITER):
+def roots_batch(C, tol: float = DEFAULT_ROOT_TOL):
     """The simple roots of many polynomials at once: roots, vectorised over rows.
 
     C is an (M, n+1) array of ascending coefficient rows of true degree n.
@@ -329,8 +329,8 @@ def roots_batch(C, tol: float = DEFAULT_ROOT_TOL, max_iter: int = DEFAULT_MAX_IT
     M, n = C.shape[0], C.shape[1] - 1
     if n < 1:
         raise ValueError("root finding needs degree >= 1")
-    if M > _BATCH_ROWS:  # the pairwise (rows, n, n) arrays stay a few MB
-        parts = [roots_batch(C[i : i + _BATCH_ROWS], tol, max_iter) for i in range(0, M, _BATCH_ROWS)]
+    if M > BLOCK_ROWS:  # the pairwise (rows, n, n) arrays stay a few MB
+        parts = [roots_batch(C[i : i + BLOCK_ROWS], tol) for i in range(0, M, BLOCK_ROWS)]
         return np.concatenate([X for X, _f in parts]), np.concatenate([f for _X, f in parts])
     with np.errstate(all="ignore"):
         if n == 1:
@@ -345,7 +345,7 @@ def roots_batch(C, tol: float = DEFAULT_ROOT_TOL, max_iter: int = DEFAULT_MAX_IT
             X = np.stack([q / c2, c0 / q], axis=1)
             X[q == 0] = (-c1 / (2.0 * c2))[q == 0, None]
         else:
-            X = _aberth_rows(C, D, max_iter)
+            X = _aberth_rows(C, D)
 
         # Weierstrass inclusion radii, floored at the evaluation noise
         A = np.abs(C)
