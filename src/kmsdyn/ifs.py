@@ -352,7 +352,8 @@ def hutchinson(
     rounds of the averaged pushforward (1/N) sum gamma_i*, merging collided
     atoms.  Chaos-game mode runs counter-based random orbits (Philox;
     burn-in 100) across independent chains and returns the empirical
-    measure; the mode and parameters are recorded on the result.
+    measure; the mode and parameters are recorded on the result.  All
+    chains step at once, each keeping its own pick's image m(x) of the step.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -382,18 +383,13 @@ def hutchinson(
     steps = burn_in + -(-chaos_samples // chains)  # ceil division
     x = np.tile(gamma.seed, (chains, 1)).astype(np.float64)
     picks = rng.integers(0, gamma.n, size=(steps, chains))
-    collected = []
+    lane = np.arange(chains)
+    samples = np.empty((steps - burn_in, chains, x.shape[1]))
     for t in range(steps):
-        row = picks[t]
-        new = np.empty_like(x)
-        for i, m in enumerate(gamma.maps):
-            mask = row == i
-            if np.any(mask):
-                new[mask] = m(x[mask])
-        x = new
+        x = np.stack([m(x) for m in gamma.maps])[picks[t], lane]
         if t >= burn_in:
-            collected.append(x.copy())
-    samples = np.concatenate(collected)[:chaos_samples]
+            samples[t - burn_in] = x
+    samples = samples.reshape(-1, x.shape[1])[:chaos_samples]
     weights = np.full(len(samples), 1.0 / len(samples))
     info = {"mode": "chaos", "samples": int(chaos_samples), "seed": int(seed),
             "burn_in": burn_in, "chains": int(chains)}

@@ -65,6 +65,14 @@ def merge_planar(coords, weights, tol: float = PLANAR_MERGE_TOL):
     cluster.  A cluster is thus at most 2 tol wide.  Clusters come out as
     the weighted centroids of their atoms, in lexicographic cell order of
     their founders.  Coordinates must be finite with |x| < 2^62 tol.
+
+    Only atoms next to a sorted neighbour whose first key is within 1 of
+    theirs enter the cell index; the others found their own clusters.  That
+    is exact: atoms in the same or adjacent cells have first keys at most 1
+    apart, and so has each with its sorted neighbour towards the other.  The
+    marked atoms keep their order, so the founders do not change.  A diff
+    that wraps at the key range's edge only marks an extra atom, which the
+    key comparison in CellIndex.pairs leaves its own founder.
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))
     weights = np.asarray(weights, dtype=np.float64)
@@ -74,8 +82,12 @@ def merge_planar(coords, weights, tol: float = PLANAR_MERGE_TOL):
         raise ValueError(f"planar coordinates must be finite and below {2.0**62 * tol:.6g} in modulus")
     cells = np.round(coords / tol).astype(np.int64)
     order = np.lexsort(cells.T[::-1])
-    x, w = coords[order], weights[order]
-    label = CellIndex(cells[order]).founders(lambda i, j: np.linalg.norm(x[i] - x[j], axis=1) <= tol)
+    x, w, cells = coords[order], weights[order], cells[order]
+    gap = np.diff(cells[:, 0]) <= 1
+    at = np.flatnonzero(np.r_[False, gap] | np.r_[gap, False])  # both ends of each gap
+    label = np.arange(len(x))
+    label[at] = at[CellIndex(cells[at]).founders(
+        lambda i, j: np.linalg.norm(x[at[i]] - x[at[j]], axis=1) <= tol)]
     root = label == np.arange(len(label))
     group = (np.cumsum(root) - 1)[label]
     wsum = np.bincount(group, weights=w)

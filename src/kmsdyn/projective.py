@@ -18,7 +18,8 @@ and clusters come out in the order of their founders.  The caller picks the
 cells and the metric.  Here the cells are floor(xi / tol) on the R^3
 embedding and the metric is chordal: cluster and merge_weighted reduce over
 founders, and first_within finds stored atoms near queries.
-measure.merge_planar runs the same rule on the plane.
+measure.merge_planar runs the same rule on the plane, and indexes only the
+atoms whose sorted first cell keys lie within 1 of a neighbour's.
 """
 
 from __future__ import annotations
