@@ -248,7 +248,8 @@ def _cmd_ifs_hutchinson(args) -> dict:
         atom_budget=atom_budget(),
     )
     lib = TestFunctionLibrary.plane(box=gamma.bounding_box(), degree=2)
-    moments = {"".join(map(str, f.exponents)): integrate(mu, f) for f in lib.functions}
+    keys = ["".join(map(str, f.exponents)) for f in lib.functions]
+    moments = dict(zip(keys, lib.integrate_all(mu).tolist()))
     if args.atoms_csv:
         write_planar_atoms_csv(mu, args.atoms_csv)
     return {
