@@ -68,11 +68,11 @@ def merge_planar(coords, weights, tol: float = PLANAR_MERGE_TOL):
 
     Only atoms next to a sorted neighbour whose first key is within 1 of
     theirs enter the cell index; the others found their own clusters.  That
-    is exact: atoms in the same or adjacent cells have first keys at most 1
-    apart, and so has each with its sorted neighbour towards the other.  The
-    marked atoms keep their order, so the founders do not change.  A diff
-    that wraps at the key range's edge only marks an extra atom, which the
-    key comparison in CellIndex.pairs leaves its own founder.
+    is exact: two atoms in the same or adjacent cells have first keys at
+    most 1 apart, and so have the atoms sorted between them, so both are
+    marked.  The marked atoms keep their order, so the founders do not
+    change.  Keys lie inside +-(2^62 - 512), so no diff wraps; an extra
+    marked atom would only be an extra candidate, which CellIndex.pairs drops.
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))
     weights = np.asarray(weights, dtype=np.float64)
@@ -85,9 +85,9 @@ def merge_planar(coords, weights, tol: float = PLANAR_MERGE_TOL):
     x, w, cells = coords[order], weights[order], cells[order]
     gap = np.diff(cells[:, 0]) <= 1
     at = np.flatnonzero(np.r_[False, gap] | np.r_[gap, False])  # both ends of each gap
+    sub = CellIndex(cells[at]).founders(lambda i, j: np.linalg.norm(x[at[i]] - x[at[j]], axis=1) <= tol)
     label = np.arange(len(x))
-    label[at] = at[CellIndex(cells[at]).founders(
-        lambda i, j: np.linalg.norm(x[at[i]] - x[at[j]], axis=1) <= tol)]
+    label[at] = at[sub]
     root = label == np.arange(len(label))
     group = (np.cumsum(root) - 1)[label]
     wsum = np.bincount(group, weights=w)

@@ -1,11 +1,17 @@
-"""Reference implementation the merge kernel is tested against.
+"""Reference implementations the array kernels are tested against.
 
 _SphereHash is the dict-of-cells spatial hash that the greedy sphere
 founder loop ran over, kept as it was written, as a differential oracle
-for projective.CellIndex.
+for projective.CellIndex.  _greedy_planar_oracle is measure.merge_planar's
+rule by brute force.  masked_chaos_samples is the chaos game of
+ifs.hutchinson as a loop over the maps, each applied to the chains that
+picked it, before every chain stepped at once.
 """
 
+import itertools
 import math
+
+import numpy as np
 
 from kmsdyn.projective import SpherePoint, chordal_distance
 
@@ -43,3 +49,57 @@ class _SphereHash:
         if emb is None:
             emb = point.embedding()
         self.buckets.setdefault(self._key(emb), []).append((idx, point))
+
+
+def _greedy_planar_oracle(x, w, tol):
+    """merge_planar's rule by brute force: one greedy founder loop over every atom.
+
+    Atoms go in lexicographic order of their cells round(x / tol); each
+    joins the first earlier founder within tol, taken in neighbour-offset
+    order and then index order, or founds a cluster.  Clusters come out in
+    founder order, their centroids summed in atom order.
+    """
+    cells = [tuple(c) for c in np.round(x / tol).astype(np.int64).tolist()]
+    order = sorted(range(len(x)), key=lambda k: cells[k])
+    found, members = {}, {}
+    for k in order:
+        for off in itertools.product((-1, 0, 1), repeat=x.shape[1]):
+            near = tuple(u + o for u, o in zip(cells[k], off))
+            hit = next((f for f in found.get(near, ()) if np.linalg.norm(x[f] - x[k]) <= tol), None)
+            if hit is not None:
+                members[hit].append(k)
+                break
+        else:
+            found.setdefault(cells[k], []).append(k)
+            members[k] = [k]
+    coords, weights = [], []
+    for ks in members.values():
+        mass, moment = 0.0, [0.0] * x.shape[1]
+        for k in ks:
+            mass += w[k]
+            moment = [m + w[k] * v for m, v in zip(moment, x[k])]
+        coords.append([m / mass for m in moment])
+        weights.append(mass)
+    return np.array(coords), np.array(weights)
+
+
+def masked_chaos_samples(gamma, chaos_samples, seed):
+    """The unmerged samples of hutchinson(gamma, 0, chaos_samples, seed), one map at a time."""
+    burn_in = 100
+    rng = np.random.Generator(np.random.Philox(seed))
+    chains = min(1024, chaos_samples)
+    steps = burn_in + -(-chaos_samples // chains)
+    x = np.tile(gamma.seed, (chains, 1)).astype(np.float64)
+    picks = rng.integers(0, gamma.n, size=(steps, chains))
+    collected = []
+    for t in range(steps):
+        row = picks[t]
+        new = np.empty_like(x)
+        for i, m in enumerate(gamma.maps):
+            mask = row == i
+            if np.any(mask):
+                new[mask] = m(x[mask])
+        x = new
+        if t >= burn_in:
+            collected.append(x.copy())
+    return np.concatenate(collected)[:chaos_samples]

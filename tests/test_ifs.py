@@ -24,6 +24,8 @@ from kmsdyn.ifs import (
 )
 from kmsdyn.measure import AtomicMeasure, TestFunctionLibrary, integrate, measure_sum, weak_star_distance
 
+from merge_oracles import _greedy_planar_oracle, masked_chaos_samples
+
 SQRT3 = math.sqrt(3.0)
 B_POINTS = [(0.25, SQRT3 / 4), (0.5, 0.0), (0.75, SQRT3 / 4)]
 C_POINTS = [(0.0, 0.0), (0.5, SQRT3 / 2), (1.0, 0.0)]
@@ -216,6 +218,28 @@ def test_chaos_game_reproducible():
     a = hutchinson(gamma, 0, chaos_samples=2000, seed=5)
     b = hutchinson(gamma, 0, chaos_samples=2000, seed=5)
     assert np.array_equal(a.coords, b.coords)
+
+
+def _tetra_twisted():
+    """A 3-D system of four maps, two of them rotating, to exercise full linear parts."""
+    c, s = math.cos(0.7), math.sin(0.7)
+    turn = 0.45 * np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    tilt = 0.4 * np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    return IFSSystem([AffineMap(0.5 * np.eye(3), [0.0, 0.0, 0.0]), AffineMap(turn, [0.5, 0.1, 0.0]),
+                      AffineMap(tilt, [0.2, 0.5, 0.0]), AffineMap(0.5 * np.eye(3), [0.25, 0.25, 0.5])],
+                     name="tetra-twisted")
+
+
+@pytest.mark.parametrize("name", ["tent", "binary", "sierpinski", "sierpinski-twisted", "tetra"])
+def test_chaos_game_matches_masked_loop(name):
+    # every chain stepping at once gives the samples of the per-map masked
+    # loop bit for bit; fewer samples than chains, and a part-filled last step
+    gamma = _tetra_twisted() if name == "tetra" else preset(name)
+    for n, seed in [(700, 11), (2500, 12)]:
+        mu = hutchinson(gamma, 0, chaos_samples=n, seed=seed)
+        want = _greedy_planar_oracle(masked_chaos_samples(gamma, n, seed), np.full(n, 1.0 / n), gamma.tol)
+        assert np.array_equal(mu.coords, want[0])
+        assert np.array_equal(mu.weights, want[1])
 
 
 def test_hutchinson_budget():

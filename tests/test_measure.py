@@ -14,7 +14,9 @@ from kmsdyn import projective
 from kmsdyn.errors import NotSubinvariant
 from kmsdyn.mapexpr import parse_map
 from kmsdyn.kms import kms_measure
+from kmsdyn.ifs import hutchinson, preset as ifs_preset
 from kmsdyn.measure import (
+    SPHERE,
     AtomicMeasure,
     FibreTable,
     TestFunctionLibrary,
@@ -32,6 +34,7 @@ from kmsdyn.measure import (
 )
 from kmsdyn.projective import SpherePoint, chordal_distance, merge_weighted
 
+from merge_oracles import _greedy_planar_oracle
 from test_ratmap import oracle_level_sets
 
 
@@ -321,38 +324,6 @@ def _planted_planar(rng, dim, scale, tol):
     return x[rng.permutation(len(x))]
 
 
-def _greedy_planar_oracle(x, w, tol):
-    """merge_planar's rule by brute force: one greedy founder loop over every atom.
-
-    Atoms go in lexicographic order of their cells round(x / tol); each
-    joins the first earlier founder within tol, taken in neighbour-offset
-    order and then index order, or founds a cluster.  Clusters come out in
-    founder order, their centroids summed in atom order.
-    """
-    cells = [tuple(c) for c in np.round(x / tol).astype(np.int64).tolist()]
-    order = sorted(range(len(x)), key=lambda k: cells[k])
-    found, members = {}, {}
-    for k in order:
-        for off in itertools.product((-1, 0, 1), repeat=x.shape[1]):
-            near = tuple(u + o for u, o in zip(cells[k], off))
-            hit = next((f for f in found.get(near, ()) if np.linalg.norm(x[f] - x[k]) <= tol), None)
-            if hit is not None:
-                members[hit].append(k)
-                break
-        else:
-            found.setdefault(cells[k], []).append(k)
-            members[k] = [k]
-    coords, weights = [], []
-    for ks in members.values():
-        mass, moment = 0.0, [0.0] * x.shape[1]
-        for k in ks:
-            mass += w[k]
-            moment = [m + w[k] * v for m, v in zip(moment, x[k])]
-        coords.append([m / mass for m in moment])
-        weights.append(mass)
-    return np.array(coords), np.array(weights)
-
-
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 @pytest.mark.parametrize("hash_base", [None, 0, 1], ids=["hash", "hash0", "hash1"])
 def test_merge_planar_matches_union_find_oracle(monkeypatch, dim, hash_base):
@@ -425,6 +396,61 @@ def test_merge_rule_is_one_across_engines(dim):
 def test_merge_planar_rejects_coordinates_past_the_cell_range(coords):
     with pytest.raises(ValueError, match="finite"):
         merge_planar(coords, np.ones(len(coords)))
+
+
+def _planar_case(first, rest, dim):
+    """Atoms with the given first coordinates; the other axes take rest, row by row."""
+    x = np.zeros((len(first), dim))
+    x[:, 0] = first
+    x[:, 1:] = np.asarray(rest, dtype=np.float64).reshape(len(first), -1)[:, : dim - 1]
+    return x
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_merge_planar_first_key_filter_matches_greedy_oracle(dim):
+    # only atoms whose sorted first cell key lies within 1 of a neighbour's
+    # reach the cell index; each case is checked against the brute-force rule
+    tol = 1.0
+    far = [[0.0, 0.0], [40.0, -40.0], [0.0, 0.0], [80.0, 80.0], [0.0, 0.0], [-80.0, 40.0]]
+    edge = np.nextafter(2.0**62 * tol, 0.0)
+    cases = [
+        # first keys 1 apart within tol (0.4 -> 0 and 1.3 -> 1; 6.4 and 7.4
+        # exactly tol apart), 2 apart (3.1 -> 3, 4.6 -> 5), and 1 apart but
+        # 1.8 tol away (4.6 -> 5, 6.4 -> 6)
+        _planar_case([0.4, 1.3, 3.1, 4.6, 6.4, 7.4], [[0.0, 0.0]] * 6, dim),
+        # first keys 1 and 2 apart with far other keys: never one cluster
+        # off the first axis
+        _planar_case([0.4, 1.3, 3.1, 4.0, 6.2, 7.1], far, dim),
+        # one first key, spread along the other axes: all marked, none crowded
+        _planar_case(np.full(6, 2.2), [[5.0 * k, -3.0 * k] for k in range(6)], dim),
+        # the widest first-key gaps there are, with repeats at both range edges
+        _planar_case([-edge, edge, -edge, edge, 0.0, edge], [[0.0, edge], [edge, 0.0], [0.0, edge],
+                                                             [-edge, 0.0], [0.0, 0.0], [edge, 0.0]], dim),
+    ]
+    rng = np.random.default_rng(dim)
+    for x in cases:
+        for perm in (np.arange(len(x)), rng.permutation(len(x))):
+            w = rng.uniform(0.1, 1.0, len(x))
+            got = merge_planar(x[perm], w, tol)
+            want = _greedy_planar_oracle(x[perm], w, tol)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert len(merge_planar(cases[0], np.ones(6), tol)[1]) == 4
+    assert len(merge_planar(cases[3], np.ones(6), tol)[1]) == (3 if dim == 1 else 4)
+
+
+def test_integrate_all_matches_integrate():
+    # one blocked pass over more atoms than a block, against one integrate
+    # call per function, on the plane and on the sphere
+    gamma = ifs_preset("sierpinski-twisted")
+    plane = hutchinson(gamma, 0, chaos_samples=20_000, seed=3)
+    rng = np.random.default_rng(5)
+    sphere = AtomicMeasure(SPHERE, points=[SpherePoint(complex(a, b), complex(c, d))
+                                           for a, b, c, d in rng.normal(size=(20_000, 4))],
+                           weights=rng.uniform(0.1, 1.0, 20_000))
+    for mu, lib in [(plane, TestFunctionLibrary.plane(box=gamma.bounding_box(), degree=3)),
+                    (sphere, TestFunctionLibrary.sphere(4))]:
+        want = np.array([integrate(mu, f) for f in lib.functions])
+        np.testing.assert_allclose(lib.integrate_all(mu), want, rtol=1e-12, atol=0)
 
 
 def test_planar_library_sup_norms():
