@@ -4,7 +4,6 @@ The semigroup oracle re-enumerates backward paths recursively through
 numpy.roots, independent of the production pullback.
 """
 
-import itertools
 import math
 
 import numpy as np
