@@ -53,6 +53,23 @@ from .states import (
 SQRT3 = math.sqrt(3.0)
 
 
+def affine(offset, columns, x):
+    """offset + sum_k x[..., k:k+1] * columns[k], the one affine kernel.
+
+    columns[k] is column k of the linear part, broadcast against x's batch
+    shape.  Each output entry is the same sequence of elementwise products
+    and sums, in k order, whatever the batch shape, so a point's image is
+    bit-identical alone, in a batch, among the stacked images of all maps,
+    and in the chaos step.  A single point (1-D x) enters as Python floats,
+    numpy's fast scalar path, which forms the same products.
+    """
+    factors = x.tolist() if x.ndim == 1 else [x[..., k:k + 1] for k in range(x.shape[-1])]
+    out = offset + factors[0] * columns[0]
+    for k in range(1, len(factors)):
+        out = out + factors[k] * columns[k]
+    return out
+
+
 class AffineMap:
     """x -> A x + b with singular values strictly inside (0, 1)."""
 
@@ -77,10 +94,7 @@ class AffineMap:
         return self.offset.shape[0]
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            return self.linear @ x + self.offset
-        return x @ self.linear.T + self.offset[None, :]
+        return affine(self.offset, self.linear.T, np.asarray(x, dtype=np.float64))
 
     def inverse(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -118,6 +132,9 @@ class IFSSystem:
         self.dim = dim
         self.name = name
         self.n = len(maps)
+        # stacked coefficients: offsets[j] and columns[k, j] = column k of map j
+        self.offsets = np.array([m.offset for m in maps])
+        self.columns = np.array([[m.linear[:, k] for m in maps] for k in range(dim)])
         self.c1 = min(m.sv_min for m in maps)
         self.c2 = max(m.sv_max for m in maps)
         # invariant ball: gamma_i(B(center, radius)) subset B(center, radius)
@@ -128,6 +145,16 @@ class IFSSystem:
         self.tol = PLANAR_MERGE_TOL * self.radius  # the one merge and dedup length
         self.seed = maps[0].fixed_point()
         self._branch_cache = None
+
+    def images(self, x):
+        """All maps applied to a point, (d,) -> (M, d), or a batch, (n, d) -> (M, n, d)."""
+        if x.ndim == 1:
+            return affine(self.offsets, self.columns, x)
+        return affine(self.offsets[:, None, :], self.columns[:, :, None, :], x)
+
+    def step(self, x, picks):
+        """Row i of x through map picks[i]: the chaos-game step, (n, d) -> (n, d)."""
+        return affine(np.take(self.offsets, picks, axis=0), np.take(self.columns, picks, axis=1), x)
 
     def bounding_box(self):
         lo = self.center - self.radius
@@ -365,7 +392,7 @@ def hutchinson(
                 raise AtomBudgetExceeded(
                     f"deterministic pushforward needs up to {gamma.n * len(weights)} atoms"
                 )
-            coords = np.concatenate([m(coords) for m in gamma.maps])
+            coords = gamma.images(coords).reshape(-1, gamma.dim)
             weights = np.tile(weights / gamma.n, gamma.n)
             coords, weights = merge_planar(coords, weights, gamma.tol)
         info = {"mode": "deterministic", "iterations": n}
@@ -383,10 +410,9 @@ def hutchinson(
     steps = burn_in + -(-chaos_samples // chains)  # ceil division
     x = np.tile(gamma.seed, (chains, 1)).astype(np.float64)
     picks = rng.integers(0, gamma.n, size=(steps, chains))
-    lane = np.arange(chains)
     samples = np.empty((steps - burn_in, chains, x.shape[1]))
     for t in range(steps):
-        x = np.stack([m(x) for m in gamma.maps])[picks[t], lane]
+        x = gamma.step(x, picks[t])
         if t >= burn_in:
             samples[t - burn_in] = x
     samples = samples.reshape(-1, x.shape[1])[:chaos_samples]
@@ -434,7 +460,7 @@ def kms_measure_ifs(
     for k in range(1, depth + 1):
         if total + gamma.n * len(weights) > atom_budget:
             raise AtomBudgetExceeded(f"word sum needs more than {atom_budget} atoms")
-        coords = np.concatenate([m(coords) for m in gamma.maps])
+        coords = gamma.images(coords).reshape(-1, gamma.dim)
         weights = np.tile(weights * ebeta, gamma.n)
         coords, weights = merge_planar(coords, weights, gamma.tol)
         total += len(weights)
