@@ -311,19 +311,37 @@ def image_multiplicity(gamma: IFSSystem, x, y) -> int:
     return sum(1 for m in gamma.maps if np.linalg.norm(m(y) - x) <= gamma.tol)
 
 
+def _distance(p, q) -> float:
+    """Euclidean distance of two coordinate lists, the squares summed in axis order."""
+    sq = 0.0
+    for a, b in zip(p, q):
+        sq += (a - b) * (a - b)
+    return math.sqrt(sq)
+
+
 def distinct_images(gamma: IFSSystem, y):
-    """The set gamma(y) with multiplicities: [(x, e(x, y))]."""
+    """The set gamma(y) with multiplicities: [(x, e(x, y))].
+
+    The M images, one block of IFSSystem.images, are taken in map order;
+    each joins the first distinct image before it within gamma.tol
+    (_distance), or is a new one.  Two images whose first coordinates are
+    more than 2 tol apart are farther than tol whatever the rounding, so
+    their distance is not summed.
+    """
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    images = np.array([m(y) for m in gamma.maps])
-    out = []
-    for img in images:
-        for entry in out:
-            if np.linalg.norm(entry[0] - img) <= gamma.tol:
-                entry[1] += 1
+    images = gamma.images(y)
+    rows = images.tolist()
+    tol = gamma.tol
+    firsts, counts = [], []
+    for i, row in enumerate(rows):
+        for slot, f in enumerate(firsts):
+            if abs(rows[f][0] - row[0]) <= 2.0 * tol and _distance(rows[f], row) <= tol:
+                counts[slot] += 1
                 break
         else:
-            out.append([img, 1])
-    return [(x, e) for x, e in out]
+            firsts.append(i)
+            counts.append(1)
+    return [(images[f], e) for f, e in zip(firsts, counts)]
 
 
 def tilde_ifs(gamma: IFSSystem, f, y) -> float:
@@ -354,12 +372,26 @@ def apply_F_beta_ifs(
 
 
 def _image_table(gamma: IFSSystem, mu: AtomicMeasure) -> FibreTable:
-    """Distinct images of every atom of a planar measure, one distinct_images call each."""
-    return FibreTable.collect(
-        mu.coords,
-        lambda y: distinct_images(gamma, y),
-        lambda xs: np.array(xs).reshape(-1, mu.coords.shape[1]),
-    )
+    """Distinct images of every atom of a planar measure, one distinct_images call each.
+
+    The results go straight into preallocated (n M) owner, degree and coords
+    arrays.  The table keeps one call per atom because the bench trace
+    self-check (perfbench/layers.py) counts exactly mu.n_atoms
+    distinct_images calls; a stacked table over all atoms at once waits for
+    that count to be re-pinned as work units (ROADMAP).
+    """
+    n, d = mu.coords.shape
+    owner = np.empty(n * gamma.n, dtype=np.intp)
+    degree = np.empty(n * gamma.n, dtype=np.int64)
+    coords = np.empty((n * gamma.n, d))
+    k = 0
+    for i, y in enumerate(mu.coords):
+        for x, e in distinct_images(gamma, y):
+            owner[k] = i
+            degree[k] = e
+            coords[k] = x
+            k += 1
+    return FibreTable(owner[:k], degree[:k], coords[:k])
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,16 @@ One FibreTable holds the fibres of a whole measure: the distinct preimages
 under R, or the distinct images under an IFS, each with its owner atom and
 local degree.  fibre_table builds it on the sphere in one batch solve,
 RationalMap.fibres, and keeps it on the measure as arrays; the scalar
-RationalMap.preimages stays the one-point API and the oracle
-(FibreTable.collect over it gives the same table).  ifs.py fills it from
-distinct_images.  Its readers are pullback_F, pullback_G, kms.check_K1,
-kms.check_K2, ifs.apply_F_beta_ifs and ifs.check_K1_ifs.  The three
-checks share one trace-condition kernel: quintic_cutoff near the branch
-set, and trace_conditions, which reduces the library to the (K1) residuals
-and the (K2) shifted-library sweep.
+RationalMap.preimages stays the one-point API and the oracle.  ifs.py
+writes it into preallocated arrays from one distinct_images call per atom,
+each call one block of the stacked affine kernel.  The bench trace
+self-check counts exactly one such call per atom, so a table stacked over
+all atoms at once waits until that count is re-pinned as work units.  Its
+readers are pullback_F, pullback_G, kms.check_K1, kms.check_K2,
+ifs.apply_F_beta_ifs and ifs.check_K1_ifs.  The three checks share one
+trace-condition kernel: quintic_cutoff near the branch set, and
+trace_conditions, which reduces the library to the (K1) residuals and the
+(K2) shifted-library sweep.
 
 The operators:
     pullback_F   F(delta_y) = sum over distinct preimages x of delta_x
@@ -428,17 +431,6 @@ class FibreTable:
     coords: np.ndarray
     z: np.ndarray | None = None
     w: np.ndarray | None = None
-
-    @staticmethod
-    def collect(atoms, solve, embed) -> "FibreTable":
-        """Flatten solve(atom) -> [(point, local degree)] over the atoms."""
-        points, owner, degree = [], [], []
-        for i, atom in enumerate(atoms):
-            for x, e in solve(atom):
-                points.append(x)
-                owner.append(i)
-                degree.append(e)
-        return FibreTable(np.array(owner, dtype=np.intp), np.array(degree, dtype=np.int64), embed(points))
 
     def sphere_points(self):
         """The fibres as SpherePoints, for the merge boundary."""

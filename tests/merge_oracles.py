@@ -5,7 +5,10 @@ founder loop ran over, kept as it was written, as a differential oracle
 for projective.CellIndex.  _greedy_planar_oracle is measure.merge_planar's
 rule by brute force.  masked_chaos_samples is the chaos game of
 ifs.hutchinson as a loop over the maps, each applied to the chains that
-picked it, before every chain stepped at once.
+picked it, before every chain stepped at once.  scalar_distinct_images is
+ifs.distinct_images as a loop over the maps with a norm per pair, and
+collect_fibres flattens any one-atom fibre solver into a FibreTable, the
+per-atom lists both fibre tables were built from before they were arrays.
 """
 
 import itertools
@@ -13,6 +16,7 @@ import math
 
 import numpy as np
 
+from kmsdyn.measure import FibreTable
 from kmsdyn.projective import SpherePoint, chordal_distance
 
 
@@ -103,3 +107,29 @@ def masked_chaos_samples(gamma, chaos_samples, seed):
         if t >= burn_in:
             collected.append(x.copy())
     return np.concatenate(collected)[:chaos_samples]
+
+
+def scalar_distinct_images(gamma, y):
+    """gamma(y) with multiplicities: each map's image joins the first earlier distinct one within tol."""
+    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
+    images = np.array([m(y) for m in gamma.maps])
+    out = []
+    for img in images:
+        for entry in out:
+            if np.linalg.norm(entry[0] - img) <= gamma.tol:
+                entry[1] += 1
+                break
+        else:
+            out.append([img, 1])
+    return [(x, e) for x, e in out]
+
+
+def collect_fibres(atoms, solve, embed):
+    """Flatten solve(atom) -> [(point, local degree)] over the atoms into a FibreTable."""
+    points, owner, degree = [], [], []
+    for i, atom in enumerate(atoms):
+        for x, e in solve(atom):
+            points.append(x)
+            owner.append(i)
+            degree.append(e)
+    return FibreTable(np.array(owner, dtype=np.intp), np.array(degree, dtype=np.int64), embed(points))

@@ -13,6 +13,7 @@ from kmsdyn.ifs import (
     IFSSystem,
     apply_F_beta_ifs,
     check_K1_ifs,
+    _image_table,
     distinct_images,
     hutchinson,
     image_multiplicity,
@@ -24,7 +25,7 @@ from kmsdyn.ifs import (
 )
 from kmsdyn.measure import AtomicMeasure, TestFunctionLibrary, integrate, measure_sum, weak_star_distance
 
-from merge_oracles import _greedy_planar_oracle, masked_chaos_samples
+from merge_oracles import _greedy_planar_oracle, collect_fibres, masked_chaos_samples, scalar_distinct_images
 
 SQRT3 = math.sqrt(3.0)
 B_POINTS = [(0.25, SQRT3 / 4), (0.5, 0.0), (0.75, SQRT3 / 4)]
@@ -48,6 +49,40 @@ def test_affine_map_contraction_validation():
         AffineMap([[0.0]], [0.5])  # singular linear part
     m = AffineMap([[0.5]], [0.25])
     assert m.fixed_point() == pytest.approx([0.5])
+
+
+def _random_system(rng, dim, n_maps=4):
+    maps = []
+    for _ in range(n_maps):
+        linear = rng.normal(size=(dim, dim))
+        linear *= rng.uniform(0.2, 0.9) / np.linalg.norm(linear, 2)
+        maps.append(AffineMap(linear, rng.normal(size=dim)))
+    return IFSSystem(maps)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_affine_kernel_rows_do_not_depend_on_batch_shape(dim):
+    # a point alone, as a one-row batch, in an n-row batch, among the stacked
+    # images of all maps and in the gathered chaos step: the same bits
+    rng = np.random.default_rng(40 + dim)
+    gamma = _random_system(rng, dim)
+    x = rng.normal(size=(9, dim)) * 10.0 ** rng.integers(-3, 4, size=(9, 1))
+    stacked = gamma.images(x)
+    picks = rng.integers(0, gamma.n, size=len(x))
+    stepped = gamma.step(x, picks)
+    assert stacked.shape == (gamma.n, len(x), dim) and stepped.shape == x.shape
+    for j, m in enumerate(gamma.maps):
+        batch = m(x)
+        np.testing.assert_allclose(batch, x @ m.linear.T + m.offset, rtol=1e-14, atol=1e-14)
+        for i, point in enumerate(x):
+            alone = m(point)
+            assert alone.shape == (dim,)
+            assert np.array_equal(alone, m(x[i:i + 1])[0])
+            assert np.array_equal(alone, batch[i])
+            assert np.array_equal(alone, stacked[j, i])
+            assert np.array_equal(alone, gamma.images(point)[j])
+            if picks[i] == j:
+                assert np.array_equal(alone, stepped[i])
 
 
 def test_duplicate_maps_rejected():
@@ -136,6 +171,71 @@ def test_tilde_examples():
     assert tilde_ifs(tent, 1, [0.0]) == 2.0
     binary = preset("binary")
     assert tilde_ifs(binary, lambda x: float(x[0]), [0.0]) == pytest.approx(0.5)
+
+
+def _three_branch_line():
+    # three maps of the line that all send 1 to 1/2
+    return IFSSystem([AffineMap([[0.5]], [0.0]), AffineMap([[-0.5]], [1.0]), AffineMap([[0.25]], [0.25])],
+                     name="three-branch")
+
+
+def _near_coincidences(gamma, rng):
+    """Points whose colliding images are 0.5 to 2 tol apart, never at tol itself."""
+    points = []
+    for y0, pairs in gamma.branch_structure().branch_values:
+        for j, jp in pairs:
+            diff = gamma.maps[j].linear - gamma.maps[jp].linear
+            for s in (0.5, 0.7, 0.9, 0.97, 1.03, 1.2, 1.6, 2.0):
+                u = rng.normal(size=gamma.dim)
+                u /= np.linalg.norm(u)
+                points.append(y0 + s * gamma.tol / np.linalg.norm(diff @ u) * u)
+    return points
+
+
+@pytest.mark.parametrize("name", ["tent", "binary", "sierpinski", "sierpinski-twisted", "three-branch"])
+def test_distinct_images_matches_scalar_loop(name):
+    # same images in the same order with the same multiplicities as the
+    # per-map loop, each bit-identical to its map's own image of y
+    gamma = _three_branch_line() if name == "three-branch" else preset(name)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    lo, hi = np.array(gamma.bounding_box()).T
+    branch = [y for y, _prs in gamma.branch_structure().branch_values]
+    near = _near_coincidences(gamma, rng)
+    points = list(rng.uniform(lo, hi, size=(200, gamma.dim))) + branch + near
+    degrees = []
+    for y in points:
+        got = distinct_images(gamma, y)
+        want = scalar_distinct_images(gamma, y)
+        assert [e for _x, e in got] == [e for _x, e in want]
+        for (x, _e), (x0, _e0) in zip(got, want):
+            assert x.shape == (gamma.dim,) and np.array_equal(x, x0)
+        degrees.append(max(e for _x, e in got))
+    assert all(e >= 2 for e in degrees[200:200 + len(branch)])
+    if near:
+        # both sides of the tolerance are reached
+        assert min(degrees[-len(near):]) == 1 and max(degrees[-len(near):]) >= 2
+    if name == "three-branch":
+        assert distinct_images(gamma, [1.0])[0][1] == 3
+
+
+@pytest.mark.parametrize("name, depth", [("sierpinski-twisted", 7), ("tent", 10)])
+def test_image_table_matches_scalar_collect(name, depth):
+    # the KMS states, and the same atoms with the branch values added, where
+    # images collide
+    gamma = preset(name)
+    branch = np.array([y for y, _prs in gamma.branch_structure().branch_values])
+    for b in gamma.branch_structure().branch_points:
+        mu = kms_measure_ifs(gamma, b, 1.5, depth=depth).measure
+        with_branch = AtomicMeasure.from_planar_atoms(
+            np.vstack([mu.coords, branch]), np.r_[mu.weights, np.full(len(branch), 0.1)], gamma.tol)
+        for nu in (mu, with_branch):
+            table = _image_table(gamma, nu)
+            ref = collect_fibres(nu.coords, lambda y: scalar_distinct_images(gamma, y),
+                                 lambda xs: np.array(xs).reshape(-1, gamma.dim))
+            assert np.array_equal(table.owner, ref.owner) and table.owner.dtype == ref.owner.dtype
+            assert np.array_equal(table.degree, ref.degree) and table.degree.dtype == ref.degree.dtype
+            assert np.array_equal(table.coords, ref.coords)
+        assert table.degree.max() >= 2
 
 
 def test_apply_F_beta_collision():

@@ -17,7 +17,6 @@ from kmsdyn.ifs import hutchinson, preset as ifs_preset
 from kmsdyn.measure import (
     SPHERE,
     AtomicMeasure,
-    FibreTable,
     TestFunctionLibrary,
     apply_F_beta,
     decompose_trace,
@@ -33,7 +32,7 @@ from kmsdyn.measure import (
 )
 from kmsdyn.projective import SpherePoint, chordal_distance, merge_weighted
 
-from merge_oracles import _greedy_planar_oracle
+from merge_oracles import _greedy_planar_oracle, collect_fibres
 from test_ratmap import oracle_level_sets
 
 
@@ -485,7 +484,7 @@ def test_fibre_table_matches_scalar_collect(expr, beta, depth):
     anchor = next(p for p, _e in R.branch_data().branch_points if not p.is_infinity())
     mu = kms_measure(R, anchor, beta, depth=depth).measure
     table = fibre_table(R, mu)
-    ref = FibreTable.collect(mu.points, R.preimages, sphere_embedding)
+    ref = collect_fibres(mu.points, R.preimages, sphere_embedding)
     assert np.array_equal(table.owner, ref.owner)
     assert np.array_equal(table.degree, ref.degree)
     assert np.all(np.bincount(table.owner, weights=table.degree) == R.n)
