@@ -59,6 +59,27 @@ PLANE = "plane"
 # planar merging
 
 
+def _lexicographic_order(cells):
+    """np.lexsort(cells.T[::-1]) and the sorted first keys, from one sort of the first key.
+
+    The first key is argsorted alone, which places every atom whose first
+    key is unique where the full lexicographic order puts it.  Only the
+    order within a run of tied first keys is left open; those atoms, taken
+    in index order, are lexsorted on their whole cells and written back
+    over the run positions, which they fill exactly, since the runs are
+    sorted by the same first key.  Index order breaks full-cell ties, as
+    the stable lexsort does.
+    """
+    order = np.argsort(cells[:, 0])
+    first = cells[order, 0]
+    tie = first[1:] == first[:-1]
+    if tie.any():
+        pos = np.flatnonzero(np.r_[tie, False] | np.r_[False, tie])  # every atom of a tied run
+        tied = np.sort(order[pos])
+        order[pos] = tied[np.lexsort(cells[tied].T[::-1])]
+    return order, first
+
+
 def merge_planar(coords, weights, tol: float = PLANAR_MERGE_TOL):
     """Merge planar atoms closer than tol; weights add, centroids average.
 
@@ -67,7 +88,16 @@ def merge_planar(coords, weights, tol: float = PLANAR_MERGE_TOL):
     first earlier founder within tol (Euclidean), otherwise it founds a
     cluster.  A cluster is thus at most 2 tol wide.  Clusters come out as
     the weighted centroids of their atoms, in lexicographic cell order of
-    their founders.  Coordinates must be finite with |x| < 2^62 tol.
+    their founders.  Coordinates must be finite with |x| < 2^62 tol, and
+    weights one number per coordinate row.
+
+    The order comes from _lexicographic_order: one argsort of the first
+    cell key, then one lexsort of the atoms whose first key is tied (910 of
+    10^6 gasket chaos samples).  An atom with a unique first key is already
+    where the lexicographic order puts it, so the result is the stable
+    lexicographic order exactly, for any d and key range.  Rows are
+    gathered with np.take, and cells only for the atoms that reach the
+    cell index.
 
     Only atoms next to a sorted neighbour whose first key is within 1 of
     theirs enter the cell index; the others found their own clusters.  That
@@ -79,16 +109,18 @@ def merge_planar(coords, weights, tol: float = PLANAR_MERGE_TOL):
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))
     weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != coords.shape[:1]:
+        raise ValueError("coords and weights length mismatch")
     if coords.shape[0] == 0:
         return coords, weights
     if not np.all(np.abs(coords) < 2.0**62 * tol):  # false for nan too
         raise ValueError(f"planar coordinates must be finite and below {2.0**62 * tol:.6g} in modulus")
     cells = np.round(coords / tol).astype(np.int64)
-    order = np.lexsort(cells.T[::-1])
-    x, w, cells = coords[order], weights[order], cells[order]
-    gap = np.diff(cells[:, 0]) <= 1
+    order, first = _lexicographic_order(cells)
+    x, w = np.take(coords, order, axis=0), weights[order]
+    gap = np.diff(first) <= 1
     at = np.flatnonzero(np.r_[False, gap] | np.r_[gap, False])  # both ends of each gap
-    sub = CellIndex(cells[at]).founders(lambda i, j: np.linalg.norm(x[at[i]] - x[at[j]], axis=1) <= tol)
+    sub = CellIndex(cells[order[at]]).founders(lambda i, j: np.linalg.norm(x[at[i]] - x[at[j]], axis=1) <= tol)
     label = np.arange(len(x))
     label[at] = at[sub]
     root = label == np.arange(len(label))

@@ -3,7 +3,9 @@
 _SphereHash is the dict-of-cells spatial hash that the greedy sphere
 founder loop ran over, kept as it was written, as a differential oracle
 for projective.CellIndex.  _greedy_planar_oracle is measure.merge_planar's
-rule by brute force.  masked_chaos_samples is the chaos game of
+rule by brute force, and lexsort_merge_planar is merge_planar as it was
+before it sorted by the first cell key alone: one full lexsort of the cells
+and fancy-indexed gathers.  masked_chaos_samples is the chaos game of
 ifs.hutchinson as a loop over the maps, each applied to the chains that
 picked it, before every chain stepped at once.  scalar_distinct_images is
 ifs.distinct_images as a loop over the maps with a norm per pair, and
@@ -16,8 +18,8 @@ import math
 
 import numpy as np
 
-from kmsdyn.measure import FibreTable
-from kmsdyn.projective import SpherePoint, chordal_distance
+from kmsdyn.measure import PLANAR_MERGE_TOL, FibreTable
+from kmsdyn.projective import CellIndex, SpherePoint, chordal_distance
 
 
 class _SphereHash:
@@ -85,6 +87,47 @@ def _greedy_planar_oracle(x, w, tol):
         coords.append([m / mass for m in moment])
         weights.append(mass)
     return np.array(coords), np.array(weights)
+
+
+def lexsort_merge_planar(coords, weights, tol: float = PLANAR_MERGE_TOL):
+    """Merge planar atoms closer than tol; weights add, centroids average.
+
+    The rule is the sphere's, CellIndex.founders: atoms are put in
+    lexicographic order of their cells round(x / tol), and each joins the
+    first earlier founder within tol (Euclidean), otherwise it founds a
+    cluster.  A cluster is thus at most 2 tol wide.  Clusters come out as
+    the weighted centroids of their atoms, in lexicographic cell order of
+    their founders.  Coordinates must be finite with |x| < 2^62 tol.
+
+    Only atoms next to a sorted neighbour whose first key is within 1 of
+    theirs enter the cell index; the others found their own clusters.  That
+    is exact: two atoms in the same or adjacent cells have first keys at
+    most 1 apart, and so have the atoms sorted between them, so both are
+    marked.  The marked atoms keep their order, so the founders do not
+    change.  Keys lie inside +-(2^62 - 512), so no diff wraps; an extra
+    marked atom would only be an extra candidate, which CellIndex.pairs drops.
+    """
+    coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))
+    weights = np.asarray(weights, dtype=np.float64)
+    if coords.shape[0] == 0:
+        return coords, weights
+    if not np.all(np.abs(coords) < 2.0**62 * tol):  # false for nan too
+        raise ValueError(f"planar coordinates must be finite and below {2.0**62 * tol:.6g} in modulus")
+    cells = np.round(coords / tol).astype(np.int64)
+    order = np.lexsort(cells.T[::-1])
+    x, w, cells = coords[order], weights[order], cells[order]
+    gap = np.diff(cells[:, 0]) <= 1
+    at = np.flatnonzero(np.r_[False, gap] | np.r_[gap, False])  # both ends of each gap
+    sub = CellIndex(cells[at]).founders(lambda i, j: np.linalg.norm(x[at[i]] - x[at[j]], axis=1) <= tol)
+    label = np.arange(len(x))
+    label[at] = at[sub]
+    root = label == np.arange(len(label))
+    group = (np.cumsum(root) - 1)[label]
+    wsum = np.bincount(group, weights=w)
+    out = np.empty((len(wsum), x.shape[1]))
+    for d in range(x.shape[1]):
+        out[:, d] = np.bincount(group, weights=w * x[:, d]) / wsum
+    return out, wsum
 
 
 def masked_chaos_samples(gamma, chaos_samples, seed):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kmsdyn import ifs as ifs_module
+from kmsdyn import measure as measure_module
 from kmsdyn.errors import AtomBudgetExceeded, HypothesisUncertified, NotABranchPoint, OutOfRegime
 from kmsdyn.ifs import (
     AffineMap,
@@ -23,9 +24,15 @@ from kmsdyn.ifs import (
     system_from_jsonable,
     classify_ifs,
 )
-from kmsdyn.measure import AtomicMeasure, TestFunctionLibrary, integrate, measure_sum, weak_star_distance
+from kmsdyn.measure import AtomicMeasure, TestFunctionLibrary, integrate, measure_sum, merge_planar, weak_star_distance
 
-from merge_oracles import _greedy_planar_oracle, collect_fibres, masked_chaos_samples, scalar_distinct_images
+from merge_oracles import (
+    _greedy_planar_oracle,
+    collect_fibres,
+    lexsort_merge_planar,
+    masked_chaos_samples,
+    scalar_distinct_images,
+)
 
 SQRT3 = math.sqrt(3.0)
 B_POINTS = [(0.25, SQRT3 / 4), (0.5, 0.0), (0.75, SQRT3 / 4)]
@@ -340,6 +347,42 @@ def test_chaos_game_matches_masked_loop(name):
         want = _greedy_planar_oracle(masked_chaos_samples(gamma, n, seed), np.full(n, 1.0 / n), gamma.tol)
         assert np.array_equal(mu.coords, want[0])
         assert np.array_equal(mu.weights, want[1])
+
+
+def _merges_checked_against_lexsort(monkeypatch):
+    """Route every merge of the engine through merge_planar and the lexsort oracle; list their sizes."""
+    sizes = []
+
+    def checked(coords, weights, tol):
+        got = merge_planar(coords, weights, tol)
+        want = lexsort_merge_planar(coords, weights, tol)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        sizes.append(len(weights))
+        return got
+
+    monkeypatch.setattr(measure_module, "merge_planar", checked)
+    monkeypatch.setattr(ifs_module, "merge_planar", checked)
+    return sizes
+
+
+@pytest.mark.parametrize("name", ["tent", "binary", "sierpinski", "sierpinski-twisted"])
+def test_merge_planar_matches_lexsort_oracle_on_hutchinson(monkeypatch, name):
+    # 10^5 chaos samples, and the deterministic levels 1-10 (1-14 on the line)
+    gamma = preset(name)
+    sizes = _merges_checked_against_lexsort(monkeypatch)
+    hutchinson(gamma, 0, chaos_samples=10**5, seed=9)
+    hutchinson(gamma, 10 if gamma.dim == 2 else 14)
+    assert sizes[0] == 10**5 and len(sizes) == 1 + (10 if gamma.dim == 2 else 14)
+
+
+def test_merge_planar_matches_lexsort_oracle_on_twisted_kms_states(monkeypatch):
+    # every level merge and the final merge of each depth-8 state
+    gamma = preset("sierpinski-twisted")
+    anchors = gamma.branch_structure().branch_points
+    sizes = _merges_checked_against_lexsort(monkeypatch)
+    for b in anchors:
+        kms_measure_ifs(gamma, b, 1.5, depth=8)
+    assert len(sizes) == 9 * len(anchors)
 
 
 def test_hutchinson_budget():

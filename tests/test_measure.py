@@ -21,6 +21,7 @@ from kmsdyn.measure import (
     apply_F_beta,
     decompose_trace,
     fibre_table,
+    _lexicographic_order,
     integrate,
     measure_sum,
     merge_planar,
@@ -434,6 +435,51 @@ def test_merge_planar_first_key_filter_matches_greedy_oracle(dim):
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert len(merge_planar(cases[0], np.ones(6), tol)[1]) == 4
     assert len(merge_planar(cases[3], np.ones(6), tol)[1]) == (3 if dim == 1 else 4)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_merge_planar_tie_runs_match_lexsort_and_greedy_oracle(dim):
+    # 20,000 atoms on 2,000 first keys, about ten atoms a key: the first-key
+    # argsort leaves ties that repeat this often out of index order, so the
+    # order and the merge rest on the tie-run lexsort.  The other keys are
+    # mixed, 2,000 rows repeat exactly, and keys sit at both ends of the
+    # range, +-(2^62 - 512)
+    rng = np.random.default_rng(60 + dim)
+    tol = 1.0
+    edge = np.nextafter(2.0**62 * tol, 0.0)
+    firsts = np.r_[rng.choice(np.arange(-3000.0, 3000.0), 1998, replace=False), -edge, edge]
+    x = rng.integers(-3, 4, size=(18_000, dim)) + rng.uniform(-0.45, 0.45, size=(18_000, dim))
+    x[:, 0] += firsts[rng.integers(0, len(firsts), 18_000)]
+    x[:, 1:][rng.random((18_000, dim - 1)) < 0.05] = edge
+    x[:, 1:][rng.random((18_000, dim - 1)) < 0.05] = -edge
+    x = np.vstack([x, x[rng.integers(0, 18_000, 2_000)]])
+    x = x[rng.permutation(len(x))]
+    w = rng.uniform(0.1, 1.0, len(x))
+    cells = np.round(x / tol).astype(np.int64)
+    want = np.lexsort(cells.T[::-1])
+    order, first = _lexicographic_order(cells)
+    assert np.array_equal(order, want) and np.array_equal(first, cells[want, 0])
+    assert np.abs(cells).max() == 2**62 - 512
+    got = merge_planar(x, w, tol)
+    ref = _greedy_planar_oracle(x, w, tol)
+    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+    assert len(got[1]) < len(x)
+
+
+@pytest.mark.parametrize("coords, weights", [
+    ([[0.1], [0.2]], [1.0, 1.0, 1.0]),  # a weight without a row
+    ([[0.1], [0.2], [0.3]], [1.0, 1.0]),  # a row without a weight
+    ([[0.1], [0.2]], [[1.0], [1.0]]),  # weights not one number a row
+])
+def test_merge_planar_rejects_weights_that_do_not_match_the_rows(coords, weights):
+    with pytest.raises(ValueError, match="coords and weights length mismatch"):
+        merge_planar(coords, weights)
+
+
+def test_planar_atoms_read_a_flat_list_as_one_point():
+    # three numbers are one 3-D point, so three weights do not fit it
+    with pytest.raises(ValueError, match="coords and weights length mismatch"):
+        AtomicMeasure.from_planar_atoms([0.1, 0.2, 0.3], [1.0, 1.0, 1.0])
 
 
 def test_integrate_all_matches_integrate():
