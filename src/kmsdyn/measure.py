@@ -117,10 +117,11 @@ def merge_planar(coords, weights, tol: float = PLANAR_MERGE_TOL):
         raise ValueError(f"planar coordinates must be finite and below {2.0**62 * tol:.6g} in modulus")
     cells = np.round(coords / tol).astype(np.int64)
     order, first = _lexicographic_order(cells)
-    x, w = np.take(coords, order, axis=0), weights[order]
     gap = np.diff(first) <= 1
     at = np.flatnonzero(np.r_[False, gap] | np.r_[gap, False])  # both ends of each gap
-    sub = CellIndex(cells[order[at]]).founders(lambda i, j: np.linalg.norm(x[at[i]] - x[at[j]], axis=1) <= tol)
+    cells = cells[order[at]]  # frees the full cells before the gathers
+    x, w = np.take(coords, order, axis=0), weights[order]
+    sub = CellIndex(cells).founders(lambda i, j: np.linalg.norm(x[at[i]] - x[at[j]], axis=1) <= tol)
     label = np.arange(len(x))
     label[at] = at[sub]
     root = label == np.arange(len(label))
