@@ -18,10 +18,10 @@ from kmsdyn.measure import (
     SPHERE,
     AtomicMeasure,
     TestFunctionLibrary,
+    _lexicographic_order,
     apply_F_beta,
     decompose_trace,
     fibre_table,
-    _lexicographic_order,
     integrate,
     measure_sum,
     merge_planar,
@@ -439,9 +439,9 @@ def test_merge_planar_first_key_filter_matches_greedy_oracle(dim):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_merge_planar_tie_runs_match_lexsort_and_greedy_oracle(dim):
-    # 20,000 atoms on 2,000 first keys, about ten atoms a key: the first-key
-    # argsort leaves ties that repeat this often out of index order, so the
-    # order and the merge rest on the tie-run lexsort.  The other keys are
+    # 20,000 atoms on 2,000 first keys, about ten atoms a key: numpy's
+    # default argsort can leave keys that repeat this often out of index
+    # order, so the order and the merge rest on the tie-run lexsort.  The other keys are
     # mixed, 2,000 rows repeat exactly, and keys sit at both ends of the
     # range, +-(2^62 - 512)
     rng = np.random.default_rng(60 + dim)
@@ -466,20 +466,16 @@ def test_merge_planar_tie_runs_match_lexsort_and_greedy_oracle(dim):
     assert len(got[1]) < len(x)
 
 
-@pytest.mark.parametrize("coords, weights", [
-    ([[0.1], [0.2]], [1.0, 1.0, 1.0]),  # a weight without a row
-    ([[0.1], [0.2], [0.3]], [1.0, 1.0]),  # a row without a weight
-    ([[0.1], [0.2]], [[1.0], [1.0]]),  # weights not one number a row
-])
-def test_merge_planar_rejects_weights_that_do_not_match_the_rows(coords, weights):
-    with pytest.raises(ValueError, match="coords and weights length mismatch"):
-        merge_planar(coords, weights)
-
-
-def test_planar_atoms_read_a_flat_list_as_one_point():
+@pytest.mark.parametrize("build, coords, weights", [
+    (merge_planar, [[0.1], [0.2]], [1.0, 1.0, 1.0]),  # a weight without a row
+    (merge_planar, [[0.1], [0.2], [0.3]], [1.0, 1.0]),  # a row without a weight
+    (merge_planar, [[0.1], [0.2]], [[1.0], [1.0]]),  # weights not one number a row
     # three numbers are one 3-D point, so three weights do not fit it
+    (AtomicMeasure.from_planar_atoms, [0.1, 0.2, 0.3], [1.0, 1.0, 1.0]),
+], ids=["extra-weight", "missing-weight", "2d-weights", "flat-list"])
+def test_merge_planar_rejects_weights_that_do_not_match_the_rows(build, coords, weights):
     with pytest.raises(ValueError, match="coords and weights length mismatch"):
-        AtomicMeasure.from_planar_atoms([0.1, 0.2, 0.3], [1.0, 1.0, 1.0])
+        build(coords, weights)
 
 
 def test_integrate_all_matches_integrate():
