@@ -15,6 +15,15 @@ Aberth 1973, Bini & Fiorentino 2000).  A batch row whose discs come
 together, or that misses the gate, is flagged for roots, whose cluster path
 finds its multiple roots.
 
+roots runs on Python complex numbers, not numpy complex128 scalars: it is
+called once per atom of a backward orbit, and a Python complex operation
+costs a fraction of a numpy scalar one.  Python's + - * abs and sqrt round
+as numpy's do, but its complex division does not (it divides where numpy
+multiplies by a reciprocal), so every quotient goes through _div or
+_recip_sum, which round as numpy's complex128 division.  That keeps the
+roots, and every orbit and printed digit built on them, bit for bit what
+they were on numpy scalars.
+
 Degrees here stay small (<= ~10); high-degree or adversarially
 ill-conditioned inputs are out of scope and surface as NonConvergence.
 """
@@ -39,11 +48,11 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        arr = np.asarray(list(coeffs), dtype=np.complex128)
+        arr = np.array(coeffs if isinstance(coeffs, np.ndarray) else list(coeffs), dtype=np.complex128)
         n = len(arr)
         while n > 0 and arr[n - 1] == 0:
             n -= 1
-        self.coeffs = arr[:n].copy()
+        self.coeffs = arr[:n]
 
     @property
     def degree(self) -> int:
@@ -75,10 +84,70 @@ def derivative(p: Poly) -> Poly:
     return Poly([c[k] * k for k in range(1, len(c))])
 
 
-def _initial_circle(coeffs) -> list:
-    n = len(coeffs) - 1
-    lead = abs(coeffs[-1])
-    radius = 1.0 + max(abs(c) for c in coeffs[:-1]) / lead if n > 0 else 1.0
+def _div(a, b) -> complex:
+    """a / b for Python complex a, b, rounded as numpy's complex128 scalar division.
+
+    Python's own complex division divides by the scaled squared modulus
+    (Smith's method); numpy multiplies by its reciprocal, so the two differ
+    in the last bit of about 40% of quotients.  Like numpy, a zero divisor
+    gives inf or nan and a NaN in b gives nan+nanj; nothing raises.
+    """
+    br = b.real
+    bi = b.imag
+    if abs(br) >= abs(bi):
+        if br == 0.0:  # b == 0, which roots never divides by
+            with np.errstate(all="ignore"):
+                return complex(np.complex128(a) / np.complex128(b))
+        rat = bi / br
+        scl = 1.0 / (br + bi * rat)
+        ar = a.real
+        ai = a.imag
+        return complex((ar + ai * rat) * scl, (ai - ar * rat) * scl)
+    if abs(bi) > abs(br):
+        rat = br / bi
+        scl = 1.0 / (bi + br * rat)
+        ar = a.real
+        ai = a.imag
+        return complex((ar * rat + ai) * scl, (ai * rat - ar) * scl)
+    return complex(math.nan, math.nan)
+
+
+def _recip_sum(xs, i):
+    """The Aberth sum over j != i of 1 / (xs[i] - xs[j]), each term rounded as _div(1, d).
+
+    The terms of _div that are exact for a numerator of 1 are left out, and
+    the sum runs on the two parts, as complex addition does.  A zero
+    difference counts as 1e-300.
+    """
+    x = xs[i]
+    sr = si = 0.0
+    for j in range(len(xs)):
+        if j == i:
+            continue
+        d = x - xs[j]
+        if d == 0:
+            d = 1e-300
+        dr = d.real
+        di = d.imag
+        if abs(dr) >= abs(di):
+            rat = di / dr
+            scl = 1.0 / (dr + di * rat)
+            sr += scl
+            si += (0.0 - rat) * scl
+        elif abs(di) > abs(dr):
+            rat = dr / di
+            scl = 1.0 / (di + dr * rat)
+            sr += (rat + 0.0) * scl
+            si -= scl
+        else:
+            sr += math.nan
+            si += math.nan
+    return complex(sr, si)
+
+
+def _initial_circle(acoeffs) -> list:
+    n = len(acoeffs) - 1
+    radius = 1.0 + max(acoeffs[1:]) / acoeffs[0]
     # deterministic angular perturbation breaks the symmetry of z^n + c
     return [
         radius * cmath.exp(1j * (2.0 * math.pi * k / n + 0.4 + 0.01 * k))
@@ -86,44 +155,28 @@ def _initial_circle(coeffs) -> list:
     ]
 
 
-def _aberth_iterate(coeffs, dcoeffs, max_iter):
-    xs = _initial_circle(coeffs)
+def _aberth_iterate(coeffs, acoeffs, dcoeffs, max_iter):
+    xs = _initial_circle(acoeffs)
     n = len(xs)
-
-    def pval(x):
-        out = 0j
-        for c in reversed(coeffs):
-            out = out * x + c
-        return out
-
-    def dval(x):
-        out = 0j
-        for c in reversed(dcoeffs):
-            out = out * x + c
-        return out
-
     for _ in range(max_iter):
         max_step = 0.0
         for i in range(n):
             xi = xs[i]
-            pv = pval(xi)
+            pv = 0j
+            for c in coeffs:
+                pv = pv * xi + c
             if pv == 0:
                 continue
-            dv = dval(xi)
+            dv = 0j
+            for c in dcoeffs:
+                dv = dv * xi + c
             if dv == 0:
                 xs[i] = xi * (1.0 + 1e-8) + 1e-8
                 max_step = math.inf
                 continue
-            newton = pv / dv
-            s = 0j
-            for j in range(n):
-                if j != i:
-                    d = xi - xs[j]
-                    if d == 0:
-                        d = 1e-300
-                    s += 1.0 / d
-            denom = 1.0 - newton * s
-            step = newton if denom == 0 else newton / denom
+            newton = _div(pv, dv)
+            denom = 1.0 - newton * _recip_sum(xs, i)
+            step = newton if denom == 0 else _div(newton, denom)
             xs[i] = xi - step
             rel = abs(step) / (1.0 + abs(xs[i]))
             if rel > max_step:
@@ -135,7 +188,7 @@ def _aberth_iterate(coeffs, dcoeffs, max_iter):
     return xs
 
 
-def _weierstrass_radii(coeffs, xs):
+def _weierstrass_radii(coeffs, acoeffs, xs):
     """Inclusion-disc radii n |p(x_i) / (lead prod (x_i - x_j))|.
 
     The residual is floored at the double-precision evaluation noise so that
@@ -143,20 +196,20 @@ def _weierstrass_radii(coeffs, xs):
     cloud) still carry the radius their uncertainty implies.
     """
     n = len(xs)
-    lead = coeffs[-1]
     radii = []
     for i in range(n):
+        x = xs[i]
         pv = 0j
         scale = 0.0
-        ax = abs(xs[i])
-        for c in reversed(coeffs):
-            pv = pv * xs[i] + c
-            scale = scale * ax + abs(c)
+        ax = abs(x)
+        for c, a in zip(coeffs, acoeffs):
+            pv = pv * x + c
+            scale = scale * ax + a
         noise = 2.0**-52 * scale
-        prod = lead
+        prod = coeffs[0]
         for j in range(n):
             if j != i:
-                prod *= xs[i] - xs[j]
+                prod *= x - xs[j]
         if prod == 0:
             radii.append(math.inf)
         else:
@@ -165,104 +218,117 @@ def _weierstrass_radii(coeffs, xs):
 
 
 def _polish(coeffs, dcoeffs, center, mult):
-    """Multiplicity-aware Newton refinement of a cluster center."""
+    """Multiplicity-aware Newton refinement of a cluster center: (point, |p(point)|)."""
     x = center
     best = x
     best_res = math.inf
     for _ in range(60):
         pv = 0j
-        for c in reversed(coeffs):
+        for c in coeffs:
             pv = pv * x + c
         res = abs(pv)
         if res < best_res:
             best, best_res = x, res
         if pv == 0:
-            return x
+            return x, res
         dv = 0j
-        for c in reversed(dcoeffs):
+        for c in dcoeffs:
             dv = dv * x + c
         if dv == 0:
             break
-        step = mult * pv / dv
+        step = _div(mult * pv, dv)
         x = x - step
         if abs(step) <= 1e-16 * (1.0 + abs(x)):
             pv = 0j
-            for c in reversed(coeffs):
+            for c in coeffs:
                 pv = pv * x + c
-            return x if abs(pv) <= best_res else best
-    return best
+            res = abs(pv)
+            return (x, res) if res <= best_res else (best, best_res)
+    return best, best_res
 
 
 def roots(p: Poly, tol: float = DEFAULT_ROOT_TOL, max_iter: int = DEFAULT_MAX_ITER):
     """All roots of p with multiplicities, as [(root, multiplicity)].
 
-    Multiplicities sum to the degree.  Each returned root r satisfies
-    |p(r)| <= tol * (magnitude of p near r); otherwise NonConvergence is
-    raised.
+    Multiplicities sum to the degree.  Above degree 1, each returned root r
+    is finite and satisfies |p(r)| <= tol * (magnitude of p near r);
+    otherwise NonConvergence is raised.
+
+    The arithmetic runs on Python complex numbers, which cost less per
+    operation than numpy scalars.  Their + - * abs sqrt round as numpy's do;
+    their division does not, so every quotient goes through _div or
+    _recip_sum, which round as numpy's complex128 division.  The results are
+    bit for bit those of the same steps on numpy scalars, which
+    tests/merge_oracles.py keeps.
     """
-    coeffs = list(p.coeffs)
+    coeffs = p.coeffs[::-1].tolist()  # descending: the leading coefficient first
     n = len(coeffs) - 1
     if n < 1:
         raise ValueError("root finding needs degree >= 1")
     if n == 1:
-        return [(-coeffs[0] / coeffs[1], 1)]
-    dcoeffs = [coeffs[k] * k for k in range(1, len(coeffs))]
+        return [(_div(-coeffs[1], coeffs[0]), 1)]
+    try:
+        out = _clusters(coeffs, n, tol, max_iter)
+    except OverflowError as exc:  # abs() of a complex whose modulus passes the double range
+        raise NonConvergence(f"root finding overflowed: {exc}") from exc
+    out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
+    return out
+
+
+def _clusters(coeffs, n, tol, max_iter):
+    """roots' steps at degree n >= 2 on descending coefficients, up to the gated clusters."""
+    acoeffs = [abs(c) for c in coeffs]
+    dcoeffs = [c * k for c, k in zip(coeffs, range(n, 0, -1))]
     if n == 2:
-        c0, c1, c2 = coeffs
+        c2, c1, c0 = coeffs
         disc = c1 * c1 - 4.0 * c2 * c0
         s = cmath.sqrt(disc)
         if (c1.conjugate() * s).real < 0.0:
             s = -s
         q = -0.5 * (c1 + s)
         if q != 0:
-            approx = [q / c2, c0 / q]
+            approx = [_div(q, c2), _div(c0, q)]
         else:
-            approx = [-c1 / (2.0 * c2)] * 2
+            approx = [_div(-c1, 2.0 * c2)] * 2
     else:
-        approx = _aberth_iterate(coeffs, dcoeffs, max_iter)
+        approx = _aberth_iterate(coeffs, acoeffs, dcoeffs, max_iter)
 
-    radii = _weierstrass_radii(coeffs, approx)
+    radii = _weierstrass_radii(coeffs, acoeffs, approx)
 
-    # union-find over overlapping inclusion discs (plus the caller tolerance)
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(n):
+    # connected components of overlapping inclusion discs (plus the caller
+    # tolerance), in the order of their lowest index
+    label = list(range(n))
+    for i in range(n - 1):
+        xi = approx[i]
         for j in range(i + 1, n):
-            gap = abs(approx[i] - approx[j])
-            thresh = max(
-                tol * max(1.0, abs(approx[i]), abs(approx[j])),
-                radii[i] + radii[j],
-            )
-            if gap <= thresh:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-
-    clusters: dict = {}
-    for i in range(n):
-        clusters.setdefault(find(i), []).append(approx[i])
+            xj = approx[j]
+            thresh = max(tol * max(1.0, abs(xi), abs(xj)), radii[i] + radii[j])
+            if abs(xi - xj) <= thresh and label[i] != label[j]:
+                old, new = label[j], label[i]
+                label = [new if lab == old else lab for lab in label]
+    groups = {}
+    for lab, x in zip(label, approx):
+        groups.setdefault(lab, []).append(x)
 
     out = []
-    for members in clusters.values():
+    for members in groups.values():
+        center = 0j
+        for x in members:  # a loop, not sum(): newer Pythons sum complex numbers compensated
+            center += x
         m = len(members)
-        center = sum(members) / m
-        refined = _polish(coeffs, dcoeffs, center, m)
-        out.append((refined, m))
-
-    for r, _m in out:
-        scale = p.eval_scale(r)
-        if abs(p(r)) > tol * max(scale, 1e-300):
+        if m > 1 or not cmath.isfinite(center):  # x / 1 is x for a finite x
+            center = _div(center, m)
+        refined, res = _polish(coeffs, dcoeffs, center, m)
+        scale = 0.0
+        ax = abs(refined)
+        for a in acoeffs:
+            scale = scale * ax + a
+        if not (res <= tol * max(scale, 1e-300) and cmath.isfinite(refined)):  # a NaN fails too
             raise NonConvergence(
-                f"root residual {abs(p(r)):.3e} exceeds {tol:.1e} * scale "
+                f"root residual {res:.3e} exceeds {tol:.1e} * scale "
                 f"{scale:.3e}; input is ill-conditioned"
             )
-    out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
+        out.append((refined, m))
     return out
 
 

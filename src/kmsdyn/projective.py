@@ -40,14 +40,15 @@ class SpherePoint:
     def __init__(self, z, w):
         z = complex(z)
         w = complex(w)
-        if abs(z) == 0.0 and abs(w) == 0.0:
+        az, aw = abs(z), abs(w)
+        if az == 0.0 and aw == 0.0:
             raise ValueError("homogeneous pair (0, 0) is not a point")
-        if not (math.isfinite(abs(z)) and math.isfinite(abs(w))):
+        if not (math.isfinite(az) and math.isfinite(aw)):
             raise ValueError("non-finite homogeneous coordinates")
         # pivot on the larger coordinate, setting it to exactly 1.0; a near-tie
         # can round the other modulus just above 1, so iterate to a fixed point
         for _ in range(3):
-            if abs(z) >= abs(w):
+            if az >= aw:
                 if z == 1.0:
                     break
                 w = w / z
@@ -57,6 +58,7 @@ class SpherePoint:
                     break
                 z = z / w
                 w = complex(1.0)
+            az, aw = abs(z), abs(w)
         self.z = z
         self.w = w
 

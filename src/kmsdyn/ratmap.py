@@ -142,20 +142,21 @@ class RationalMap:
         coefficient drops correspond to preimages at infinity.
         """
         c = y.w * self._hp - y.z * self._hq
-        scale = float(np.max(np.abs(c)))
+        mods = [abs(v) for v in c.tolist()]
+        scale = max(mods)
         if scale == 0.0:
             raise InternalConsistencyError("preimage form vanished identically")
         deg = self.n
-        while deg > 0 and abs(c[deg]) <= _DEGREE_DROP_TOL * scale:
+        while deg > 0 and mods[deg] <= _DEGREE_DROP_TOL * scale:
             deg -= 1
         out = []
-        inf_mult = self.n - deg
+        total = inf_mult = self.n - deg
         if inf_mult > 0:
             out.append((SpherePoint.infinity(), inf_mult))
         if deg >= 1:
             for r, m in roots(Poly(c[: deg + 1]), tol):
                 out.append((SpherePoint.from_affine(r), m))
-        total = sum(m for _p, m in out)
+                total += m
         if total != self.n:
             raise InternalConsistencyError(
                 f"preimage multiplicities sum to {total}, expected {self.n}"

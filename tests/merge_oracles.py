@@ -11,14 +11,19 @@ picked it, before every chain stepped at once.  scalar_distinct_images is
 ifs.distinct_images as a loop over the maps with a norm per pair, and
 collect_fibres flattens any one-atom fibre solver into a FibreTable, the
 per-atom lists both fibre tables were built from before they were arrays.
+numpy_scalar_roots is polyroots.roots with its helpers as they ran on numpy
+complex128 scalars, before they ran on Python complex numbers.
 """
 
+import cmath
 import itertools
 import math
 
 import numpy as np
 
+from kmsdyn.errors import NonConvergence
 from kmsdyn.measure import PLANAR_MERGE_TOL, FibreTable
+from kmsdyn.polyroots import DEFAULT_MAX_ITER, DEFAULT_ROOT_TOL, Poly
 from kmsdyn.projective import CellIndex, SpherePoint, chordal_distance
 
 
@@ -176,3 +181,194 @@ def collect_fibres(atoms, solve, embed):
             owner.append(i)
             degree.append(e)
     return FibreTable(np.array(owner, dtype=np.intp), np.array(degree, dtype=np.int64), embed(points))
+
+
+def _initial_circle(coeffs) -> list:
+    n = len(coeffs) - 1
+    lead = abs(coeffs[-1])
+    radius = 1.0 + max(abs(c) for c in coeffs[:-1]) / lead if n > 0 else 1.0
+    # deterministic angular perturbation breaks the symmetry of z^n + c
+    return [
+        radius * cmath.exp(1j * (2.0 * math.pi * k / n + 0.4 + 0.01 * k))
+        for k in range(n)
+    ]
+
+
+def _aberth_iterate(coeffs, dcoeffs, max_iter):
+    xs = _initial_circle(coeffs)
+    n = len(xs)
+
+    def pval(x):
+        out = 0j
+        for c in reversed(coeffs):
+            out = out * x + c
+        return out
+
+    def dval(x):
+        out = 0j
+        for c in reversed(dcoeffs):
+            out = out * x + c
+        return out
+
+    for _ in range(max_iter):
+        max_step = 0.0
+        for i in range(n):
+            xi = xs[i]
+            pv = pval(xi)
+            if pv == 0:
+                continue
+            dv = dval(xi)
+            if dv == 0:
+                xs[i] = xi * (1.0 + 1e-8) + 1e-8
+                max_step = math.inf
+                continue
+            newton = pv / dv
+            s = 0j
+            for j in range(n):
+                if j != i:
+                    d = xi - xs[j]
+                    if d == 0:
+                        d = 1e-300
+                    s += 1.0 / d
+            denom = 1.0 - newton * s
+            step = newton if denom == 0 else newton / denom
+            xs[i] = xi - step
+            rel = abs(step) / (1.0 + abs(xs[i]))
+            if rel > max_step:
+                max_step = rel
+        if max_step <= 1e-14:
+            return xs
+    # multiple roots plateau at the attainable cloud radius; the cluster
+    # analysis and the final residual gate decide what to make of that
+    return xs
+
+
+def _weierstrass_radii(coeffs, xs):
+    """Inclusion-disc radii n |p(x_i) / (lead prod (x_i - x_j))|.
+
+    The residual is floored at the double-precision evaluation noise so that
+    points where p underflows to exactly zero (common inside a multiple-root
+    cloud) still carry the radius their uncertainty implies.
+    """
+    n = len(xs)
+    lead = coeffs[-1]
+    radii = []
+    for i in range(n):
+        pv = 0j
+        scale = 0.0
+        ax = abs(xs[i])
+        for c in reversed(coeffs):
+            pv = pv * xs[i] + c
+            scale = scale * ax + abs(c)
+        noise = 2.0**-52 * scale
+        prod = lead
+        for j in range(n):
+            if j != i:
+                prod *= xs[i] - xs[j]
+        if prod == 0:
+            radii.append(math.inf)
+        else:
+            radii.append(n * max(abs(pv), noise) / abs(prod))
+    return radii
+
+
+def _polish(coeffs, dcoeffs, center, mult):
+    """Multiplicity-aware Newton refinement of a cluster center."""
+    x = center
+    best = x
+    best_res = math.inf
+    for _ in range(60):
+        pv = 0j
+        for c in reversed(coeffs):
+            pv = pv * x + c
+        res = abs(pv)
+        if res < best_res:
+            best, best_res = x, res
+        if pv == 0:
+            return x
+        dv = 0j
+        for c in reversed(dcoeffs):
+            dv = dv * x + c
+        if dv == 0:
+            break
+        step = mult * pv / dv
+        x = x - step
+        if abs(step) <= 1e-16 * (1.0 + abs(x)):
+            pv = 0j
+            for c in reversed(coeffs):
+                pv = pv * x + c
+            return x if abs(pv) <= best_res else best
+    return best
+
+
+def numpy_scalar_roots(p: Poly, tol: float = DEFAULT_ROOT_TOL, max_iter: int = DEFAULT_MAX_ITER):
+    """All roots of p with multiplicities, as [(root, multiplicity)].
+
+    Multiplicities sum to the degree.  Each returned root r satisfies
+    |p(r)| <= tol * (magnitude of p near r); otherwise NonConvergence is
+    raised.
+    """
+    coeffs = list(p.coeffs)
+    n = len(coeffs) - 1
+    if n < 1:
+        raise ValueError("root finding needs degree >= 1")
+    if n == 1:
+        return [(-coeffs[0] / coeffs[1], 1)]
+    dcoeffs = [coeffs[k] * k for k in range(1, len(coeffs))]
+    if n == 2:
+        c0, c1, c2 = coeffs
+        disc = c1 * c1 - 4.0 * c2 * c0
+        s = cmath.sqrt(disc)
+        if (c1.conjugate() * s).real < 0.0:
+            s = -s
+        q = -0.5 * (c1 + s)
+        if q != 0:
+            approx = [q / c2, c0 / q]
+        else:
+            approx = [-c1 / (2.0 * c2)] * 2
+    else:
+        approx = _aberth_iterate(coeffs, dcoeffs, max_iter)
+
+    radii = _weierstrass_radii(coeffs, approx)
+
+    # union-find over overlapping inclusion discs (plus the caller tolerance)
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            gap = abs(approx[i] - approx[j])
+            thresh = max(
+                tol * max(1.0, abs(approx[i]), abs(approx[j])),
+                radii[i] + radii[j],
+            )
+            if gap <= thresh:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+
+    clusters: dict = {}
+    for i in range(n):
+        clusters.setdefault(find(i), []).append(approx[i])
+
+    out = []
+    for members in clusters.values():
+        m = len(members)
+        center = sum(members) / m
+        refined = _polish(coeffs, dcoeffs, center, m)
+        out.append((refined, m))
+
+    for r, _m in out:
+        scale = p.eval_scale(r)
+        if abs(p(r)) > tol * max(scale, 1e-300):
+            raise NonConvergence(
+                f"root residual {abs(p(r)):.3e} exceeds {tol:.1e} * scale "
+                f"{scale:.3e}; input is ill-conditioned"
+            )
+    out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
+    return out

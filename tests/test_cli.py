@@ -263,3 +263,11 @@ def test_rat_phase_julia_points(capsys):
     assert sup and sup[0]["counts"]["finite"] == 2
     sub = [entry for entry in doc["julia"] if entry["regime"] == "Subcritical"]
     assert sub and sub[0]["counts"] == {"finite": 0, "infinite": 0}
+
+
+def test_rat_analyze_nan_roots_exit_as_nonconvergence(capsys):
+    # 10^100 z overflows the branch-point solve to NaN roots; they used to pass
+    # the residual gate and leave as a raw ValueError (exit 1)
+    code, _out, err = run_cli(capsys, "rat", "analyze", "--map", "z^5+10^100*z+1")
+    assert code == EXIT_CODES_BY_NAME["NonConvergence"] == 6
+    assert json.loads(err)["error"]["kind"] == "NonConvergence"

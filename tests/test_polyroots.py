@@ -1,14 +1,33 @@
 """Root finder: known factorizations, multiplicity detection, reconstruction.
 
 numpy.roots (companion-matrix eigenvalues) serves as the independent oracle
-for simple-root positions.
+for simple-root positions.  roots itself must equal, bit for bit, the same
+steps run on numpy complex128 scalars (merge_oracles.numpy_scalar_roots).
 """
+
+import math
 
 import numpy as np
 import pytest
 
+from kmsdyn import ratmap
 from kmsdyn.errors import NonConvergence
-from kmsdyn.polyroots import Poly, derivative, multiplicity_of_root, roots, roots_batch
+from kmsdyn.kms import kms_measure, lyubich
+from kmsdyn.mapexpr import parse_map
+from kmsdyn.polyroots import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_ROOT_TOL,
+    Poly,
+    _div,
+    _recip_sum,
+    derivative,
+    multiplicity_of_root,
+    roots,
+    roots_batch,
+)
+from kmsdyn.projective import SpherePoint
+
+from merge_oracles import numpy_scalar_roots
 
 
 def _sorted_roots(p, tol=1e-9):
@@ -193,3 +212,130 @@ def test_roots_batch_rows_are_independent():
         Xs, fs = roots_batch(C[rows], 1e-8)
         assert np.array_equal(fallback[rows], fs)
         np.testing.assert_allclose(X[rows], Xs, rtol=1e-15, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# Python complex arithmetic against the numpy complex128 scalars it replaced
+
+
+def _same(a, b):
+    """Equal real and imaginary parts, signed zeros included; NaN matches NaN."""
+    return all(
+        (x != x and y != y) or (x == y and math.copysign(1.0, x) == math.copysign(1.0, y))
+        for x, y in ((a.real, b.real), (a.imag, b.imag))
+    )
+
+
+def _division_cases():
+    rng = np.random.default_rng(41)
+    mags = [10.0**k for k in range(-160, 161, 20)]
+    parts = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]
+    parts += [float(s * m * rng.uniform(0.5, 2.0)) for m in mags for s in (1, -1)]
+    values = [complex(a, b) for a in parts[::3] for b in parts[1::2]]
+    values += [complex(a, a) for a in parts] + [complex(a, -a) for a in parts]  # |re| = |im|
+    values += [complex(a, 0.0) for a in parts] + [complex(0.0, a) for a in parts]
+    values += [complex(a, -0.0) for a in parts] + [complex(-0.0, a) for a in parts]
+    values += list(rng.normal(size=300) * 10.0 ** rng.integers(-150, 150, 300)
+                   + 1j * rng.normal(size=300) * 10.0 ** rng.integers(-150, 150, 300))
+    return [complex(v) for v in values]
+
+
+def test_division_rounds_as_numpy_complex128():
+    values = _division_cases()
+    rng = np.random.default_rng(5)
+    with np.errstate(all="ignore"):
+        for b in values:
+            for a in [1.0 + 0j] + [values[k] for k in rng.integers(0, len(values), 40)]:
+                assert _same(_div(a, b), np.complex128(a) / np.complex128(b)), (a, b)
+            # the reciprocal form: the Aberth sum has one term 1 / (b - 0) here
+            ref = 0j + 1.0 / np.complex128(b if b != 0 else 1e-300)
+            assert _same(_recip_sum([b, 0j], 0), ref), b
+        assert _same(_div(1 + 1j, complex(math.nan, 0.0)), complex(math.nan, math.nan))
+
+
+def test_aberth_sum_rounds_as_numpy_complex128():
+    rng = np.random.default_rng(9)
+    for n in range(2, 8):
+        for _ in range(50):
+            xs = (rng.normal(size=n) + 1j * rng.normal(size=n)).tolist()  # Python complex
+            xs[-1] = xs[0]  # a zero difference counts as 1e-300
+            for i in range(n):
+                ref = 0j
+                for j in range(n):
+                    if j != i:
+                        d = np.complex128(xs[i]) - np.complex128(xs[j])
+                        ref += 1.0 / (d if d != 0 else 1e-300)
+                assert _same(_recip_sum(xs, i), ref)
+
+
+def _solve_both(p, tol):
+    """(roots, the numpy-scalar oracle) on p, each a list of (re, im, multiplicity) bits or the error type."""
+    out = []
+    for solve in (roots, numpy_scalar_roots):
+        try:
+            with np.errstate(all="ignore"):
+                out.append([(float(r.real).hex(), float(r.imag).hex(), m) for r, m in solve(p, tol)])
+        except NonConvergence:
+            out.append(NonConvergence)
+    return out
+
+
+def _triple_rows(rng, deg, count):
+    rows = []
+    for _ in range(count):
+        true = rng.normal(size=deg - 2) + 1j * rng.normal(size=deg - 2)
+        rows.append(np.poly(np.concatenate([true[:1], true[:1], true]))[::-1])
+    return rows
+
+
+def test_roots_equal_numpy_scalar_oracle_on_rows():
+    rng = np.random.default_rng(2027)
+    polys = []
+    for deg in range(1, 7):
+        C, _n_random = _batch_rows(rng, deg, 40)
+        polys += [Poly(row) for row in C]
+        if deg >= 3:
+            polys += [Poly(row) for row in _triple_rows(rng, deg, 10)]
+    for n in range(2, 7):  # z^n + c, the symmetric start the circle perturbation breaks
+        for c in (0.0, 1e-12, -1.0, 0.3 - 0.7j, 1e6j):
+            polys.append(Poly([c] + [0.0] * (n - 1) + [1.0]))
+    for p in polys:
+        for tol in (1e-8, 1e-10):
+            got, ref = _solve_both(p, tol)
+            assert got == ref, p
+
+
+@pytest.fixture
+def recorded_solves(monkeypatch):
+    """Every (polynomial, tol) that ratmap hands to roots while the test runs."""
+    calls = []
+
+    def recording(p, tol=DEFAULT_ROOT_TOL, max_iter=DEFAULT_MAX_ITER):
+        calls.append((p, tol))
+        return roots(p, tol, max_iter)
+
+    monkeypatch.setattr(ratmap, "roots", recording)
+    return calls
+
+
+def test_roots_equal_numpy_scalar_oracle_on_preimage_forms(recorded_solves):
+    from test_ratmap import _fibre_targets, _random_maps
+
+    for R, rng in _random_maps(12):
+        for y in _fibre_targets(R, rng):
+            R.preimages(y)
+    lyubich(parse_map("z^3-z"), SpherePoint.from_affine(0.3 + 0.1j), 6)
+    kms_measure(parse_map("z^2+1"), SpherePoint.zero(), 1.0, depth=8)
+    assert len(recorded_solves) > 900
+    for p, tol in recorded_solves:
+        got, ref = _solve_both(p, tol)
+        assert got == ref, p
+
+
+@pytest.mark.parametrize("coeffs", [[1e200, 0, 0, 1], [1, 0, 0, 1e-200], [math.nan, 0, 1],
+                                    [1, 0, complex(1.5e308, 1.5e308)]])
+def test_non_finite_roots_raise_nonconvergence(coeffs):
+    # roots that come out NaN used to pass the residual gate, whose > is false
+    # for NaN; an abs() past the double range raises OverflowError in Python
+    with pytest.raises(NonConvergence):
+        roots(Poly(coeffs))
