@@ -304,13 +304,6 @@ def branch_structure(gamma: IFSSystem, attractor_depth: int | None = None) -> IF
                          singular_pairs=singular)
 
 
-def image_multiplicity(gamma: IFSSystem, x, y) -> int:
-    """e(x, y) = number of branches with gamma_j(y) = x."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    return sum(1 for m in gamma.maps if np.linalg.norm(m(y) - x) <= gamma.tol)
-
-
 def _distance(p, q) -> float:
     """Euclidean distance of two coordinate lists, the squares summed in axis order."""
     sq = 0.0

@@ -37,7 +37,6 @@ from .measure import (
     TestFunctionLibrary,
     fibre_table,
     nearest_distance,
-    sphere_embedding,
     trace_conditions,
 )
 from .projective import (
@@ -197,7 +196,7 @@ def kms_measure(
 
 
 def _branch_embedding(R: RationalMap, tol: float):
-    return sphere_embedding([p for p, _e in R.branch_data(tol).branch_points])
+    return embedding_array(*homogeneous([p for p, _e in R.branch_data(tol).branch_points]))
 
 
 def check_K1(
@@ -244,7 +243,7 @@ def check_K2(
     lib = lib or TestFunctionLibrary.sphere()
     _k1, func_violation, _masked = trace_conditions(lib, mu, fibre_table(R, mu, tol), beta)
 
-    z, w = homogeneous(mu.points)
+    z, w = mu.coords.T
     hits = first_within(z, w, *R.evaluate_array(z, w), tol)
     img_mass = np.where(hits >= 0, mu.weights[hits], 0.0)
     gaps = math.exp(-beta) * img_mass - mu.weights
@@ -292,7 +291,7 @@ def lyubich_invariance_residual(
     lib = lib or TestFunctionLibrary.sphere()
     if mu.n_atoms == 0:
         return 0.0
-    emb = embedding_array(*R.evaluate_array(*homogeneous(mu.points)))
+    emb = embedding_array(*R.evaluate_array(*mu.coords.T))
     lhs = lib.values_matrix(emb) @ mu.weights
     rhs = lib.values_matrix(mu.embedding()) @ mu.weights
     return float(np.max(np.abs(lhs - rhs)))
@@ -367,7 +366,7 @@ def divergence_witness(
     levels = R.backward_orbit(z, depth, SET_COUNT, tol, atom_budget).levels
     points = [p for level in levels for p, _w in level]
     gens = np.repeat(np.arange(len(levels)), [len(level) for level in levels])
-    new = np.flatnonzero(founders(points, tol) == np.arange(len(points)))
+    new = np.flatnonzero(founders(*homogeneous(points), tol) == np.arange(len(points)))
     # candidates are the new points of each level, up to the first level
     # that brings their count to max_candidates
     count = np.cumsum(np.bincount(gens[new], minlength=len(levels)))
@@ -404,13 +403,13 @@ def divergence_witness(
 
 
 def _avoids(tree, branch_values, avoid_tol):
-    points = sphere_embedding([p for level in tree.levels for p, _w in level])
-    return bool(np.all(nearest_distance(points, sphere_embedding(branch_values)) > avoid_tol))
+    points = embedding_array(*homogeneous([p for level in tree.levels for p, _w in level]))
+    return bool(np.all(nearest_distance(points, embedding_array(*homogeneous(branch_values))) > avoid_tol))
 
 
 def _levels_disjoint(tree, tol):
     points = [p for level in tree.levels for p, _w in level]
-    return bool(np.all(founders(points, tol) == np.arange(len(points))))
+    return bool(np.all(founders(*homogeneous(points), tol) == np.arange(len(points))))
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,21 @@
 """Atomic measures, test-function libraries, and the transfer operators.
 
 Every measure handled here is a finite weighted sum of Dirac atoms, either on
-the Riemann sphere or on the plane/line.  Diffuse limits (invariant measures
-of maximal entropy, self-similar measures) exist only as sequences of atomic
-approximants compared in a finite test-function library, which acts as a
-fixed proxy for the weak-* topology.
+the Riemann sphere or on the plane/line, kept as arrays: a weight and a row
+of coords per atom, the homogeneous pair [z, w] on the sphere and the
+coordinates on the plane.  Sphere rows are merged by projective.merge_sphere,
+planar ones by merge_planar, and SpherePoints exist only at the boundary
+(AtomicMeasure.points: JSON, CSV, the CLI and the one-point APIs).  Diffuse
+limits (invariant measures of maximal entropy, self-similar measures) exist
+only as sequences of atomic approximants compared in a finite test-function
+library, which acts as a fixed proxy for the weak-* topology.
 
 One FibreTable holds the fibres of a whole measure: the distinct preimages
 under R, or the distinct images under an IFS, each with its owner atom and
 local degree.  fibre_table builds it on the sphere in one batch solve,
-RationalMap.fibres, and keeps it on the measure as arrays; the scalar
-RationalMap.preimages stays the one-point API and the oracle.  ifs.py
-writes it into preallocated arrays from one distinct_images call per atom,
-each call one block of the stacked affine kernel.  The bench trace
-self-check counts exactly one such call per atom, so a table stacked over
-all atoms at once waits until that count is re-pinned as work units.  Its
-readers are pullback_F, pullback_G, kms.check_K1, kms.check_K2,
+RationalMap.fibres (the scalar preimages is the one-point API and oracle);
+ifs.py from one distinct_images call per atom, the count the bench trace
+self-check pins.  Its readers are the pullbacks, kms.check_K1, kms.check_K2,
 ifs.apply_F_beta_ifs and ifs.check_K1_ifs.  The three checks share one
 trace-condition kernel: quintic_cutoff near the branch set, and
 trace_conditions, which reduces the library to the (K1) residuals and the
@@ -43,7 +43,9 @@ from .projective import (
     embedding_array,
     first_within,
     homogeneous,
+    merge_sphere,
     merge_weighted,
+    normalize_rows,
 )
 from .polyroots import BLOCK_ROWS
 from .ratmap import DEFAULT_ATOM_BUDGET, RationalMap
@@ -138,37 +140,26 @@ def merge_planar(coords, weights, tol: float = PLANAR_MERGE_TOL):
 
 
 class AtomicMeasure:
-    """A finite positive weighted sum of Dirac atoms.
+    """A finite positive weighted sum of Dirac atoms, one row of coords per atom.
 
-    tol is the length atoms count as one point at, the default of
-    point_mass and measure_sum: DEFAULT_CLUSTER_TOL on the sphere, and on
-    the plane the tolerance the atoms were merged with (PLANAR_MERGE_TOL
-    if none is given), so planar answers scale with the system.
+    A sphere row is the complex pair [z, w] as SpherePoint stores it, a
+    planar row the point's float coordinates.  tol is the length atoms
+    count as one point at, the default of point_mass and measure_sum:
+    DEFAULT_CLUSTER_TOL on the sphere, and on the plane the tolerance the
+    atoms were merged with (PLANAR_MERGE_TOL if none is given), so planar
+    answers scale with the system.
     """
 
-    def __init__(self, space, points=None, coords=None, weights=None, info=None, tol=None):
+    def __init__(self, space, coords, weights, info=None, tol=None):
+        if space not in (SPHERE, PLANE):
+            raise ValueError(f"unknown space {space!r}")
         self.space = space
         self.info = info
         self.tol = tol if tol is not None else (PLANAR_MERGE_TOL if space == PLANE else DEFAULT_CLUSTER_TOL)
-        if space == SPHERE:
-            self.points = list(points or [])
-            self.coords = None
-            self.weights = np.array(
-                weights if weights is not None else [], dtype=np.float64
-            )
-            if len(self.points) != len(self.weights):
-                raise ValueError("points and weights length mismatch")
-        elif space == PLANE:
-            arr = np.atleast_2d(np.asarray(coords if coords is not None else np.zeros((0, 1))))
-            self.points = None
-            self.coords = arr.astype(np.float64, copy=True)
-            self.weights = np.array(
-                weights if weights is not None else [], dtype=np.float64
-            )
-            if self.coords.shape[0] != len(self.weights):
-                raise ValueError("coords and weights length mismatch")
-        else:
-            raise ValueError(f"unknown space {space!r}")
+        self.coords = np.array(coords, dtype=np.complex128 if space == SPHERE else np.float64, ndmin=2)
+        self.weights = np.array(weights, dtype=np.float64)
+        if self.coords.shape[0] != len(self.weights):
+            raise ValueError("coords and weights length mismatch")
         if np.any(self.weights <= 0):
             raise ValueError("atom weights must be positive")
         self._embedding = None
@@ -179,23 +170,27 @@ class AtomicMeasure:
     @staticmethod
     def from_sphere_atoms(pairs, tol: float = DEFAULT_CLUSTER_TOL, info=None):
         pairs = merge_weighted(pairs, tol)
-        pts = [p for p, _w in pairs]
-        ws = [w for _p, w in pairs]
-        return AtomicMeasure(SPHERE, points=pts, weights=ws, info=info)
+        rows = np.stack(homogeneous([p for p, _w in pairs]), axis=1)
+        return AtomicMeasure(SPHERE, rows, [w for _p, w in pairs], info=info)
+
+    @staticmethod
+    def from_sphere_rows(coords, weights, tol: float = DEFAULT_CLUSTER_TOL):
+        """Merge homogeneous rows [z, w] with merge_sphere."""
+        coords, weights, _src = merge_sphere(coords, weights, tol)
+        return AtomicMeasure(SPHERE, coords, weights)
 
     @staticmethod
     def delta(point: SpherePoint) -> "AtomicMeasure":
-        return AtomicMeasure(SPHERE, points=[point], weights=[1.0])
+        return AtomicMeasure(SPHERE, [(point.z, point.w)], [1.0])
 
     @staticmethod
     def from_planar_atoms(coords, weights, tol: float = PLANAR_MERGE_TOL, info=None):
         coords, weights = merge_planar(coords, weights, tol)
-        return AtomicMeasure(PLANE, coords=coords, weights=weights, info=info, tol=tol)
+        return AtomicMeasure(PLANE, coords, weights, info=info, tol=tol)
 
     @staticmethod
     def delta_plane(coord) -> "AtomicMeasure":
-        arr = np.atleast_1d(np.asarray(coord, dtype=np.float64))
-        return AtomicMeasure(PLANE, coords=arr[None, :], weights=[1.0])
+        return AtomicMeasure(PLANE, coord, [1.0])
 
     # -- basics -------------------------------------------------------------
 
@@ -206,18 +201,19 @@ class AtomicMeasure:
     def total_mass(self) -> float:
         return float(self.weights.sum()) if len(self.weights) else 0.0
 
+    @property
+    def points(self):
+        """The sphere atoms as SpherePoints, built on each call."""
+        _require_sphere(self)
+        return [SpherePoint.from_row(z, w) for z, w in self.coords.tolist()]
+
     def iter_atoms(self):
-        if self.space == SPHERE:
-            yield from zip(self.points, self.weights)
-        else:
-            yield from zip(self.coords, self.weights)
+        yield from zip(self.points if self.space == SPHERE else self.coords, self.weights)
 
     def scaled(self, c: float) -> "AtomicMeasure":
         if c <= 0:
             raise ValueError("scale factor must be positive")
-        if self.space == SPHERE:
-            return AtomicMeasure(SPHERE, points=self.points, weights=self.weights * c)
-        return AtomicMeasure(PLANE, coords=self.coords, weights=self.weights * c, tol=self.tol)
+        return AtomicMeasure(self.space, self.coords, self.weights * c, tol=self.tol)
 
     def normalized(self) -> "AtomicMeasure":
         return self.scaled(1.0 / self.total_mass())
@@ -227,7 +223,7 @@ class AtomicMeasure:
         if self.space == PLANE:
             return self.coords
         if self._embedding is None:
-            self._embedding = sphere_embedding(self.points)
+            self._embedding = embedding_array(*self.coords.T)
         return self._embedding
 
     def point_mass(self, point, tol=None) -> float:
@@ -239,25 +235,14 @@ class AtomicMeasure:
         return float(self.weights[d <= tol].sum())
 
     def to_jsonable(self):
-        if self.space == SPHERE:
-            atoms = [
-                {"point": p.to_jsonable(), "weight": float(w)}
-                for p, w in zip(self.points, self.weights)
-            ]
-        else:
-            atoms = [
-                {"point": [float(v) for v in c], "weight": float(w)}
-                for c, w in zip(self.coords, self.weights)
-            ]
+        atoms = [
+            {"point": p.to_jsonable() if self.space == SPHERE else [float(v) for v in p], "weight": float(w)}
+            for p, w in self.iter_atoms()
+        ]
         return {"atoms": atoms, "total_mass": self.total_mass()}
 
     def __repr__(self):
         return f"AtomicMeasure({self.space}, {self.n_atoms} atoms, mass={self.total_mass():.6g})"
-
-
-def sphere_embedding(points):
-    """Unit-sphere embeddings of SpherePoints, one row each."""
-    return embedding_array(*homogeneous(points))
 
 
 def measure_sum(measures, tol=None) -> AtomicMeasure:
@@ -269,18 +254,15 @@ def measure_sum(measures, tol=None) -> AtomicMeasure:
     if any(m.space != space for m in measures):
         raise ValueError("cannot sum measures on different spaces")
     tol = tol or max(m.tol for m in measures)
-    if space == SPHERE:
-        pairs = [(p, w) for m in measures for p, w in m.iter_atoms()]
-        return AtomicMeasure.from_sphere_atoms(pairs, tol)
     coords = np.concatenate([m.coords for m in measures])
     weights = np.concatenate([m.weights for m in measures])
+    if space == SPHERE:
+        return AtomicMeasure.from_sphere_rows(coords, weights, tol)
     return AtomicMeasure.from_planar_atoms(coords, weights, tol)
 
 
 def empty_measure(space: str, dim: int = 1) -> AtomicMeasure:
-    if space == SPHERE:
-        return AtomicMeasure(SPHERE, points=[], weights=[])
-    return AtomicMeasure(PLANE, coords=np.zeros((0, dim)), weights=[])
+    return AtomicMeasure(space, np.zeros((0, 2 if space == SPHERE else dim)), [])
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +438,7 @@ class FibreTable:
     Fibre k lies over atom owner[k] with local degree degree[k]; coords[k]
     is its row in the library's coordinates (the R^3 embedding on the
     sphere, the point itself on the plane).  On the sphere, z and w hold
-    the fibres' normalized homogeneous pairs.
+    the fibres' homogeneous pairs.
     """
 
     owner: np.ndarray
@@ -464,10 +446,6 @@ class FibreTable:
     coords: np.ndarray
     z: np.ndarray | None = None
     w: np.ndarray | None = None
-
-    def sphere_points(self):
-        """The fibres as SpherePoints, for the merge boundary."""
-        return [SpherePoint(a, b) for a, b in zip(self.z.tolist(), self.w.tolist())]
 
 
 def fibre_table(R: RationalMap, mu: AtomicMeasure, tol: float = DEFAULT_CLUSTER_TOL) -> FibreTable:
@@ -481,7 +459,7 @@ def fibre_table(R: RationalMap, mu: AtomicMeasure, tol: float = DEFAULT_CLUSTER_
     memo = mu._fibres
     if memo is not None and memo[0] is R and memo[1] == tol:
         return memo[2]
-    xz, xw, owner, degree = R.fibres(*homogeneous(mu.points), tol)
+    xz, xw, owner, degree = R.fibres(*mu.coords.T, tol)
     table = FibreTable(owner, degree, embedding_array(xz, xw), xz, xw)
     mu._fibres = (R, tol, table)
     return table
@@ -544,8 +522,7 @@ def pullback_F(
     atom_budget: int = DEFAULT_ATOM_BUDGET,
 ) -> AtomicMeasure:
     """Transfer-operator pullback: each atom spreads over its distinct preimages."""
-    fib = _pullback_fibres(R, mu, tol, atom_budget)
-    return AtomicMeasure.from_sphere_atoms(zip(fib.sphere_points(), mu.weights[fib.owner]), tol)
+    return _pullback(R, mu, tol, atom_budget, index_weighted=False)
 
 
 def pullback_G(
@@ -555,17 +532,17 @@ def pullback_G(
     atom_budget: int = DEFAULT_ATOM_BUDGET,
 ) -> AtomicMeasure:
     """Index-weighted pullback; total mass multiplies by exactly N."""
-    fib = _pullback_fibres(R, mu, tol, atom_budget)
-    return AtomicMeasure.from_sphere_atoms(zip(fib.sphere_points(), mu.weights[fib.owner] * fib.degree), tol)
+    return _pullback(R, mu, tol, atom_budget, index_weighted=True)
 
 
-def _pullback_fibres(R, mu, tol, atom_budget):
+def _pullback(R, mu, tol, atom_budget, index_weighted):
+    """Merge the fibre table's pairs, normalized as SpherePoint stores them, with their owners' weights."""
     _require_sphere(mu)
     if mu.n_atoms * R.n > atom_budget:
-        raise AtomBudgetExceeded(
-            f"pullback would create up to {mu.n_atoms * R.n} atoms (budget {atom_budget})"
-        )
-    return fibre_table(R, mu, tol)
+        raise AtomBudgetExceeded(f"pullback would create up to {mu.n_atoms * R.n} atoms (budget {atom_budget})")
+    fib = fibre_table(R, mu, tol)
+    weights = mu.weights[fib.owner] * fib.degree if index_weighted else mu.weights[fib.owner]
+    return AtomicMeasure.from_sphere_rows(normalize_rows(np.stack([fib.z, fib.w], axis=1)), weights, tol)
 
 
 def apply_F_beta(
@@ -624,28 +601,22 @@ def decompose_trace(
     fmu = apply_F_beta(R, mu, beta, tol, atom_budget)
 
     # signed subtraction mu - fmu, clipping small negative atoms
-    hits = first_within(*homogeneous(mu.points), *homogeneous(fmu.points), tol)
+    hits = first_within(*mu.coords.T, *fmu.coords.T, tol)
     miss = hits < 0
     deficit = np.flatnonzero(miss & (fmu.weights > neg_tol))
     if len(deficit):
         i = deficit[0]
-        raise NotSubinvariant(
-            f"mu - F_beta(mu) has an atom of weight {-fmu.weights[i]:.3e} at {fmu.points[i]}"
-        )
-    clipped = sum(fmu.weights[miss], 0.0)
+        raise NotSubinvariant(f"mu - F_beta(mu) has an atom of weight {-fmu.weights[i]:.3e} at {fmu.points[i]}")
     wts = mu.weights.copy()
     np.subtract.at(wts, hits[~miss], fmu.weights[~miss])
-    mu0_pairs = []
-    for p, w in zip(mu.points, wts):
-        if w < -neg_tol:
-            raise NotSubinvariant(f"mu - F_beta(mu) has an atom of weight {w:.3e} at {p}")
-        if w <= 0.0:
-            clipped += -w if w < 0 else 0.0
-            continue
-        mu0_pairs.append((p, w))
-
-    if mu0_pairs:
-        mu0 = AtomicMeasure.from_sphere_atoms(mu0_pairs, tol)
+    negative = np.flatnonzero(wts < -neg_tol)
+    if len(negative):
+        i = negative[0]
+        raise NotSubinvariant(f"mu - F_beta(mu) has an atom of weight {wts[i]:.3e} at {mu.points[i]}")
+    clipped = sum(-wts[wts < 0.0], sum(fmu.weights[miss], 0.0))
+    keep = wts > 0.0
+    if keep.any():
+        mu0 = AtomicMeasure.from_sphere_rows(mu.coords[keep], wts[keep], tol)
         terms = [mu0]
         current = mu0
         for _ in range(n_max):

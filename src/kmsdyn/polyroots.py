@@ -250,8 +250,8 @@ def _polish(coeffs, dcoeffs, center, mult):
 def roots(p: Poly, tol: float = DEFAULT_ROOT_TOL, max_iter: int = DEFAULT_MAX_ITER):
     """All roots of p with multiplicities, as [(root, multiplicity)].
 
-    Multiplicities sum to the degree.  Above degree 1, each returned root r
-    is finite and satisfies |p(r)| <= tol * (magnitude of p near r);
+    Multiplicities sum to the degree.  Each returned root r is finite, and
+    above degree 1 it satisfies |p(r)| <= tol * (magnitude of p near r);
     otherwise NonConvergence is raised.
 
     The arithmetic runs on Python complex numbers, which cost less per
@@ -266,7 +266,10 @@ def roots(p: Poly, tol: float = DEFAULT_ROOT_TOL, max_iter: int = DEFAULT_MAX_IT
     if n < 1:
         raise ValueError("root finding needs degree >= 1")
     if n == 1:
-        return [(_div(-coeffs[1], coeffs[0]), 1)]
+        r = _div(-coeffs[1], coeffs[0])
+        if not cmath.isfinite(r):
+            raise NonConvergence(f"linear root {r} is not finite")
+        return [(r, 1)]
     try:
         out = _clusters(coeffs, n, tol, max_iter)
     except OverflowError as exc:  # abs() of a complex whose modulus passes the double range

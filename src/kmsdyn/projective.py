@@ -3,8 +3,9 @@
 A point is an equivalence class [z : w] with (z, w) != (0, 0); infinity is
 [1 : 0].  Working projectively keeps evaluation, preimage solving and branch
 analysis free of special cases at infinity.  Points are stored normalized by
-the coordinate of larger modulus, so max(|z|, |w|) == 1 exactly and the pivot
-coordinate is exactly 1.0.
+the coordinate of larger modulus, which becomes exactly 1.0 (near |z| = |w|
+the other modulus can round just above 1).  Arrays of atoms hold these pairs
+as (n, 2) complex rows [z, w], made by normalize_rows, read by from_row.
 
 Atoms are clustered by one array kernel, CellIndex, which takes integer
 cell keys of any width: it sorts them by a linear hash, marks the crowded
@@ -16,10 +17,12 @@ in offset order, then index order), otherwise it founds a cluster.  Every
 member lies within tol of its founder, so a cluster is at most 2 tol wide,
 and clusters come out in the order of their founders.  The caller picks the
 cells and the metric.  Here the cells are floor(xi / tol) on the R^3
-embedding and the metric is chordal: cluster and merge_weighted reduce over
-founders, and first_within finds stored atoms near queries.
-measure.merge_planar runs the same rule on the plane, and indexes only the
-atoms whose sorted first cell keys lie within 1 of a neighbour's.
+embedding and the metric is chordal: cluster and merge_sphere reduce over
+founders, and first_within finds stored atoms near queries.  merge_sphere
+merges arrays of rows, and merge_weighted is its form on (SpherePoint,
+weight) pairs.  measure.merge_planar runs the same rule on the plane, and
+indexes only the atoms whose sorted first cell keys lie within 1 of a
+neighbour's.
 """
 
 from __future__ import annotations
@@ -61,6 +64,13 @@ class SpherePoint:
             az, aw = abs(z), abs(w)
         self.z = z
         self.w = w
+
+    @classmethod
+    def from_row(cls, z, w) -> "SpherePoint":
+        """The point whose stored pair is (z, w), taken as it is, not normalized again."""
+        p = cls.__new__(cls)
+        p.z, p.w = complex(z), complex(w)
+        return p
 
     @staticmethod
     def from_affine(c) -> "SpherePoint":
@@ -304,9 +314,8 @@ def first_within(z, w, qz, qw, tol: float = DEFAULT_CLUSTER_TOL):
     return hits
 
 
-def founders(points, tol: float = DEFAULT_CLUSTER_TOL):
-    """Greedy cluster founder of each point under the chordal metric (CellIndex.founders)."""
-    z, w = homogeneous(points)
+def founders(z, w, tol: float = DEFAULT_CLUSTER_TOL):
+    """Greedy cluster founder of each homogeneous pair under the chordal metric (CellIndex.founders)."""
     index = CellIndex(sphere_cells(z, w, tol))
     return index.founders(lambda i, j: chordal_array(z[j], w[j], z[i], w[i]) <= tol)
 
@@ -322,48 +331,82 @@ def cluster(points, tol: float = DEFAULT_CLUSTER_TOL):
     if tol <= 0:
         raise ValueError("tol must be positive")
     points = list(points)
-    label = founders(points, tol)
+    label = founders(*homogeneous(points), tol)
     counts = np.bincount(label, minlength=len(points))
     return [(points[i], int(counts[i])) for i in np.flatnonzero(label == np.arange(len(points)))]
 
 
-def _sort_order(points):
-    """The stable order of sorting points by SpherePoint.sort_key."""
-    inf = np.array([p.w == 0.0 for p in points], dtype=bool)
-    a = np.array([0j if p.w == 0.0 else p.z / p.w for p in points], dtype=np.complex128)
-    return np.lexsort((a.imag, a.real, inf))
+def normalize_rows(coords):
+    """Each homogeneous row [z, w] as the pair SpherePoint(z, w) stores, in a new (n, 2) array.
+
+    Rows whose larger coordinate is exactly 1 are kept, as SpherePoint keeps
+    them; stored pairs near |z| = |w| can fail that test, so never come here.
+    """
+    coords = np.array(coords, dtype=np.complex128).reshape(-1, 2)
+    a = np.hypot(coords.real, coords.imag)  # abs() of a Python complex; np.abs rounds differently
+    kept = np.where(a[:, 0] >= a[:, 1], coords[:, 0] == 1.0, coords[:, 1] == 1.0) & np.isfinite(a.sum(axis=1))
+    for k in np.flatnonzero(~kept).tolist():
+        p = SpherePoint(*coords[k])
+        coords[k] = p.z, p.w
+    return coords
+
+
+def _affine(z, w):
+    """(re, im) of z / w where w != 0, rounded as CPython's complex division (Smith's method)."""
+    (ar, ai), (br, bi) = (z.real, z.imag), (w.real, w.imag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        big = np.abs(br) >= np.abs(bi)
+        rat = np.where(big, bi / br, br / bi)
+        den = np.where(big, br + bi * rat, br * rat + bi)
+        return np.where(big, ar + ai * rat, ar * rat + ai) / den, np.where(big, ai - ar * rat, ai * rat - ar) / den
+
+
+def merge_sphere(coords, weights, tol: float = DEFAULT_CLUSTER_TOL):
+    """Merge sphere atoms, homogeneous rows [z, w], closer than tol; weights add.
+
+    Rows must be pairs as SpherePoint stores them.  Atoms are put in the
+    stable order of SpherePoint.sort_key, (inf, re, im) of z / w, and
+    clustered by founders in that order; weights are summed by bincount.
+    An atom alone in its cluster keeps its row bit for bit.  A larger
+    cluster becomes the weight sum of its members' pairs, each phase-aligned
+    to the founder's, renormalized, summed on Python complex numbers.
+
+    Returns (coords, weights, src) in founder order: src[k] is the input row
+    of atom k if it was alone in its cluster, and -1 otherwise.
+    """
+    coords = np.asarray(coords, dtype=np.complex128).reshape(-1, 2)
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != coords.shape[:1]:
+        raise ValueError("coords and weights length mismatch")
+    inf = coords[:, 1] == 0.0
+    re, im = _affine(coords[:, 0], coords[:, 1])
+    order = np.lexsort((np.where(inf, 0.0, im), np.where(inf, 0.0, re), inf))
+    x, wt = coords[order], weights[order]
+    label = founders(x[:, 0], x[:, 1], tol)
+    root = label == np.arange(len(label))
+    group = (np.cumsum(root) - 1)[label]
+    out, src = x[root], order[root]
+    sums = {}
+    for i, f in zip(np.flatnonzero(~root).tolist(), label[~root].tolist()):
+        (rz, rw), (pz, pw) = x[f].tolist(), x[i].tolist()
+        acc = sums.setdefault(f, [rz * float(wt[f]), rw * float(wt[f])])
+        inner = pz * rz.conjugate() + pw * rw.conjugate()  # align the phase with the founder's
+        phase = inner / abs(inner) if inner != 0 else 1.0
+        acc[0] += (pz / phase) * float(wt[i])
+        acc[1] += (pw / phase) * float(wt[i])
+    if sums:
+        at = group[list(sums)]
+        out[at] = normalize_rows(list(sums.values()))
+        src[at] = -1
+    return out, np.bincount(group, weights=wt, minlength=len(out)), src
 
 
 def merge_weighted(pairs, tol: float = DEFAULT_CLUSTER_TOL):
-    """Merge (point, weight) atoms closer than tol; weights add.
-
-    The input is first ordered by (re, im, inf), so the result does not
-    depend on the caller's atom order; clusters are then those of founders.
-    A merged representative is the weight average of the members'
-    homogeneous pairs (phase-aligned to the founder), renormalized; an atom
-    alone in its cluster is kept as it is.
-    """
+    """merge_sphere on (SpherePoint, weight) pairs; each atom alone in its cluster comes back as its input pair."""
     pairs = list(pairs)
-    order = _sort_order([p for p, _w in pairs]).tolist()
-    pairs = [pairs[i] for i in order]
-    points = [p for p, _w in pairs]
-    label = founders(points, tol)
-    sums = {}
-    for i in np.flatnonzero(label != np.arange(len(pairs))).tolist():
-        f = int(label[i])
-        ref, wf = pairs[f]
-        acc = sums.setdefault(f, [ref.z * wf, ref.w * wf, wf])
-        p, weight = pairs[i]
-        # align the homogeneous phase with the cluster founder
-        inner = p.z * ref.z.conjugate() + p.w * ref.w.conjugate()
-        phase = inner / abs(inner) if inner != 0 else 1.0
-        acc[0] += (p.z / phase) * weight
-        acc[1] += (p.w / phase) * weight
-        acc[2] += weight
-    keep = np.flatnonzero(label == np.arange(len(pairs))).tolist()
-    if not sums:
-        return [tuple(pairs[i]) for i in keep]
-    return [
-        (SpherePoint(sums[i][0], sums[i][1]), sums[i][2]) if i in sums else tuple(pairs[i])
-        for i in keep
-    ]
+    rows = np.stack(homogeneous([p for p, _w in pairs]), axis=1)
+    coords, weights, src = merge_sphere(rows, [w for _p, w in pairs], tol)
+    out = [pairs[i] for i in src.tolist()]  # the merged clusters (src -1) are replaced below
+    for k in np.flatnonzero(src < 0).tolist():
+        out[k] = (SpherePoint.from_row(*coords[k]), float(weights[k]))
+    return out

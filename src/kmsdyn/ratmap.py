@@ -126,13 +126,6 @@ class RationalMap:
     def __call__(self, p: SpherePoint) -> SpherePoint:
         return self.evaluate(p)
 
-    def forward_orbit(self, z: SpherePoint, n: int):
-        """[z, R(z), ..., R^n(z)]."""
-        out = [z]
-        for _ in range(n):
-            out.append(self.evaluate(out[-1]))
-        return out
-
     # -- preimages -------------------------------------------------------
 
     def preimages(self, y: SpherePoint, tol: float = DEFAULT_CLUSTER_TOL):
@@ -427,9 +420,6 @@ class OrbitTree:
     @property
     def depth(self) -> int:
         return len(self.levels) - 1
-
-    def level_points(self, k: int):
-        return [p for p, _w in self.levels[k]]
 
     def level_mass(self, k: int) -> float:
         return sum(w for _p, w in self.levels[k])

@@ -13,6 +13,9 @@ collect_fibres flattens any one-atom fibre solver into a FibreTable, the
 per-atom lists both fibre tables were built from before they were arrays.
 numpy_scalar_roots is polyroots.roots with its helpers as they ran on numpy
 complex128 scalars, before they ran on Python complex numbers.
+list_merge_weighted is projective.merge_weighted as a loop over
+(SpherePoint, weight) pairs with Python complex sums, before sphere atoms
+were merged as arrays by projective.merge_sphere.
 """
 
 import cmath
@@ -24,7 +27,7 @@ import numpy as np
 from kmsdyn.errors import NonConvergence
 from kmsdyn.measure import PLANAR_MERGE_TOL, FibreTable
 from kmsdyn.polyroots import DEFAULT_MAX_ITER, DEFAULT_ROOT_TOL, Poly
-from kmsdyn.projective import CellIndex, SpherePoint, chordal_distance
+from kmsdyn.projective import DEFAULT_CLUSTER_TOL, CellIndex, SpherePoint, chordal_distance, founders, homogeneous
 
 
 class _SphereHash:
@@ -181,6 +184,48 @@ def collect_fibres(atoms, solve, embed):
             owner.append(i)
             degree.append(e)
     return FibreTable(np.array(owner, dtype=np.intp), np.array(degree, dtype=np.int64), embed(points))
+
+
+def _sort_order(points):
+    """The stable order of sorting points by SpherePoint.sort_key."""
+    inf = np.array([p.w == 0.0 for p in points], dtype=bool)
+    a = np.array([0j if p.w == 0.0 else p.z / p.w for p in points], dtype=np.complex128)
+    return np.lexsort((a.imag, a.real, inf))
+
+
+def list_merge_weighted(pairs, tol: float = DEFAULT_CLUSTER_TOL):
+    """Merge (point, weight) atoms closer than tol; weights add.
+
+    The input is first ordered by (re, im, inf), so the result does not
+    depend on the caller's atom order; clusters are then those of founders.
+    A merged representative is the weight average of the members'
+    homogeneous pairs (phase-aligned to the founder), renormalized; an atom
+    alone in its cluster is kept as it is.
+    """
+    pairs = list(pairs)
+    order = _sort_order([p for p, _w in pairs]).tolist()
+    pairs = [pairs[i] for i in order]
+    points = [p for p, _w in pairs]
+    label = founders(*homogeneous(points), tol)
+    sums = {}
+    for i in np.flatnonzero(label != np.arange(len(pairs))).tolist():
+        f = int(label[i])
+        ref, wf = pairs[f]
+        acc = sums.setdefault(f, [ref.z * wf, ref.w * wf, wf])
+        p, weight = pairs[i]
+        # align the homogeneous phase with the cluster founder
+        inner = p.z * ref.z.conjugate() + p.w * ref.w.conjugate()
+        phase = inner / abs(inner) if inner != 0 else 1.0
+        acc[0] += (p.z / phase) * weight
+        acc[1] += (p.w / phase) * weight
+        acc[2] += weight
+    keep = np.flatnonzero(label == np.arange(len(pairs))).tolist()
+    if not sums:
+        return [tuple(pairs[i]) for i in keep]
+    return [
+        (SpherePoint(sums[i][0], sums[i][1]), sums[i][2]) if i in sums else tuple(pairs[i])
+        for i in keep
+    ]
 
 
 def _initial_circle(coeffs) -> list:

@@ -17,7 +17,6 @@ from kmsdyn.ifs import (
     _image_table,
     distinct_images,
     hutchinson,
-    image_multiplicity,
     kms_measure_ifs,
     orbit_condition,
     preset,
@@ -171,7 +170,6 @@ def test_tilde_examples():
     tent = preset("tent")
     images = distinct_images(tent, [1.0])
     assert len(images) == 1 and images[0][1] == 2  # both branches collide at 1/2
-    assert image_multiplicity(tent, [0.5], [1.0]) == 2
     from kmsdyn.ifs import tilde_ifs
 
     assert tilde_ifs(tent, 1, [1.0]) == 1.0

@@ -12,7 +12,7 @@ import pytest
 from kmsdyn import projective
 from kmsdyn.errors import NotSubinvariant
 from kmsdyn.mapexpr import parse_map
-from kmsdyn.kms import kms_measure
+from kmsdyn.kms import kms_measure, lyubich
 from kmsdyn.ifs import hutchinson, preset as ifs_preset
 from kmsdyn.measure import (
     SPHERE,
@@ -27,13 +27,19 @@ from kmsdyn.measure import (
     merge_planar,
     pullback_F,
     pullback_G,
-    sphere_embedding,
     tilde,
     weak_star_distance,
 )
-from kmsdyn.projective import SpherePoint, chordal_distance, merge_weighted
+from kmsdyn.projective import (
+    SpherePoint,
+    chordal_distance,
+    embedding_array,
+    homogeneous,
+    merge_weighted,
+    normalize_rows,
+)
 
-from merge_oracles import _greedy_planar_oracle, collect_fibres
+from merge_oracles import _greedy_planar_oracle, collect_fibres, list_merge_weighted
 from test_ratmap import oracle_level_sets
 
 
@@ -484,9 +490,8 @@ def test_integrate_all_matches_integrate():
     gamma = ifs_preset("sierpinski-twisted")
     plane = hutchinson(gamma, 0, chaos_samples=20_000, seed=3)
     rng = np.random.default_rng(5)
-    sphere = AtomicMeasure(SPHERE, points=[SpherePoint(complex(a, b), complex(c, d))
-                                           for a, b, c, d in rng.normal(size=(20_000, 4))],
-                           weights=rng.uniform(0.1, 1.0, 20_000))
+    parts = rng.normal(size=(20_000, 4))  # rows [z, w] = [a + bi, c + di]
+    sphere = AtomicMeasure(SPHERE, normalize_rows(parts[:, 0::2] + 1j * parts[:, 1::2]), rng.uniform(0.1, 1.0, 20_000))
     for mu, lib in [(plane, TestFunctionLibrary.plane(box=gamma.bounding_box(), degree=3)),
                     (sphere, TestFunctionLibrary.sphere(4))]:
         want = np.array([integrate(mu, f) for f in lib.functions])
@@ -526,8 +531,67 @@ def test_fibre_table_matches_scalar_collect(expr, beta, depth):
     anchor = next(p for p, _e in R.branch_data().branch_points if not p.is_infinity())
     mu = kms_measure(R, anchor, beta, depth=depth).measure
     table = fibre_table(R, mu)
-    ref = collect_fibres(mu.points, R.preimages, sphere_embedding)
+    ref = collect_fibres(mu.points, R.preimages, lambda pts: embedding_array(*homogeneous(pts)))
     assert np.array_equal(table.owner, ref.owner)
     assert np.array_equal(table.degree, ref.degree)
     assert np.all(np.bincount(table.owner, weights=table.degree) == R.n)
     assert np.max(np.abs(table.coords - ref.coords)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the array atom store
+
+
+def _row_bits(rows, weights):
+    """Each atom's z, w and weight as bytes, signed zeros included."""
+    rows = np.asarray(rows, dtype=np.complex128)
+    return [r.tobytes() + np.float64(w).tobytes() for r, w in zip(rows, weights)]
+
+
+def _old_pullback(R, mu, index_weighted):
+    """A pullback as it ran on SpherePoints: one per fibre, then the list merge."""
+    fib = fibre_table(R, mu)
+    weights = mu.weights[fib.owner] * (fib.degree if index_weighted else 1)
+    points = [SpherePoint(a, b) for a, b in zip(fib.z.tolist(), fib.w.tolist())]
+    return list_merge_weighted(zip(points, weights))
+
+
+def _z2_minus_1():
+    R = parse_map("z^2-1")
+    return R, kms_measure(R, SpherePoint.zero(), 1.5, depth=8).measure
+
+
+def _z3_minus_z():
+    R = parse_map("z^3-z")
+    return R, kms_measure(R, aff(1 / math.sqrt(3)), 1.5, depth=5).measure
+
+
+def _z2_circle():
+    # on the unit circle the stored pairs sit at |z| = |w|, where SpherePoint
+    # can leave the smaller modulus an ulp above 1 and normalize it again
+    R = parse_map("z^2")
+    return R, lyubich(R, aff(1), 8)
+
+
+@pytest.mark.parametrize("build", [_z2_minus_1, _z3_minus_z, _z2_circle])
+def test_pullbacks_equal_the_point_path_bit_for_bit(build):
+    R, mu = build()
+    for pull, index_weighted in ((pullback_F, False), (pullback_G, True)):
+        got = pull(R, mu)
+        want = _old_pullback(R, mu, index_weighted)
+        assert _row_bits(got.coords, got.weights) == _row_bits([(p.z, p.w) for p, _w in want], [w for _p, w in want])
+
+
+@pytest.mark.parametrize("build", [_z2_minus_1, _z3_minus_z, _z2_circle])
+def test_sphere_rows_read_back_exactly(build):
+    R, mu = build()
+    moved = 0
+    for nu in (mu, pullback_F(R, mu), measure_sum([mu, pullback_G(R, mu)])):
+        assert [(p.z, p.w) for p in nu.points] == [tuple(row) for row in nu.coords.tolist()]
+        # SpherePoint(*row) reproduces each row off |z| = |w|; on it, it can
+        # leave the other modulus an ulp above 1 and pivot again
+        again = [(p.z, p.w) for p in (SpherePoint(*row) for row in nu.coords.tolist())]
+        same = np.array([a == b for a, b in zip(_row_bits(again, nu.weights), _row_bits(nu.coords, nu.weights))])
+        assert np.all(same | (np.hypot(nu.coords.real, nu.coords.imag).min(axis=1) == 1.0))
+        moved += int(np.sum(~same))
+    assert (moved > 0) == (build is _z2_circle)

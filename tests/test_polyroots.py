@@ -333,9 +333,10 @@ def test_roots_equal_numpy_scalar_oracle_on_preimage_forms(recorded_solves):
 
 
 @pytest.mark.parametrize("coeffs", [[1e200, 0, 0, 1], [1, 0, 0, 1e-200], [math.nan, 0, 1],
-                                    [1, 0, complex(1.5e308, 1.5e308)]])
+                                    [1, 0, complex(1.5e308, 1.5e308)], [1, 1e-320]])
 def test_non_finite_roots_raise_nonconvergence(coeffs):
     # roots that come out NaN used to pass the residual gate, whose > is false
-    # for NaN; an abs() past the double range raises OverflowError in Python
+    # for NaN; an abs() past the double range raises OverflowError in Python;
+    # the linear root -1 / 1e-320 overflows to -inf+nanj
     with pytest.raises(NonConvergence):
         roots(Poly(coeffs))

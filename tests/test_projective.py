@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from kmsdyn import projective
+from kmsdyn import measure, projective
+from kmsdyn.kms import kms_measure
+from kmsdyn.mapexpr import parse_map
 from kmsdyn.projective import (
     CellIndex,
     SpherePoint,
@@ -13,12 +15,13 @@ from kmsdyn.projective import (
     cluster,
     first_within,
     homogeneous,
+    merge_sphere,
     merge_weighted,
     sphere_cells,
     sphere_point_from_json,
 )
 
-from merge_oracles import _SphereHash
+from merge_oracles import _SphereHash, list_merge_weighted
 
 
 def test_from_affine_examples():
@@ -199,6 +202,72 @@ def test_merge_weighted_matches_greedy_oracle_in_a_crowded_cell():
     assert all(chordal_distance(p, q) <= 1e-15 for (p, _), (q, _) in zip(got, want))
     counts = [m for _p, m in cluster(pts, tol)]
     assert counts == [w for _p, w in _greedy_merge_oracle([(p, 1) for p in pts], tol)]
+
+
+def _pair_bits(pairs):
+    """Each pair's z, w and weight as bytes, signed zeros included."""
+    return [np.array([p.z, p.w]).tobytes() + np.float64(w).tobytes() for p, w in pairs]
+
+
+def _duplicates_and_infinity(rng):
+    pts = _planted_points(rng, 1.0, 1e-8)
+    return pts + pts[:10] + [SpherePoint.infinity()] * 4 + [SpherePoint(1.0, -3e-9j)]
+
+
+def _crowded_cell(rng):
+    return [SpherePoint.from_affine(0.5 + complex(a, b)) for a, b in rng.uniform(0, 2e-9, size=(500, 2))]
+
+
+def _conjugate_pairs(rng):
+    a = rng.normal(size=100) + 1j * rng.uniform(1e-9, 1.0, size=100)
+    return [SpherePoint.from_affine(c) for c in np.concatenate([a, a.conj(), [0.7 + 4e-9j, 0.7 - 4e-9j]])]
+
+
+def _tied_real_parts(rng):
+    # affine values sharing a real part: the order falls to the imaginary part
+    im = np.concatenate([rng.normal(size=40), [0.0, -0.0, 1e-9, -1e-9, 2e-9]])
+    pts = [SpherePoint.from_affine(complex(re, v)) for re in (-2.0, 0.0, 0.25, 3.0) for v in im]
+    return pts + [SpherePoint(1.0, 1.0 / complex(3.0, v)) for v in im[:10]]  # |z| > |w| pivots on z
+
+
+def _z2_minus_1_remerge(rng):
+    """The atoms kms_measure(z^2-1, 0, 1.5, depth=8) merges across its levels."""
+    calls = []
+
+    def recording(pairs, tol):
+        pairs = list(pairs)
+        calls.append(pairs)
+        return merge_weighted(pairs, tol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measure, "merge_weighted", recording)
+        kms_measure(parse_map("z^2-1"), SpherePoint.zero(), 1.5, depth=8)
+    (pairs,) = calls
+    return pairs
+
+
+@pytest.mark.parametrize("points", [_duplicates_and_infinity, _crowded_cell, _conjugate_pairs,
+                                    _tied_real_parts, _z2_minus_1_remerge])
+def test_array_merge_matches_list_merge_bit_for_bit(points):
+    rng = np.random.default_rng(2026)
+    pts = points(rng)
+    if points is _z2_minus_1_remerge:
+        pairs = pts
+        assert len(pairs) == 345 and len(list_merge_weighted(pairs, 1e-8)) == 257
+    else:
+        pts = [pts[i] for i in rng.permutation(len(pts))]
+        pairs = [(p, float(w)) for p, w in zip(pts, rng.uniform(0.1, 1.0, len(pts)))]
+    want = list_merge_weighted(pairs, 1e-8)
+    got = merge_weighted(pairs, 1e-8)
+    assert _pair_bits(got) == _pair_bits(want)
+    # an atom alone in its cluster comes back as its input pair
+    inputs = {id(pair) for pair in pairs}
+    assert [id(g) in inputs for g in got] == [w in pairs for w in want]
+    coords, weights, src = merge_sphere(np.array([(p.z, p.w) for p, _w in pairs]), [w for _p, w in pairs], 1e-8)
+    assert _pair_bits(zip([SpherePoint.from_row(*row) for row in coords], weights)) == _pair_bits(want)
+    assert [pairs[i] if i >= 0 else None for i in src.tolist()] == [w if w in pairs else None for w in want]
+    # every input has clusters to average but the conjugates, which stay apart
+    assert (points is _conjugate_pairs) == np.all(src >= 0)
 
 
 def test_cell_index_find_matches_sphere_hash():

@@ -111,15 +111,23 @@ def test_common_factor_rejected():
         RationalMap([-1, 0, 1], [-1, 1])
 
 
+def _forward_orbit(R, z, n):
+    """[z, R(z), ..., R^n(z)]."""
+    out = [z]
+    for _ in range(n):
+        out.append(R.evaluate(out[-1]))
+    return out
+
+
 def test_forward_orbit_examples():
     Rsq = parse_map("z^2")
-    orbit = Rsq.forward_orbit(aff(2), 3)
+    orbit = _forward_orbit(Rsq, aff(2), 3)
     assert [p.to_affine() for p in orbit] == pytest.approx([2, 4, 16, 256])
     Rinv = parse_map("1/z^2")
-    orbit = Rinv.forward_orbit(SpherePoint.zero(), 2)
+    orbit = _forward_orbit(Rinv, SpherePoint.zero(), 2)
     assert not orbit[0].is_infinity() and orbit[1].is_infinity() and not orbit[2].is_infinity()
     Rp = parse_map("z^2+1")
-    assert [p.to_affine() for p in Rp.forward_orbit(SpherePoint.zero(), 3)] == pytest.approx(
+    assert [p.to_affine() for p in _forward_orbit(Rp, SpherePoint.zero(), 3)] == pytest.approx(
         [0, 1, 2, 5]
     )
 
@@ -324,7 +332,7 @@ def test_backward_orbit_levels_match_oracle():
     tree = R.backward_orbit(SpherePoint.zero(), 4, SET_COUNT)
     ref = oracle_level_sets(R, SpherePoint.zero(), 4)
     for k in range(5):
-        mine = tree.level_points(k)
+        mine = [p for p, _w in tree.levels[k]]
         assert len(mine) == len(ref[k])
         for p in mine:
             assert min(chordal_distance(p, q) for q in ref[k]) < 1e-6
@@ -334,7 +342,7 @@ def test_backward_orbit_children_map_to_parents():
     R = parse_map("(z^3-16/27)/z")
     tree = R.backward_orbit(aff(0.5 + 0.3j), 3, SET_COUNT)
     for k in range(1, len(tree.levels)):
-        parents = tree.level_points(k - 1)
+        parents = [p for p, _w in tree.levels[k - 1]]
         for p, _w in tree.levels[k]:
             image = R.evaluate(p)
             assert min(chordal_distance(image, q) for q in parents) <= 1e-6
