@@ -88,13 +88,13 @@ def _exceptional_closed_form(R: RationalMap, w: SpherePoint, beta: float, tol: f
     return measure, 1.0 - math.exp(-beta)
 
 
-def min_depth_for_tail(R_degree: int, beta: float, tail_target: float = 1e-6) -> int:
-    """Smallest depth with (N e^{-beta})^{depth+1}/(1 - N e^{-beta}) <= target."""
+def min_depth_for_tail(R_degree: int, beta: float) -> int:
+    """Smallest depth with (N e^{-beta})^{depth+1}/(1 - N e^{-beta}) <= 1e-6."""
     q = R_degree * math.exp(-beta)
     if q >= 1.0:
         raise OutOfRegime("tail bound requires beta > log N")
     d = 0
-    while q ** (d + 1) / (1.0 - q) > tail_target:
+    while q ** (d + 1) / (1.0 - q) > 1e-6:
         d += 1
     return d
 
@@ -343,7 +343,6 @@ def divergence_witness(
     beta: float,
     depth: int = 10,
     tol: float = DEFAULT_CLUSTER_TOL,
-    avoid_tol: float = 1e-6,
     max_candidates: int = 64,
     atom_budget: int = DEFAULT_ATOM_BUDGET,
 ) -> WitnessReport:
@@ -366,7 +365,7 @@ def divergence_witness(
     levels = R.backward_orbit(z, depth, SET_COUNT, tol, atom_budget).levels
     points = [p for level in levels for p, _w in level]
     gens = np.repeat(np.arange(len(levels)), [len(level) for level in levels])
-    new = np.flatnonzero(founders(*homogeneous(points), tol) == np.arange(len(points)))
+    new, _size = founders(*homogeneous(points), tol)
     # candidates are the new points of each level, up to the first level
     # that brings their count to max_candidates
     count = np.cumsum(np.bincount(gens[new], minlength=len(levels)))
@@ -378,13 +377,8 @@ def divergence_witness(
     rejected = 0
     for w, gen in candidates[:max_candidates]:
         tree = R.backward_orbit(w, depth, SET_COUNT, tol, atom_budget)
-        if tree.truncated or tree.depth < depth:
-            rejected += 1
-            continue
-        if not _avoids(tree, branch_values, avoid_tol):
-            rejected += 1
-            continue
-        if not _levels_disjoint(tree, tol):
+        if (tree.truncated or tree.depth < depth or not _avoids(tree, branch_values)
+                or not _levels_disjoint(tree, tol)):
             rejected += 1
             continue
         return WitnessReport(
@@ -402,14 +396,14 @@ def divergence_witness(
     )
 
 
-def _avoids(tree, branch_values, avoid_tol):
+def _avoids(tree, branch_values):
     points = embedding_array(*homogeneous([p for level in tree.levels for p, _w in level]))
-    return bool(np.all(nearest_distance(points, embedding_array(*homogeneous(branch_values))) > avoid_tol))
+    return bool(np.all(nearest_distance(points, embedding_array(*homogeneous(branch_values))) > 1e-6))
 
 
 def _levels_disjoint(tree, tol):
     points = [p for level in tree.levels for p, _w in level]
-    return bool(np.all(founders(*homogeneous(points), tol) == np.arange(len(points))))
+    return len(founders(*homogeneous(points), tol)[0]) == len(points)
 
 
 # ---------------------------------------------------------------------------

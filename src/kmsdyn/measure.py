@@ -3,8 +3,9 @@
 Every measure handled here is a finite weighted sum of Dirac atoms, either on
 the Riemann sphere or on the plane/line, kept as arrays: a weight and a row
 of coords per atom, the homogeneous pair [z, w] on the sphere and the
-coordinates on the plane.  Sphere rows are merged by projective.merge_sphere,
-planar ones by merge_planar, and SpherePoints exist only at the boundary
+coordinates on the plane.  Both engines merge atoms with one kernel,
+projective.merge_atoms: sphere rows through projective.merge_sphere, planar
+ones through merge_planar.  SpherePoints exist only at the boundary
 (AtomicMeasure.points: JSON, CSV, the CLI and the one-point APIs).  Diffuse
 limits (invariant measures of maximal entropy, self-similar measures) exist
 only as sequences of atomic approximants compared in a finite test-function
@@ -38,11 +39,11 @@ import numpy as np
 from .errors import AtomBudgetExceeded, NotSubinvariant
 from .projective import (
     DEFAULT_CLUSTER_TOL,
-    CellIndex,
     SpherePoint,
     embedding_array,
     first_within,
     homogeneous,
+    merge_atoms,
     merge_sphere,
     merge_weighted,
     normalize_rows,
@@ -85,29 +86,13 @@ def _lexicographic_order(cells):
 def merge_planar(coords, weights, tol: float = PLANAR_MERGE_TOL):
     """Merge planar atoms closer than tol; weights add, centroids average.
 
-    The rule is the sphere's, CellIndex.founders: atoms are put in
-    lexicographic order of their cells round(x / tol), and each joins the
-    first earlier founder within tol (Euclidean), otherwise it founds a
-    cluster.  A cluster is thus at most 2 tol wide.  Clusters come out as
-    the weighted centroids of their atoms, in lexicographic cell order of
-    their founders.  Coordinates must be finite with |x| < 2^62 tol, and
-    weights one number per coordinate row.
-
-    The order comes from _lexicographic_order: one argsort of the first
-    cell key, then one lexsort of the atoms whose first key is tied (910 of
-    10^6 gasket chaos samples).  An atom with a unique first key is already
-    where the lexicographic order puts it, so the result is the stable
-    lexicographic order exactly, for any d and key range.  Rows are
-    gathered with np.take, and cells only for the atoms that reach the
-    cell index.
-
-    Only atoms next to a sorted neighbour whose first key is within 1 of
-    theirs enter the cell index; the others found their own clusters.  That
-    is exact: two atoms in the same or adjacent cells have first keys at
-    most 1 apart, and so have the atoms sorted between them, so both are
-    marked.  The marked atoms keep their order, so the founders do not
-    change.  Keys lie inside +-(2^62 - 512), so no diff wraps; an extra
-    marked atom would only be an extra candidate, which CellIndex.pairs drops.
+    The rule is the sphere's, projective.merge_atoms, on the cells
+    round(x / tol) in lexicographic order (_lexicographic_order, whose
+    sorted first keys feed the first-key filter) with the Euclidean metric;
+    a cluster is thus at most 2 tol wide.  Clusters come out as the
+    weighted centroids of their atoms, (w x) / w for an atom alone, in
+    lexicographic cell order of their founders.  Coordinates must be finite
+    with |x| < 2^62 tol, and weights one number per coordinate row.
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))
     weights = np.asarray(weights, dtype=np.float64)
@@ -119,20 +104,10 @@ def merge_planar(coords, weights, tol: float = PLANAR_MERGE_TOL):
         raise ValueError(f"planar coordinates must be finite and below {2.0**62 * tol:.6g} in modulus")
     cells = np.round(coords / tol).astype(np.int64)
     order, first = _lexicographic_order(cells)
-    gap = np.diff(first) <= 1
-    at = np.flatnonzero(np.r_[False, gap] | np.r_[gap, False])  # both ends of each gap
-    cells = cells[order[at]]  # frees the full cells before the gathers
-    x, w = np.take(coords, order, axis=0), weights[order]
-    sub = CellIndex(cells).founders(lambda i, j: np.linalg.norm(x[at[i]] - x[at[j]], axis=1) <= tol)
-    label = np.arange(len(x))
-    label[at] = at[sub]
-    root = label == np.arange(len(label))
-    group = (np.cumsum(root) - 1)[label]
-    wsum = np.bincount(group, weights=w)
-    out = np.empty((len(wsum), x.shape[1]))
-    for d in range(x.shape[1]):
-        out[:, d] = np.bincount(group, weights=w * x[:, d]) / wsum
-    return out, wsum
+    *_, wsum, moment = merge_atoms(
+        cells, order, lambda i, j: np.linalg.norm(coords[i] - coords[j], axis=1) <= tol,
+        weights, weights[:, None] * coords, first=first)
+    return moment / wsum[:, None], wsum
 
 
 # ---------------------------------------------------------------------------
@@ -586,12 +561,11 @@ def decompose_trace(
     n_max: int,
     lib: TestFunctionLibrary | None = None,
     tol: float = DEFAULT_CLUSTER_TOL,
-    neg_tol: float = 1e-6,
     atom_budget: int = DEFAULT_ATOM_BUDGET,
 ) -> TraceDecomposition:
     """Split a (K2-subinvariant) measure into finite and infinite parts.
 
-    mu0 = mu - F_beta(mu) must be nonnegative up to tolerance; the finite
+    mu0 = mu - F_beta(mu) must be nonnegative up to 1e-6 per atom; the finite
     part is the partial geometric series over mu0 and the infinite part is
     F_beta^{n_max}(mu).  The reported residual is the library distance
     between mu and finite + infinite, which vanishes as n_max grows for
@@ -603,13 +577,13 @@ def decompose_trace(
     # signed subtraction mu - fmu, clipping small negative atoms
     hits = first_within(*mu.coords.T, *fmu.coords.T, tol)
     miss = hits < 0
-    deficit = np.flatnonzero(miss & (fmu.weights > neg_tol))
+    deficit = np.flatnonzero(miss & (fmu.weights > 1e-6))
     if len(deficit):
         i = deficit[0]
         raise NotSubinvariant(f"mu - F_beta(mu) has an atom of weight {-fmu.weights[i]:.3e} at {fmu.points[i]}")
     wts = mu.weights.copy()
     np.subtract.at(wts, hits[~miss], fmu.weights[~miss])
-    negative = np.flatnonzero(wts < -neg_tol)
+    negative = np.flatnonzero(wts < -1e-6)
     if len(negative):
         i = negative[0]
         raise NotSubinvariant(f"mu - F_beta(mu) has an atom of weight {wts[i]:.3e} at {mu.points[i]}")

@@ -155,10 +155,10 @@ def _initial_circle(acoeffs) -> list:
     ]
 
 
-def _aberth_iterate(coeffs, acoeffs, dcoeffs, max_iter):
+def _aberth_iterate(coeffs, acoeffs, dcoeffs):
     xs = _initial_circle(acoeffs)
     n = len(xs)
-    for _ in range(max_iter):
+    for _ in range(DEFAULT_MAX_ITER):
         max_step = 0.0
         for i in range(n):
             xi = xs[i]
@@ -247,7 +247,7 @@ def _polish(coeffs, dcoeffs, center, mult):
     return best, best_res
 
 
-def roots(p: Poly, tol: float = DEFAULT_ROOT_TOL, max_iter: int = DEFAULT_MAX_ITER):
+def roots(p: Poly, tol: float = DEFAULT_ROOT_TOL):
     """All roots of p with multiplicities, as [(root, multiplicity)].
 
     Multiplicities sum to the degree.  Each returned root r is finite, and
@@ -271,14 +271,14 @@ def roots(p: Poly, tol: float = DEFAULT_ROOT_TOL, max_iter: int = DEFAULT_MAX_IT
             raise NonConvergence(f"linear root {r} is not finite")
         return [(r, 1)]
     try:
-        out = _clusters(coeffs, n, tol, max_iter)
+        out = _clusters(coeffs, n, tol)
     except OverflowError as exc:  # abs() of a complex whose modulus passes the double range
         raise NonConvergence(f"root finding overflowed: {exc}") from exc
     out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return out
 
 
-def _clusters(coeffs, n, tol, max_iter):
+def _clusters(coeffs, n, tol):
     """roots' steps at degree n >= 2 on descending coefficients, up to the gated clusters."""
     acoeffs = [abs(c) for c in coeffs]
     dcoeffs = [c * k for c, k in zip(coeffs, range(n, 0, -1))]
@@ -294,7 +294,7 @@ def _clusters(coeffs, n, tol, max_iter):
         else:
             approx = [_div(-c1, 2.0 * c2)] * 2
     else:
-        approx = _aberth_iterate(coeffs, acoeffs, dcoeffs, max_iter)
+        approx = _aberth_iterate(coeffs, acoeffs, dcoeffs)
 
     radii = _weierstrass_radii(coeffs, acoeffs, approx)
 

@@ -7,22 +7,16 @@ the coordinate of larger modulus, which becomes exactly 1.0 (near |z| = |w|
 the other modulus can round just above 1).  Arrays of atoms hold these pairs
 as (n, 2) complex rows [z, w], made by normalize_rows, read by from_row.
 
-Atoms are clustered by one array kernel, CellIndex, which takes integer
-cell keys of any width: it sorts them by a linear hash, marks the crowded
-atoms (those with another atom in their 3^d neighbour cells), lists the
-stored atoms in each query's neighbour cells, and carries the one cluster
-rule of both engines.  That rule is greedy: atoms are scanned in index
-order and each joins the first earlier founder within tol (neighbour cells
-in offset order, then index order), otherwise it founds a cluster.  Every
-member lies within tol of its founder, so a cluster is at most 2 tol wide,
-and clusters come out in the order of their founders.  The caller picks the
-cells and the metric.  Here the cells are floor(xi / tol) on the R^3
-embedding and the metric is chordal: cluster and merge_sphere reduce over
-founders, and first_within finds stored atoms near queries.  merge_sphere
-merges arrays of rows, and merge_weighted is its form on (SpherePoint,
-weight) pairs.  measure.merge_planar runs the same rule on the plane, and
-indexes only the atoms whose sorted first cell keys lie within 1 of a
-neighbour's.
+Atoms are merged by one kernel for both engines, merge_atoms: a first-key
+filter, then CellIndex, which sorts integer cell keys of any width by a
+linear hash and carries the one greedy cluster rule (each atom joins the
+first earlier founder within tol, otherwise it founds a cluster, so a
+cluster is at most 2 tol wide), then the weight sums in scan order.  The
+caller picks the cells, the scan order and the metric.  Here the cells are
+floor(xi / tol) on the R^3 embedding and the metric is chordal: cluster and
+merge_sphere (merge_weighted on (SpherePoint, weight) pairs) reduce over
+merge_atoms, and first_within finds stored atoms near queries.
+measure.merge_planar is merge_atoms on the plane.
 """
 
 from __future__ import annotations
@@ -84,8 +78,8 @@ class SpherePoint:
     def zero() -> "SpherePoint":
         return SpherePoint(0.0, 1.0)
 
-    def is_infinity(self, tol: float = 0.0) -> bool:
-        return abs(self.w) <= tol * abs(self.z) if tol else self.w == 0.0
+    def is_infinity(self) -> bool:
+        return self.w == 0.0
 
     def to_affine(self) -> complex:
         """Affine value z/w; raises at infinity."""
@@ -314,10 +308,53 @@ def first_within(z, w, qz, qw, tol: float = DEFAULT_CLUSTER_TOL):
     return hits
 
 
+def merge_atoms(cells, order, close, *values, first=None):
+    """The one merge of both engines: greedy clusters of atoms, and sums over them.
+
+    cells holds int64 cell keys, a row per atom, order is the scan order of
+    the rows and close(i, j) the metric, a mask over rows i scanned after
+    rows j.  Atoms in the same or adjacent cells have first keys at most 1
+    apart, as have the atoms sorted between them, so only atoms whose sorted
+    first key lies within 1 of a neighbour's go to CellIndex.founders, in
+    scan order; the others found their own clusters.  A diff that wraps
+    (keys past +-2^62) only adds a candidate.  first is cells[order, 0] if
+    the order sorts it; otherwise the keys are sorted here.
+
+    Returns the founders' rows, one per cluster in scan order; the rows of
+    the atoms that joined a cluster, in scan order; the cluster each joined;
+    and per array of values, an entry or row per atom, its cluster sums.
+    """
+    by_key = None
+    if first is None:
+        by_key = np.argsort(cells[order, 0])
+        first = cells[order[by_key], 0]
+    gap = np.diff(first) <= 1
+    at = np.flatnonzero(np.r_[False, gap] | np.r_[gap, False])  # both ends of each gap
+    if by_key is not None:
+        at = np.sort(by_key[at])
+    rows = order[at]
+    sub = CellIndex(cells[rows]).founders(lambda i, j: close(rows[i], rows[j]))
+    joins = np.flatnonzero(sub != np.arange(len(sub)))
+    joined, host = at[joins], at[sub[joins]]  # scan positions of the members and of their founders
+    to = host - np.searchsorted(joined, host)  # the founders scanned before a founder
+    keep, member = np.delete(order, joined), rows[joins]
+    sums = [np.take(v, keep, axis=0) for v in values]
+    for total, v in zip(sums, values):
+        total += 0.0  # np.bincount's start, which turns -0.0 into 0.0
+        np.add.at(total, to, np.take(v, member, axis=0))  # in scan order, as bincount adds
+    return (keep, member, to, *sums)
+
+
+def _chordal_merge(z, w, order, weights, tol):
+    """merge_atoms on homogeneous arrays: sphere_cells and the chordal metric."""
+    return merge_atoms(sphere_cells(z, w, tol), order,
+                       lambda i, j: chordal_array(z[j], w[j], z[i], w[i]) <= tol, weights)
+
+
 def founders(z, w, tol: float = DEFAULT_CLUSTER_TOL):
-    """Greedy cluster founder of each homogeneous pair under the chordal metric (CellIndex.founders)."""
-    index = CellIndex(sphere_cells(z, w, tol))
-    return index.founders(lambda i, j: chordal_array(z[j], w[j], z[i], w[i]) <= tol)
+    """The founders of the greedy chordal clusters of pairs scanned in index order, and the cluster sizes."""
+    keep, _member, _to, size = _chordal_merge(z, w, np.arange(len(z)), np.ones(len(z)), tol)
+    return keep, size
 
 
 def cluster(points, tol: float = DEFAULT_CLUSTER_TOL):
@@ -331,9 +368,8 @@ def cluster(points, tol: float = DEFAULT_CLUSTER_TOL):
     if tol <= 0:
         raise ValueError("tol must be positive")
     points = list(points)
-    label = founders(*homogeneous(points), tol)
-    counts = np.bincount(label, minlength=len(points))
-    return [(points[i], int(counts[i])) for i in np.flatnonzero(label == np.arange(len(points)))]
+    keep, size = founders(*homogeneous(points), tol)
+    return [(points[i], int(m)) for i, m in zip(keep.tolist(), size.tolist())]
 
 
 def normalize_rows(coords):
@@ -364,12 +400,12 @@ def _affine(z, w):
 def merge_sphere(coords, weights, tol: float = DEFAULT_CLUSTER_TOL):
     """Merge sphere atoms, homogeneous rows [z, w], closer than tol; weights add.
 
-    Rows must be pairs as SpherePoint stores them.  Atoms are put in the
-    stable order of SpherePoint.sort_key, (inf, re, im) of z / w, and
-    clustered by founders in that order; weights are summed by bincount.
-    An atom alone in its cluster keeps its row bit for bit.  A larger
-    cluster becomes the weight sum of its members' pairs, each phase-aligned
-    to the founder's, renormalized, summed on Python complex numbers.
+    Rows must be pairs as SpherePoint stores them.  Atoms are scanned in the
+    stable order of SpherePoint.sort_key, (inf, re, im) of z / w, and merged
+    by merge_atoms.  An atom alone in its cluster keeps its row bit for bit.
+    A larger cluster becomes the weight sum of its members' pairs, each
+    phase-aligned to the founder's, renormalized, summed on Python complex
+    numbers.
 
     Returns (coords, weights, src) in founder order: src[k] is the input row
     of atom k if it was alone in its cluster, and -1 otherwise.
@@ -378,27 +414,22 @@ def merge_sphere(coords, weights, tol: float = DEFAULT_CLUSTER_TOL):
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != coords.shape[:1]:
         raise ValueError("coords and weights length mismatch")
-    inf = coords[:, 1] == 0.0
-    re, im = _affine(coords[:, 0], coords[:, 1])
-    order = np.lexsort((np.where(inf, 0.0, im), np.where(inf, 0.0, re), inf))
-    x, wt = coords[order], weights[order]
-    label = founders(x[:, 0], x[:, 1], tol)
-    root = label == np.arange(len(label))
-    group = (np.cumsum(root) - 1)[label]
-    out, src = x[root], order[root]
+    z, w = coords.T
+    re, im = _affine(z, w)
+    order = np.lexsort((np.where(w == 0.0, 0.0, im), np.where(w == 0.0, 0.0, re), w == 0.0))
+    keep, member, to, wsum = _chordal_merge(z, w, order, weights, tol)
+    out, src, host = coords[keep], keep, keep[to]
     sums = {}
-    for i, f in zip(np.flatnonzero(~root).tolist(), label[~root].tolist()):
-        (rz, rw), (pz, pw) = x[f].tolist(), x[i].tolist()
-        acc = sums.setdefault(f, [rz * float(wt[f]), rw * float(wt[f])])
+    for k, (rz, rw), (pz, pw), wf, wi in zip(to.tolist(), coords[host].tolist(), coords[member].tolist(),
+                                             weights[host].tolist(), weights[member].tolist()):
+        acc = sums.setdefault(k, [rz * wf, rw * wf])
         inner = pz * rz.conjugate() + pw * rw.conjugate()  # align the phase with the founder's
         phase = inner / abs(inner) if inner != 0 else 1.0
-        acc[0] += (pz / phase) * float(wt[i])
-        acc[1] += (pw / phase) * float(wt[i])
-    if sums:
-        at = group[list(sums)]
-        out[at] = normalize_rows(list(sums.values()))
-        src[at] = -1
-    return out, np.bincount(group, weights=wt, minlength=len(out)), src
+        acc[0] += (pz / phase) * wi
+        acc[1] += (pw / phase) * wi
+    out[list(sums)] = normalize_rows(list(sums.values()))
+    src[list(sums)] = -1
+    return out, wsum, src
 
 
 def merge_weighted(pairs, tol: float = DEFAULT_CLUSTER_TOL):

@@ -45,7 +45,7 @@ class RationalMap:
     used for all numeric work.
     """
 
-    def __init__(self, p_coeffs, q_coeffs, exact=None, check: bool = True):
+    def __init__(self, p_coeffs, q_coeffs, exact=None):
         self.p = Poly(p_coeffs)
         self.q = Poly(q_coeffs)
         self.exact = exact  # (ExactPoly, ExactPoly) or None
@@ -60,10 +60,9 @@ class RationalMap:
         self._hq = np.zeros(n + 1, dtype=np.complex128)
         self._hp[: len(self.p.coeffs)] = self.p.coeffs
         self._hq[: len(self.q.coeffs)] = self.q.coeffs
-        self._branch_cache = None
-        self._exceptional_cache = None
-        if check:
-            self._check_coprime()
+        self._branch_cache = {}  # tol -> BranchData
+        self._exceptional_cache = {}  # tol -> ExceptionalReport
+        self._check_coprime()
 
     @classmethod
     def from_exact(cls, p_exact, q_exact) -> "RationalMap":
@@ -175,7 +174,7 @@ class RationalMap:
         X, fallback = roots_batch(C[rows], tol)
         X, rows = X[~fallback], rows[~fallback]
         rest = np.setdiff1d(np.arange(len(z)), rows)
-        solved = {i: self.preimages(SpherePoint(z[i], w[i]), tol) for i in rest.tolist()}
+        solved = {i: self.preimages(SpherePoint.from_row(z[i], w[i]), tol) for i in rest.tolist()}
 
         count = np.full(len(z), n, dtype=np.intp)
         count[rest] = [len(pre) for pre in solved.values()]
@@ -196,12 +195,12 @@ class RationalMap:
 
     # -- branch structure --------------------------------------------------
 
-    def branch_data(self, tol: float = DEFAULT_CLUSTER_TOL, cross_check: bool = True):
-        if self._branch_cache is None:
-            self._branch_cache = self._compute_branch_data(tol, cross_check)
-        return self._branch_cache
+    def branch_data(self, tol: float = DEFAULT_CLUSTER_TOL):
+        if tol not in self._branch_cache:
+            self._branch_cache[tol] = self._compute_branch_data(tol)
+        return self._branch_cache[tol]
 
-    def _compute_branch_data(self, tol, cross_check):
+    def _compute_branch_data(self, tol):
         if self.exact is not None:
             points = self._branch_points_exact()
         else:
@@ -213,20 +212,19 @@ class RationalMap:
                 f"sum of (index - 1) over branched points is {total}, "
                 f"expected {2 * self.n - 2}"
             )
-        if cross_check:
-            for pt, e in points:
-                # the float image sits ~1e-16 off the true branch value, which
-                # can split the order-e root into a cluster of simple roots
-                # within ~eps^(1/e); compare total local multiplicity instead
-                image = self.evaluate(pt)
-                local = sum(
-                    m for x, m in self.preimages(image, tol) if chordal_distance(x, pt) <= 1e-5
+        for pt, e in points:
+            # the float image sits ~1e-16 off the true branch value, which
+            # can split the order-e root into a cluster of simple roots
+            # within ~eps^(1/e); compare total local multiplicity instead
+            image = self.evaluate(pt)
+            local = sum(
+                m for x, m in self.preimages(image, tol) if chordal_distance(x, pt) <= 1e-5
+            )
+            if local != e:
+                raise InternalConsistencyError(
+                    f"branch index at {pt} is {e} by the Wronskian but the local "
+                    f"preimage multiplicity of its image is {local}"
                 )
-                if local != e:
-                    raise InternalConsistencyError(
-                        f"branch index at {pt} is {e} by the Wronskian but the local "
-                        f"preimage multiplicity of its image is {local}"
-                    )
         values = [rep for rep, _m in cluster([self.evaluate(pt) for pt, _e in points], tol)]
         return BranchData(branch_points=points, branch_values=values)
 
@@ -328,9 +326,9 @@ class RationalMap:
     # -- exceptional points ------------------------------------------------
 
     def exceptional_points(self, tol: float = DEFAULT_CLUSTER_TOL) -> "ExceptionalReport":
-        if self._exceptional_cache is None:
-            self._exceptional_cache = self._compute_exceptional(tol)
-        return self._exceptional_cache
+        if tol not in self._exceptional_cache:
+            self._exceptional_cache[tol] = self._compute_exceptional(tol)
+        return self._exceptional_cache[tol]
 
     def _compute_exceptional(self, tol):
         """Finite certificate: z with index N is exceptional iff its unique
@@ -394,9 +392,9 @@ class BranchData:
     branch_points: list
     branch_values: list
 
-    def index_at(self, p: SpherePoint, tol: float = 1e-6) -> int:
+    def index_at(self, p: SpherePoint) -> int:
         for pt, e in self.branch_points:
-            if chordal_distance(pt, p) <= tol:
+            if chordal_distance(pt, p) <= 1e-6:
                 return e
         return 1
 

@@ -15,7 +15,9 @@ numpy_scalar_roots is polyroots.roots with its helpers as they ran on numpy
 complex128 scalars, before they ran on Python complex numbers.
 list_merge_weighted is projective.merge_weighted as a loop over
 (SpherePoint, weight) pairs with Python complex sums, before sphere atoms
-were merged as arrays by projective.merge_sphere.
+were merged as arrays by projective.merge_sphere; its founders are
+index_founders, every atom sent to CellIndex, as before merge_atoms'
+first-key filter.
 """
 
 import cmath
@@ -27,7 +29,15 @@ import numpy as np
 from kmsdyn.errors import NonConvergence
 from kmsdyn.measure import PLANAR_MERGE_TOL, FibreTable
 from kmsdyn.polyroots import DEFAULT_MAX_ITER, DEFAULT_ROOT_TOL, Poly
-from kmsdyn.projective import DEFAULT_CLUSTER_TOL, CellIndex, SpherePoint, chordal_distance, founders, homogeneous
+from kmsdyn.projective import (
+    DEFAULT_CLUSTER_TOL,
+    CellIndex,
+    SpherePoint,
+    chordal_array,
+    chordal_distance,
+    homogeneous,
+    sphere_cells,
+)
 
 
 class _SphereHash:
@@ -186,6 +196,12 @@ def collect_fibres(atoms, solve, embed):
     return FibreTable(np.array(owner, dtype=np.intp), np.array(degree, dtype=np.int64), embed(points))
 
 
+def index_founders(z, w, tol: float = DEFAULT_CLUSTER_TOL):
+    """Greedy cluster founder of each homogeneous pair under the chordal metric (CellIndex.founders)."""
+    index = CellIndex(sphere_cells(z, w, tol))
+    return index.founders(lambda i, j: chordal_array(z[j], w[j], z[i], w[i]) <= tol)
+
+
 def _sort_order(points):
     """The stable order of sorting points by SpherePoint.sort_key."""
     inf = np.array([p.w == 0.0 for p in points], dtype=bool)
@@ -206,7 +222,7 @@ def list_merge_weighted(pairs, tol: float = DEFAULT_CLUSTER_TOL):
     order = _sort_order([p for p, _w in pairs]).tolist()
     pairs = [pairs[i] for i in order]
     points = [p for p, _w in pairs]
-    label = founders(*homogeneous(points), tol)
+    label = index_founders(*homogeneous(points), tol)
     sums = {}
     for i in np.flatnonzero(label != np.arange(len(pairs))).tolist():
         f = int(label[i])

@@ -431,16 +431,23 @@ def test_merge_planar_first_key_filter_matches_greedy_oracle(dim):
         # the widest first-key gaps there are, with repeats at both range edges
         _planar_case([-edge, edge, -edge, edge, 0.0, edge], [[0.0, edge], [edge, 0.0], [0.0, edge],
                                                              [-edge, 0.0], [0.0, 0.0], [edge, 0.0]], dim),
+        # clusters of 3 and 4 atoms whose moment sums round differently in
+        # another scan order, which index order decides within a cell
+        _planar_case([0.1, 0.2, 0.3, 3.1, 3.2, 3.3, 3.05], [[0.1, -0.1], [0.2, -0.2], [0.3, -0.3], [0.7, -0.7],
+                                                           [0.4, -0.4], [0.1, -0.1], [0.35, -0.35]], dim),
     ]
     rng = np.random.default_rng(dim)
     for x in cases:
-        for perm in (np.arange(len(x)), rng.permutation(len(x))):
+        for perm in (np.arange(len(x)), np.arange(len(x))[::-1], rng.permutation(len(x))):
             w = rng.uniform(0.1, 1.0, len(x))
             got = merge_planar(x[perm], w, tol)
             want = _greedy_planar_oracle(x[perm], w, tol)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert len(merge_planar(cases[0], np.ones(6), tol)[1]) == 4
     assert len(merge_planar(cases[3], np.ones(6), tol)[1]) == (3 if dim == 1 else 4)
+    forward, backward = merge_planar(cases[4], np.ones(7), tol), merge_planar(cases[4][::-1], np.ones(7), tol)
+    assert forward[1].tolist() == backward[1].tolist() == [3.0, 4.0]
+    assert not np.array_equal(forward[0], backward[0])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])

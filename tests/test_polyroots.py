@@ -15,7 +15,6 @@ from kmsdyn.errors import NonConvergence
 from kmsdyn.kms import kms_measure, lyubich
 from kmsdyn.mapexpr import parse_map
 from kmsdyn.polyroots import (
-    DEFAULT_MAX_ITER,
     DEFAULT_ROOT_TOL,
     Poly,
     _div,
@@ -310,9 +309,9 @@ def recorded_solves(monkeypatch):
     """Every (polynomial, tol) that ratmap hands to roots while the test runs."""
     calls = []
 
-    def recording(p, tol=DEFAULT_ROOT_TOL, max_iter=DEFAULT_MAX_ITER):
+    def recording(p, tol=DEFAULT_ROOT_TOL):
         calls.append((p, tol))
-        return roots(p, tol, max_iter)
+        return roots(p, tol)
 
     monkeypatch.setattr(ratmap, "roots", recording)
     return calls

@@ -14,6 +14,7 @@ from kmsdyn.projective import (
     chordal_distance,
     cluster,
     first_within,
+    founders,
     homogeneous,
     merge_sphere,
     merge_weighted,
@@ -21,7 +22,7 @@ from kmsdyn.projective import (
     sphere_point_from_json,
 )
 
-from merge_oracles import _SphereHash, list_merge_weighted
+from merge_oracles import _SphereHash, index_founders, list_merge_weighted
 
 
 def test_from_affine_examples():
@@ -230,8 +231,8 @@ def _tied_real_parts(rng):
     return pts + [SpherePoint(1.0, 1.0 / complex(3.0, v)) for v in im[:10]]  # |z| > |w| pivots on z
 
 
-def _z2_minus_1_remerge(rng):
-    """The atoms kms_measure(z^2-1, 0, 1.5, depth=8) merges across its levels."""
+def _state_merge(expr, beta, depth):
+    """The atoms kms_measure(expr, 0, beta, depth) merges across its levels."""
     calls = []
 
     def recording(pairs, tol):
@@ -241,33 +242,62 @@ def _z2_minus_1_remerge(rng):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(measure, "merge_weighted", recording)
-        kms_measure(parse_map("z^2-1"), SpherePoint.zero(), 1.5, depth=8)
+        kms_measure(parse_map(expr), SpherePoint.zero(), beta, depth=depth)
     (pairs,) = calls
     return pairs
 
 
+def _z2_minus_1_remerge(rng):
+    return _state_merge("z^2-1", 1.5, 8)
+
+
+def _z2_plus_1_state(rng):
+    # conjugate-symmetric: every atom shares its first cell key with its conjugate
+    return _state_merge("z^2+1", 1.0, 14)
+
+
 @pytest.mark.parametrize("points", [_duplicates_and_infinity, _crowded_cell, _conjugate_pairs,
-                                    _tied_real_parts, _z2_minus_1_remerge])
-def test_array_merge_matches_list_merge_bit_for_bit(points):
+                                    _tied_real_parts, _z2_minus_1_remerge, _z2_plus_1_state])
+def test_array_merge_matches_list_merge_bit_for_bit(monkeypatch, points):
+    indexed = []
+
+    class Recorded(CellIndex):
+        def __init__(self, keys):
+            indexed.append(len(keys))
+            super().__init__(keys)
+
+    monkeypatch.setattr(projective, "CellIndex", Recorded)
     rng = np.random.default_rng(2026)
     pts = points(rng)
     if points is _z2_minus_1_remerge:
         pairs = pts
         assert len(pairs) == 345 and len(list_merge_weighted(pairs, 1e-8)) == 257
+    elif points is _z2_plus_1_state:
+        pairs = pts
+        assert len(pairs) == 32_767
     else:
         pts = [pts[i] for i in rng.permutation(len(pts))]
         pairs = [(p, float(w)) for p, w in zip(pts, rng.uniform(0.1, 1.0, len(pts)))]
+    indexed.clear()
     want = list_merge_weighted(pairs, 1e-8)
     got = merge_weighted(pairs, 1e-8)
     assert _pair_bits(got) == _pair_bits(want)
+    # only the atoms whose first cell key is tied or next to another's reach
+    # the cell index: all of them in one crowded cell and in conjugate pairs
+    assert (indexed[0] == len(pairs)) == (points in (_crowded_cell, _conjugate_pairs, _z2_plus_1_state))
     # an atom alone in its cluster comes back as its input pair
     inputs = {id(pair) for pair in pairs}
-    assert [id(g) in inputs for g in got] == [w in pairs for w in want]
+    assert [id(g) in inputs for g in got] == [id(w) in inputs for w in want]
     coords, weights, src = merge_sphere(np.array([(p.z, p.w) for p, _w in pairs]), [w for _p, w in pairs], 1e-8)
     assert _pair_bits(zip([SpherePoint.from_row(*row) for row in coords], weights)) == _pair_bits(want)
-    assert [pairs[i] if i >= 0 else None for i in src.tolist()] == [w if w in pairs else None for w in want]
+    assert [pairs[i] if i >= 0 else None for i in src.tolist()] == [w if id(w) in inputs else None for w in want]
     # every input has clusters to average but the conjugates, which stay apart
-    assert (points is _conjugate_pairs) == np.all(src >= 0)
+    assert (points in (_conjugate_pairs, _z2_plus_1_state)) == np.all(src >= 0)
+    z, w = homogeneous([p for p, _w in pairs])
+    label = index_founders(z, w, 1e-8)
+    keep, size = founders(z, w, 1e-8)
+    assert np.array_equal(keep, np.flatnonzero(label == np.arange(len(label))))
+    assert np.array_equal(size, np.bincount(label)[keep])
 
 
 def test_cell_index_find_matches_sphere_hash():

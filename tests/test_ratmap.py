@@ -7,7 +7,9 @@ O(n^2) clustering, fully independent of the production preimage engine.
 import numpy as np
 import pytest
 
+from kmsdyn import ratmap
 from kmsdyn.errors import DegreeTooLow, ExceptionalSeed
+from kmsdyn.kms import lyubich
 from kmsdyn.mapexpr import parse_map
 from kmsdyn import exact as xq
 from kmsdyn.polyroots import Poly, derivative
@@ -250,6 +252,22 @@ def test_fibres_of_no_targets():
     assert len(xz) == len(xw) == len(owner) == len(degree) == 0
 
 
+def test_fibres_fallback_reads_stored_pairs_as_they_are(monkeypatch):
+    # on the unit circle SpherePoint can store (1, w) with |w| an ulp above 1;
+    # normalizing such a pair again moves it, so the fallback must take the
+    # pair as stored.  Every row is sent to the fallback here.
+    R = parse_map("z^2")
+    c = lyubich(R, aff(1), 12).coords
+    z, w = c[(c[:, 0] == 1.0) & (np.abs(c[:, 1]) > 1.0)].T
+    assert len(z) == 234
+    batch = ratmap.roots_batch
+    monkeypatch.setattr(ratmap, "roots_batch", lambda C, tol: (batch(C, tol)[0], np.ones(len(C), dtype=bool)))
+    xz, xw, owner, degree = R.fibres(z, w)
+    got = list(zip(xz.tolist(), xw.tolist(), owner.tolist(), degree.tolist()))
+    want = [(x.z, x.w, i, e) for i in range(len(z)) for x, e in R.preimages(SpherePoint.from_row(z[i], w[i]))]
+    assert got == want
+
+
 # ---------------------------------------------------------------------------
 # branch data
 
@@ -280,6 +298,17 @@ def test_branch_data_reciprocal_square():
     bd = R.branch_data()
     assert bd.index_at(SpherePoint.zero()) == 2
     assert bd.index_at(INF) == 2
+
+
+def test_branch_data_is_cached_per_tol():
+    # the finite branch values -+2e-9 are 8e-9 apart chordally: one cluster
+    # at the default tol 1e-8 and two at 1e-10, whichever tol comes first
+    expr = "z^3-3/1000000*z"
+    R = parse_map(expr)
+    assert len(R.branch_data().branch_values) == 2
+    assert len(R.branch_data(1e-10).branch_values) == len(parse_map(expr).branch_data(1e-10).branch_values) == 3
+    assert R.branch_data() is R.branch_data() and len(R.branch_data().branch_values) == 2
+    assert R.exceptional_points(1e-10) is not R.exceptional_points()
 
 
 def test_riemann_hurwitz_on_presets():
