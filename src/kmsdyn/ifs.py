@@ -16,6 +16,7 @@ invariant ball, so a rescaled system gives rescaled answers.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -407,8 +408,9 @@ def hutchinson(
     measure; the mode and parameters are recorded on the result.  All
     chains step at once, each keeping its own pick's image m(x) of the step.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    for name, k, least in (("n", n, 0), ("chaos_samples", chaos_samples, 1)):  # before any work
+        if k is not None and (type(k) is bool or not hasattr(type(k), "__index__") or operator.index(k) < least):
+            raise ValueError(f"{name} must be an integer of at least {least}, not {k!r}")
     if chaos_samples is None:
         coords = gamma.seed[None, :].copy()
         weights = np.array([1.0])
@@ -423,8 +425,6 @@ def hutchinson(
         info = {"mode": "deterministic", "iterations": n}
         return AtomicMeasure(PLANE, coords=coords, weights=weights, info=info, tol=gamma.tol)
 
-    if chaos_samples < 1:
-        raise ValueError("chaos game needs at least one sample")
     if chaos_samples > atom_budget:
         raise AtomBudgetExceeded(
             f"chaos game with {chaos_samples} samples exceeds the atom budget"
@@ -440,6 +440,7 @@ def hutchinson(
         x = gamma.step(x, picks[t])
         if t >= burn_in:
             samples[t - burn_in] = x
+    del picks  # (steps, chains) int64, freed before the merge
     samples = samples.reshape(-1, x.shape[1])[:chaos_samples]
     weights = np.full(len(samples), 1.0 / len(samples))
     info = {"mode": "chaos", "samples": int(chaos_samples), "seed": int(seed),

@@ -3,9 +3,10 @@
 Every measure handled here is a finite weighted sum of Dirac atoms, either on
 the Riemann sphere or on the plane/line, kept as arrays: a weight and a row
 of coords per atom, the homogeneous pair [z, w] on the sphere and the
-coordinates on the plane.  Both engines merge atoms with one kernel,
-projective.merge_atoms: sphere rows through projective.merge_sphere, planar
-ones through merge_planar.  SpherePoints exist only at the boundary
+coordinates on the plane.  Both engines merge atoms with one kernel and one
+sum, projective.merge_atoms and cluster_sums: sphere rows through
+projective.merge_sphere, planar ones through merge_planar, which forms the
+moments w x on gathered rows only.  SpherePoints exist only at the boundary
 (AtomicMeasure.points: JSON, CSV, the CLI and the one-point APIs).  Diffuse
 limits (invariant measures of maximal entropy, self-similar measures) exist
 only as sequences of atomic approximants compared in a finite test-function
@@ -40,6 +41,7 @@ from .errors import AtomBudgetExceeded, NotSubinvariant
 from .projective import (
     DEFAULT_CLUSTER_TOL,
     SpherePoint,
+    cluster_sums,
     embedding_array,
     first_within,
     homogeneous,
@@ -91,8 +93,10 @@ def merge_planar(coords, weights, tol: float = PLANAR_MERGE_TOL):
     sorted first keys feed the first-key filter) with the Euclidean metric;
     a cluster is thus at most 2 tol wide.  Clusters come out as the
     weighted centroids of their atoms, (w x) / w for an atom alone, in
-    lexicographic cell order of their founders.  Coordinates must be finite
-    with |x| < 2^62 tol, and weights one number per coordinate row.
+    lexicographic cell order of their founders; the sums run after the
+    cells and the sort are freed, and w x exists only on gathered rows.
+    Coordinates must be finite with |x| < 2^62 tol, and weights one number
+    per coordinate row.
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))
     weights = np.asarray(weights, dtype=np.float64)
@@ -100,14 +104,16 @@ def merge_planar(coords, weights, tol: float = PLANAR_MERGE_TOL):
         raise ValueError("coords and weights length mismatch")
     if coords.shape[0] == 0:
         return coords, weights
-    if not np.all(np.abs(coords) < 2.0**62 * tol):  # false for nan too
+    if not (-2.0**62 * tol < coords.min() and coords.max() < 2.0**62 * tol):  # false for nan too
         raise ValueError(f"planar coordinates must be finite and below {2.0**62 * tol:.6g} in modulus")
-    cells = np.round(coords / tol).astype(np.int64)
-    order, first = _lexicographic_order(cells)
-    *_, wsum, moment = merge_atoms(
-        cells, order, lambda i, j: np.linalg.norm(coords[i] - coords[j], axis=1) <= tol,
-        weights, weights[:, None] * coords, first=first)
-    return moment / wsum[:, None], wsum
+    cells = coords / tol
+    cells = np.round(cells, out=cells).astype(np.int64)
+    keep, member, to = merge_atoms(cells, *_lexicographic_order(cells),
+                                   lambda i, j: np.linalg.norm(coords[i] - coords[j], axis=1) <= tol)
+    del cells  # the order and first keys went with merge_atoms' frame
+    wsum = cluster_sums(keep, member, to, weights)
+    moment = cluster_sums(keep, member, to, coords, weights)  # w x, formed on the gathered rows
+    return np.divide(moment, wsum[:, None], out=moment), wsum
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ Atoms are merged by one kernel for both engines, merge_atoms: a first-key
 filter, then CellIndex, which sorts integer cell keys of any width by a
 linear hash and carries the one greedy cluster rule (each atom joins the
 first earlier founder within tol, otherwise it founds a cluster, so a
-cluster is at most 2 tol wide), then the weight sums in scan order.  The
-caller picks the cells, the scan order and the metric.  Here the cells are
+cluster is at most 2 tol wide).  The caller picks the cells, the scan order
+and the metric, and gets the partition back, so it can free them before
+cluster_sums adds weights or moments over it.  Here the cells are
 floor(xi / tol) on the R^3 embedding and the metric is chordal: cluster and
 merge_sphere (merge_weighted on (SpherePoint, weight) pairs) reduce over
 merge_atoms, and first_within finds stored atoms near queries.
@@ -308,21 +309,21 @@ def first_within(z, w, qz, qw, tol: float = DEFAULT_CLUSTER_TOL):
     return hits
 
 
-def merge_atoms(cells, order, close, *values, first=None):
-    """The one merge of both engines: greedy clusters of atoms, and sums over them.
+def merge_atoms(cells, order, first, close):
+    """The one merge of both engines: greedy clusters of atoms.
 
     cells holds int64 cell keys, a row per atom, order is the scan order of
-    the rows and close(i, j) the metric, a mask over rows i scanned after
+    the rows, first is cells[order, 0] if the order sorts it and None if
+    not, and close(i, j) is the metric, a mask over rows i scanned after
     rows j.  Atoms in the same or adjacent cells have first keys at most 1
     apart, as have the atoms sorted between them, so only atoms whose sorted
     first key lies within 1 of a neighbour's go to CellIndex.founders, in
     scan order; the others found their own clusters.  A diff that wraps
-    (keys past +-2^62) only adds a candidate.  first is cells[order, 0] if
-    the order sorts it; otherwise the keys are sorted here.
+    (keys past +-2^62) only adds a candidate.
 
     Returns the founders' rows, one per cluster in scan order; the rows of
-    the atoms that joined a cluster, in scan order; the cluster each joined;
-    and per array of values, an entry or row per atom, its cluster sums.
+    the atoms that joined a cluster, in scan order; and the cluster each
+    joined: the partition that cluster_sums sums over.
     """
     by_key = None
     if first is None:
@@ -337,24 +338,35 @@ def merge_atoms(cells, order, close, *values, first=None):
     joins = np.flatnonzero(sub != np.arange(len(sub)))
     joined, host = at[joins], at[sub[joins]]  # scan positions of the members and of their founders
     to = host - np.searchsorted(joined, host)  # the founders scanned before a founder
-    keep, member = np.delete(order, joined), rows[joins]
-    sums = [np.take(v, keep, axis=0) for v in values]
-    for total, v in zip(sums, values):
-        total += 0.0  # np.bincount's start, which turns -0.0 into 0.0
-        np.add.at(total, to, np.take(v, member, axis=0))  # in scan order, as bincount adds
-    return (keep, member, to, *sums)
+    return np.delete(order, joined), rows[joins], to
 
 
-def _chordal_merge(z, w, order, weights, tol):
+def cluster_sums(keep, member, to, values, scale=None):
+    """Sums of values (times scale) over merge_atoms' clusters, an entry or row per atom.
+
+    Each starts at its founder's term plus 0.0 (np.bincount's start, which
+    turns -0.0 into 0.0) and adds its members' terms in scan order, as
+    bincount adds.  Scaled terms are formed in place on the gathered rows.
+    """
+    total, terms = np.take(values, keep, axis=0), np.take(values, member, axis=0)
+    if scale is not None:
+        total *= scale[keep, None]
+        terms *= scale[member, None]
+    total += 0.0
+    np.add.at(total, to, terms)
+    return total
+
+
+def _chordal_merge(z, w, order, tol):
     """merge_atoms on homogeneous arrays: sphere_cells and the chordal metric."""
-    return merge_atoms(sphere_cells(z, w, tol), order,
-                       lambda i, j: chordal_array(z[j], w[j], z[i], w[i]) <= tol, weights)
+    return merge_atoms(sphere_cells(z, w, tol), order, None,
+                       lambda i, j: chordal_array(z[j], w[j], z[i], w[i]) <= tol)
 
 
 def founders(z, w, tol: float = DEFAULT_CLUSTER_TOL):
     """The founders of the greedy chordal clusters of pairs scanned in index order, and the cluster sizes."""
-    keep, _member, _to, size = _chordal_merge(z, w, np.arange(len(z)), np.ones(len(z)), tol)
-    return keep, size
+    keep, member, to = _chordal_merge(z, w, np.arange(len(z)), tol)
+    return keep, cluster_sums(keep, member, to, np.ones(len(z)))
 
 
 def cluster(points, tol: float = DEFAULT_CLUSTER_TOL):
@@ -417,7 +429,8 @@ def merge_sphere(coords, weights, tol: float = DEFAULT_CLUSTER_TOL):
     z, w = coords.T
     re, im = _affine(z, w)
     order = np.lexsort((np.where(w == 0.0, 0.0, im), np.where(w == 0.0, 0.0, re), w == 0.0))
-    keep, member, to, wsum = _chordal_merge(z, w, order, weights, tol)
+    keep, member, to = _chordal_merge(z, w, order, tol)
+    wsum = cluster_sums(keep, member, to, weights)
     out, src, host = coords[keep], keep, keep[to]
     sums = {}
     for k, (rz, rw), (pz, pw), wf, wi in zip(to.tolist(), coords[host].tolist(), coords[member].tolist(),

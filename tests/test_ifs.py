@@ -388,6 +388,23 @@ def test_hutchinson_budget():
         hutchinson(preset("sierpinski"), 10, atom_budget=1000)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"n": 2.0}, {"n": True}, {"n": -1}, {"n": "3"},
+    {"n": 0, "chaos_samples": 500.0}, {"n": 0, "chaos_samples": True}, {"n": 0, "chaos_samples": 0},
+    {"n": 0.0, "chaos_samples": 500},
+])
+def test_hutchinson_rejects_counts_that_are_not_integers(kwargs):
+    # a float or a bool is refused before any work, not left to fail in numpy
+    with pytest.raises(ValueError, match="must be an integer"):
+        hutchinson(preset("tent"), **kwargs)
+
+
+def test_hutchinson_takes_numpy_integer_counts():
+    gamma = preset("tent")
+    assert hutchinson(gamma, np.int64(4)).n_atoms == hutchinson(gamma, 4).n_atoms
+    assert hutchinson(gamma, 0, chaos_samples=np.int32(300)).n_atoms == 300
+
+
 @pytest.mark.parametrize("build", [
     lambda budget: hutchinson(preset("sierpinski"), 10, atom_budget=budget),
     lambda budget: kms_measure_ifs(

@@ -5,6 +5,7 @@ numpy.roots, independent of the production pullback.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from kmsdyn.projective import (
     normalize_rows,
 )
 
-from merge_oracles import _greedy_planar_oracle, collect_fibres, list_merge_weighted
+from merge_oracles import _greedy_planar_oracle, collect_fibres, lexsort_merge_planar, list_merge_weighted
 from test_ratmap import oracle_level_sets
 
 
@@ -489,6 +490,61 @@ def test_merge_planar_tie_runs_match_lexsort_and_greedy_oracle(dim):
 def test_merge_planar_rejects_weights_that_do_not_match_the_rows(build, coords, weights):
     with pytest.raises(ValueError, match="coords and weights length mismatch"):
         build(coords, weights)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_merge_planar_signed_zeros_match_the_lexsort_oracle_byte_for_byte(dim):
+    # np.array_equal takes -0.0 for 0.0, so the bytes are compared: the
+    # oracle's bincount sums start at 0.0, which turns a moment of -0.0 into
+    # 0.0, for an atom alone and for a cluster alike
+    rng = np.random.default_rng(70 + dim)
+    zeros = np.array([[0.0], [-0.0]])
+    alone = [np.array([[-0.0]]), np.array([[-0.0], [5.0], [-10.0]])]
+    together = [np.array([[-0.0], [-0.0]]), np.array([[-0.0], [0.0], [-0.0]]), np.array([[0.0], [-0.0], [5.0]])]
+    if dim == 2:
+        # -0.0 on both axes: atoms on a line 5 apart, and clusters of all four signed zero pairs
+        alone = [np.c_[zeros[[1, 1, 0, 1]], [[-0.0], [5.0], [-5.0], [10.0]]], np.array([[-0.0, -0.0]])]
+        pairs = np.array([[a, b] for a in (0.0, -0.0) for b in (0.0, -0.0)])
+        together = [pairs, pairs[::-1], np.vstack([pairs[[3, 3]], pairs[[3, 1]] + [5.0, 0.0]])]
+    for x in alone + together:
+        for perm in (np.arange(len(x)), np.arange(len(x))[::-1], rng.permutation(len(x))):
+            w = rng.uniform(0.1, 1.0, len(x))
+            got = merge_planar(x[perm], w, 1.0)
+            want = lexsort_merge_planar(x[perm], w, 1.0)
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+            assert not np.signbit(got[0][got[0] == 0.0]).any()  # every zero comes out as 0.0
+    assert [len(merge_planar(x, np.ones(len(x)), 1.0)[1]) for x in alone] == [len(x) for x in alone]
+
+
+def _traced_peak(build):
+    """Bytes build() allocates at its peak beyond what was allocated before, under tracemalloc."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        build()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_merge_planar_peak_memory_stays_within_three_coordinate_arrays():
+    # 200,000 2-D atoms, nearly all alone: no (n, d) array of moments w x is
+    # made, and the cells and the sort are freed before the cluster sums
+    rng = np.random.default_rng(0)
+    coords = rng.random((200_000, 2))
+    weights = np.full(len(coords), 1.0 / len(coords))
+    assert _traced_peak(lambda: merge_planar(coords, weights)) <= 3.0 * coords.nbytes
+
+
+def test_chaos_game_peak_memory_stays_within_five_and_a_half_sample_arrays():
+    # the samples, the merge, and not the step picks, which go before it
+    gamma = ifs_preset("sierpinski")
+    peak = _traced_peak(lambda: hutchinson(gamma, 0, chaos_samples=200_000, seed=3))
+    assert peak <= 5.5 * 200_000 * gamma.dim * 8
 
 
 def test_integrate_all_matches_integrate():
