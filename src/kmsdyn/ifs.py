@@ -408,8 +408,10 @@ def hutchinson(
     measure; the mode and parameters are recorded on the result.  All
     chains step at once, each keeping its own pick's image m(x) of the step.
     """
-    for name, k, least in (("n", n, 0), ("chaos_samples", chaos_samples, 1)):  # before any work
-        if k is not None and (type(k) is bool or not hasattr(type(k), "__index__") or operator.index(k) < least):
+    for name, k, least in (("n", n, 0), ("chaos_samples", chaos_samples, 1)):  # checked before any work
+        if k is None and name == "chaos_samples":  # deterministic mode
+            continue
+        if type(k) is bool or not hasattr(type(k), "__index__") or operator.index(k) < least:
             raise ValueError(f"{name} must be an integer of at least {least}, not {k!r}")
     if chaos_samples is None:
         coords = gamma.seed[None, :].copy()

@@ -93,10 +93,9 @@ def merge_planar(coords, weights, tol: float = PLANAR_MERGE_TOL):
     sorted first keys feed the first-key filter) with the Euclidean metric;
     a cluster is thus at most 2 tol wide.  Clusters come out as the
     weighted centroids of their atoms, (w x) / w for an atom alone, in
-    lexicographic cell order of their founders; the sums run after the
-    cells and the sort are freed, and w x exists only on gathered rows.
-    Coordinates must be finite with |x| < 2^62 tol, and weights one number
-    per coordinate row.
+    lexicographic cell order of their founders, summed once the cells and
+    the sort are freed.  Coordinates must be finite with |x| < 2^62 tol,
+    and weights one number per coordinate row.
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))
     weights = np.asarray(weights, dtype=np.float64)

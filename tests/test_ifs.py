@@ -389,12 +389,13 @@ def test_hutchinson_budget():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"n": 2.0}, {"n": True}, {"n": -1}, {"n": "3"},
+    {"n": 2.0}, {"n": True}, {"n": -1}, {"n": "3"}, {"n": None},
     {"n": 0, "chaos_samples": 500.0}, {"n": 0, "chaos_samples": True}, {"n": 0, "chaos_samples": 0},
     {"n": 0.0, "chaos_samples": 500},
 ])
 def test_hutchinson_rejects_counts_that_are_not_integers(kwargs):
-    # a float or a bool is refused before any work, not left to fail in numpy
+    # a float, a bool, a string, None or a count below its least is refused
+    # before any work, not left to fail in numpy or to run as 0 or 1
     with pytest.raises(ValueError, match="must be an integer"):
         hutchinson(preset("tent"), **kwargs)
 
