@@ -16,7 +16,6 @@ invariant ball, so a rescaled system gives rescaled answers.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -38,7 +37,7 @@ from .measure import (
     merge_planar,
     trace_conditions,
 )
-from .ratmap import DEFAULT_ATOM_BUDGET
+from .ratmap import DEFAULT_ATOM_BUDGET, require_count
 from .states import (
     CRITICAL,
     FINITE_TYPE,
@@ -408,11 +407,7 @@ def hutchinson(
     measure; the mode and parameters are recorded on the result.  All
     chains step at once, each keeping its own pick's image m(x) of the step.
     """
-    for name, k, least in (("n", n, 0), ("chaos_samples", chaos_samples, 1)):  # checked before any work
-        if k is None and name == "chaos_samples":  # deterministic mode
-            continue
-        if type(k) is bool or not hasattr(type(k), "__index__") or operator.index(k) < least:
-            raise ValueError(f"{name} must be an integer of at least {least}, not {k!r}")
+    require_count("n", n)
     if chaos_samples is None:
         coords = gamma.seed[None, :].copy()
         weights = np.array([1.0])
@@ -427,6 +422,7 @@ def hutchinson(
         info = {"mode": "deterministic", "iterations": n}
         return AtomicMeasure(PLANE, coords=coords, weights=weights, info=info, tol=gamma.tol)
 
+    require_count("chaos_samples", chaos_samples, 1)
     if chaos_samples > atom_budget:
         raise AtomBudgetExceeded(
             f"chaos game with {chaos_samples} samples exceeds the atom budget"
@@ -468,6 +464,7 @@ def kms_measure_ifs(
     per level, so the truncated mass deficit is exactly the geometric tail
     (N e^{-beta})^{depth+1}, recorded as the tail bound.
     """
+    require_count("depth", depth)
     b = np.atleast_1d(np.asarray(b, dtype=np.float64))
     data = gamma.branch_structure()
     if not any(np.linalg.norm(b - x) <= 1e-7 * gamma.radius for x in data.branch_points):

@@ -48,7 +48,7 @@ from .projective import (
     founders,
     homogeneous,
 )
-from .ratmap import DEFAULT_ATOM_BUDGET, INDEX_WEIGHTED, SET_COUNT, RationalMap
+from .ratmap import DEFAULT_ATOM_BUDGET, INDEX_WEIGHTED, SET_COUNT, RationalMap, require_count
 from .states import (
     CRITICAL,
     CRITICAL_BETA_TOL,
@@ -126,6 +126,8 @@ def kms_measure(
     depth is chosen so the tail bound reaches 1e-6 where the atom budget
     permits, with a warning when it cannot.
     """
+    if depth is not None:
+        require_count("depth", depth)
     data = R.branch_data(tol)
     if data.index_at(w) < 2:
         raise NotABranchPoint(f"{w} is not a branched point of the map")
@@ -173,11 +175,8 @@ def kms_measure(
     q = math.exp(-beta)
     denom = sum(q**k * tree.level_mass(k) for k in range(depth + 1))
     norm = 1.0 / denom
-    pairs = []
-    for k, level in enumerate(tree.levels):
-        f = norm * q**k
-        pairs.extend((p, f * wgt) for p, wgt in level)
-    measure = AtomicMeasure.from_sphere_atoms(pairs, tol)
+    weights = np.concatenate([(norm * q**k) * wgt for k, (_c, wgt) in enumerate(tree.levels)])
+    measure = AtomicMeasure.from_sphere_rows(tree.rows(), weights, tol)
     qn = R.n * q
     tail = norm * qn ** (depth + 1) / (1.0 - qn)
     return KMSMeasure(
@@ -274,27 +273,24 @@ def lyubich(
     forward path back to y; the sequence converges weakly to the measure of
     maximal entropy for any non-exceptional seed.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    require_count("n", n)
     tree = R.backward_orbit(y, n, INDEX_WEIGHTED, tol, atom_budget)
     if tree.truncated or tree.depth < n:
         raise AtomBudgetExceeded(f"orbit truncated at depth {tree.depth} (requested {n})")
-    level = tree.levels[n]
-    total = sum(w for _p, w in level)
-    return AtomicMeasure.from_sphere_atoms([(p, w / total) for p, w in level], tol)
+    coords, weights = tree.levels[n]
+    pairs = zip(map(SpherePoint.from_row, *coords.T.tolist()), (weights / tree.level_mass(n)).tolist())
+    return AtomicMeasure.from_sphere_atoms(list(pairs), tol)
 
 
 def lyubich_invariance_residual(
     R: RationalMap, mu: AtomicMeasure, lib: TestFunctionLibrary | None = None
 ) -> float:
-    """max over the library of |int f(R(x)) dmu - int f dmu|."""
+    """max over the library of |int f(R(x)) dmu - int f dmu|, summed a block of atoms at a time."""
     lib = lib or TestFunctionLibrary.sphere()
     if mu.n_atoms == 0:
         return 0.0
-    emb = embedding_array(*R.evaluate_array(*mu.coords.T))
-    lhs = lib.values_matrix(emb) @ mu.weights
-    rhs = lib.values_matrix(mu.embedding()) @ mu.weights
-    return float(np.max(np.abs(lhs - rhs)))
+    lhs = lib.sums(embedding_array(*R.evaluate_array(*mu.coords.T)), mu.weights[:, None])[:, 0]
+    return float(np.max(np.abs(lhs - lib.integrate_all(mu))))
 
 
 # ---------------------------------------------------------------------------
@@ -362,23 +358,23 @@ def divergence_witness(
         raise ExceptionalSeed(f"seed {z} is exceptional; its backward orbit is finite")
     branch_values = R.branch_data(tol).branch_values
 
-    levels = R.backward_orbit(z, depth, SET_COUNT, tol, atom_budget).levels
-    points = [p for level in levels for p, _w in level]
-    gens = np.repeat(np.arange(len(levels)), [len(level) for level in levels])
-    new, _size = founders(*homogeneous(points), tol)
+    orbit = R.backward_orbit(z, depth, SET_COUNT, tol, atom_budget)
+    rows, levels = orbit.rows(), orbit.levels
+    gens = np.repeat(np.arange(len(levels)), [len(wgt) for _c, wgt in levels])
+    new, _size = founders(*rows.T, tol)
     # candidates are the new points of each level, up to the first level
     # that brings their count to max_candidates
     count = np.cumsum(np.bincount(gens[new], minlength=len(levels)))
     last = np.argmax(count >= max_candidates) if count[-1] >= max_candidates else len(levels) - 1
-    candidates = [(points[i], int(gens[i])) for i in new if gens[i] <= last]
+    candidates = [(i, int(gens[i])) for i in new.tolist() if gens[i] <= last]
     q = R.n * math.exp(-beta)
     sums = list(np.cumsum([q**n for n in range(depth + 1)]))
 
     rejected = 0
-    for w, gen in candidates[:max_candidates]:
+    for i, gen in candidates[:max_candidates]:
+        w = SpherePoint.from_row(*rows[i].tolist())
         tree = R.backward_orbit(w, depth, SET_COUNT, tol, atom_budget)
-        if (tree.truncated or tree.depth < depth or not _avoids(tree, branch_values)
-                or not _levels_disjoint(tree, tol)):
+        if tree.truncated or tree.depth < depth or not _clear(tree, branch_values, tol):
             rejected += 1
             continue
         return WitnessReport(
@@ -396,14 +392,11 @@ def divergence_witness(
     )
 
 
-def _avoids(tree, branch_values):
-    points = embedding_array(*homogeneous([p for level in tree.levels for p, _w in level]))
-    return bool(np.all(nearest_distance(points, embedding_array(*homogeneous(branch_values))) > 1e-6))
-
-
-def _levels_disjoint(tree, tol):
-    points = [p for level in tree.levels for p, _w in level]
-    return len(founders(*homogeneous(points), tol)[0]) == len(points)
+def _clear(tree, branch_values, tol):
+    """Whether the tree avoids the branch values and its levels are pairwise disjoint."""
+    rows = tree.rows()
+    gaps = nearest_distance(embedding_array(*rows.T), embedding_array(*homogeneous(branch_values)))
+    return bool(np.all(gaps > 1e-6)) and len(founders(*rows.T, tol)[0]) == len(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -130,13 +130,6 @@ def chordal_distance(p: SpherePoint, q: SpherePoint) -> float:
     return 2.0 * abs(cross) / (np_ * nq)
 
 
-def sphere_point_from_json(obj) -> SpherePoint:
-    if obj == "inf":
-        return SpherePoint.infinity()
-    re, im = obj
-    return SpherePoint.from_affine(complex(re, im))
-
-
 def homogeneous(points):
     """Homogeneous coordinate arrays (z, w) of a sequence of SpherePoints."""
     return (

@@ -9,6 +9,7 @@ exceptional set with its orbit structure.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,12 @@ _DEGREE_DROP_TOL = 1e-12
 
 SET_COUNT = "set"
 INDEX_WEIGHTED = "index"
+
+
+def require_count(name: str, k, least: int = 0):
+    """Refuse a bool, a non-integer or a count below least with ValueError, before any work."""
+    if type(k) is bool or not hasattr(type(k), "__index__") or operator.index(k) < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, not {k!r}")
 
 
 class RationalMap:
@@ -291,36 +298,33 @@ class RationalMap:
         products of branch indices, so every level has total weight 1 (the
         invariant-measure approximants).  INDEX_WEIGHTED refuses exceptional
         seeds, whose orbit averages do not converge to the invariant measure.
+        Each level is a pair of arrays, (n, 2) rows [z, w] and (n,) weights,
+        as OrbitTree states.  A level has at most N times its parent count of
+        atoms, so one that could pass atom_budget is refused before any of its
+        solves, and the tree comes back truncated.
         """
-        if depth < 0:
-            raise ValueError("depth must be nonnegative")
+        require_count("depth", depth)
         if weighting not in (SET_COUNT, INDEX_WEIGHTED):
             raise ValueError(f"unknown weighting {weighting!r}")
-        if weighting == INDEX_WEIGHTED:
-            report = self.exceptional_points(tol)
-            for e in report.points:
-                if chordal_distance(e, z) <= tol:
-                    raise ExceptionalSeed(
-                        f"seed {z} is an exceptional point; index-weighted orbit "
-                        "averages require a non-exceptional seed"
-                    )
-        levels = [[(z, 1.0)]]
+        if weighting == INDEX_WEIGHTED and self.is_exceptional(z, tol):
+            raise ExceptionalSeed(
+                f"seed {z} is an exceptional point; index-weighted orbit averages require a non-exceptional seed"
+            )
+        levels = [(np.array([[z.z, z.w]], dtype=np.complex128), np.ones(1))]
         total = 1
         truncated = False
         for _k in range(depth):
-            children = []
-            for point, weight in levels[-1]:
-                for x, e in self.preimages(point, tol):
-                    if weighting == SET_COUNT:
-                        children.append((x, weight))
-                    else:
-                        children.append((x, weight * e / self.n))
-            merged = merge_weighted(children, tol)
-            if total + len(merged) > atom_budget:
+            rows, weights = levels[-1]
+            if total + self.n * len(weights) > atom_budget:
                 truncated = True
                 break
+            children = []
+            for (pz, pw), weight in zip(rows.tolist(), weights.tolist()):
+                for x, e in self.preimages(SpherePoint.from_row(pz, pw), tol):
+                    children.append((x, weight if weighting == SET_COUNT else weight * e / self.n))
+            merged = merge_weighted(children, tol)
             total += len(merged)
-            levels.append(merged)
+            levels.append((np.array([(p.z, p.w) for p, _w in merged]), np.array([w for _p, w in merged])))
         return OrbitTree(levels=levels, weighting=weighting, truncated=truncated)
 
     # -- exceptional points ------------------------------------------------
@@ -409,7 +413,10 @@ class BranchData:
 
 @dataclass
 class OrbitTree:
-    """Backward-orbit levels; level k lists (point, weight) for R^{-k}(root)."""
+    """Backward-orbit levels; level k is the pair (coords, weights) for R^{-k}(root).
+
+    coords holds (n, 2) complex128 rows [z, w] as SpherePoint stores them, weights (n,) float64.
+    """
 
     levels: list
     weighting: str
@@ -420,10 +427,14 @@ class OrbitTree:
         return len(self.levels) - 1
 
     def level_mass(self, k: int) -> float:
-        return sum(w for _p, w in self.levels[k])
+        return sum(self.levels[k][1].tolist())  # added in order, as a loop over the atoms does
 
     def atom_count(self) -> int:
-        return sum(len(level) for level in self.levels)
+        return sum(len(weights) for _coords, weights in self.levels)
+
+    def rows(self):
+        """The coords of every level, stacked in level order."""
+        return np.concatenate([coords for coords, _weights in self.levels])
 
 
 @dataclass

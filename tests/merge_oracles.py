@@ -17,7 +17,9 @@ list_merge_weighted is projective.merge_weighted as a loop over
 (SpherePoint, weight) pairs with Python complex sums, before sphere atoms
 were merged as arrays by projective.merge_sphere; its founders are
 index_founders, every atom sent to CellIndex, as before merge_atoms'
-first-key filter.
+first-key filter.  pairs_backward_orbit is RationalMap.backward_orbit with
+its levels kept as lists of (SpherePoint, weight) pairs, before they were
+stored as arrays.
 """
 
 import cmath
@@ -36,8 +38,10 @@ from kmsdyn.projective import (
     chordal_array,
     chordal_distance,
     homogeneous,
+    merge_weighted,
     sphere_cells,
 )
+from kmsdyn.ratmap import SET_COUNT
 
 
 class _SphereHash:
@@ -242,6 +246,21 @@ def list_merge_weighted(pairs, tol: float = DEFAULT_CLUSTER_TOL):
         (SpherePoint(sums[i][0], sums[i][1]), sums[i][2]) if i in sums else tuple(pairs[i])
         for i in keep
     ]
+
+
+def pairs_backward_orbit(R, z, depth, weighting=SET_COUNT, tol: float = DEFAULT_CLUSTER_TOL):
+    """The levels of R.backward_orbit(z, depth, weighting, tol) as lists of pairs, with no budget."""
+    levels = [[(z, 1.0)]]
+    for _k in range(depth):
+        children = []
+        for point, weight in levels[-1]:
+            for x, e in R.preimages(point, tol):
+                if weighting == SET_COUNT:
+                    children.append((x, weight))
+                else:
+                    children.append((x, weight * e / R.n))
+        levels.append(merge_weighted(children, tol))
+    return levels
 
 
 def _initial_circle(coeffs) -> list:

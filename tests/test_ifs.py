@@ -455,6 +455,15 @@ def test_tent_point_mass_is_scale_free():
         assert measure_sum([mu, mu]).n_atoms == mu.n_atoms
 
 
+@pytest.mark.parametrize("depth", [2.0, True, -1, "3", None])
+def test_kms_measure_ifs_rejects_depths_that_are_not_integers(monkeypatch, depth):
+    # refused before the branch structure is read, not left to fail in range()
+    tent = preset("tent")
+    monkeypatch.setattr(type(tent), "branch_structure", lambda *a, **k: pytest.fail("work before the check"))
+    with pytest.raises(ValueError, match="must be an integer"):
+        kms_measure_ifs(tent, [0.5], math.log(4.0), depth=depth)
+
+
 def test_tent_kms_passes_trace_analogues():
     tent = preset("tent")
     beta = math.log(4.0)

@@ -25,7 +25,8 @@ from kmsdyn.kms import (
 from kmsdyn.ifs import check_K1_ifs, kms_measure_ifs, preset, tilde_ifs
 from kmsdyn.mapexpr import parse_map
 from kmsdyn.measure import DEFAULT_CUTOFF_RADIUS, AtomicMeasure, TestFunctionLibrary, integrate, tilde
-from kmsdyn.projective import SpherePoint, chordal_distance
+from kmsdyn.polyroots import BLOCK_ROWS
+from kmsdyn.projective import SpherePoint, chordal_distance, embedding_array
 from kmsdyn.ratmap import RationalMap
 
 from merge_oracles import _SphereHash
@@ -123,6 +124,14 @@ def test_kms_measure_regime_errors():
         kms_measure(parse_map("z^2"), aff(0), math.log(2.0) + 0.01)
         # exceptional anchor: closed form, no warning expected
         assert not caught
+
+
+@pytest.mark.parametrize("depth", [2.0, True, -1, "3"])
+def test_kms_measure_rejects_depths_that_are_not_integers(monkeypatch, depth):
+    # refused before the branch data is read, not left to fail in range()
+    monkeypatch.setattr(RationalMap, "branch_data", lambda *a, **k: pytest.fail("work before the check"))
+    with pytest.raises(ValueError, match="must be an integer"):
+        kms_measure(parse_map("z^2+1"), aff(0), 1.0, depth=depth)
 
 
 def test_exceptional_measures_pass_K1_K2_exactly():
@@ -319,6 +328,27 @@ def test_lyubich_mass_exact_through_16():
 def test_lyubich_rejects_exceptional_seed():
     with pytest.raises(ExceptionalSeed):
         lyubich(parse_map("z^2"), aff(0), 4)
+
+
+@pytest.mark.parametrize("n", [2.0, True, -1, "3", None])
+def test_lyubich_rejects_counts_that_are_not_integers(monkeypatch, n):
+    # refused before the orbit is built, not left to fail in range() or to
+    # run True as one level
+    monkeypatch.setattr(RationalMap, "backward_orbit", lambda *a, **k: pytest.fail("orbit built"))
+    with pytest.raises(ValueError, match="must be an integer"):
+        lyubich(parse_map("z^2"), aff(1), n)
+
+
+def test_invariance_residual_blocks_match_the_full_matrix():
+    # 2^14 atoms, two blocks of the library sums; the full-matrix formula
+    # adds the same terms in another order
+    R = parse_map("z^2")
+    mu = lyubich(R, aff(0.5 + 0.2j), 14)
+    assert mu.n_atoms == 2**14 > BLOCK_ROWS
+    lhs = LIB.values_matrix(embedding_array(*R.evaluate_array(*mu.coords.T))) @ mu.weights
+    full = float(np.max(np.abs(lhs - LIB.values_matrix(mu.embedding()) @ mu.weights)))
+    assert full > 1e-6
+    assert abs(lyubich_invariance_residual(R, mu, LIB) - full) <= 1e-15
 
 
 def test_invariance_residual_decreases():

@@ -19,7 +19,6 @@ from kmsdyn.projective import (
     merge_sphere,
     merge_weighted,
     sphere_cells,
-    sphere_point_from_json,
 )
 
 from merge_oracles import _SphereHash, index_founders, list_merge_weighted
@@ -232,19 +231,18 @@ def _tied_real_parts(rng):
 
 
 def _state_merge(expr, beta, depth):
-    """The atoms kms_measure(expr, 0, beta, depth) merges across its levels."""
+    """The atoms kms_measure(expr, 0, beta, depth) merges across its levels, as pairs."""
     calls = []
 
-    def recording(pairs, tol):
-        pairs = list(pairs)
-        calls.append(pairs)
-        return merge_weighted(pairs, tol)
+    def recording(coords, weights, tol):
+        calls.append((coords, weights))
+        return merge_sphere(coords, weights, tol)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(measure, "merge_weighted", recording)
+        mp.setattr(measure, "merge_sphere", recording)
         kms_measure(parse_map(expr), SpherePoint.zero(), beta, depth=depth)
-    (pairs,) = calls
-    return pairs
+    ((coords, weights),) = calls
+    return [(SpherePoint.from_row(*row), w) for row, w in zip(coords.tolist(), weights.tolist())]
 
 
 def _z2_minus_1_remerge(rng):
@@ -358,7 +356,8 @@ def test_sphere_results_survive_hash_collisions(monkeypatch, hash_base):
 
 def test_json_round_trip():
     for p in (SpherePoint.from_affine(1.5 - 2.25j), SpherePoint.infinity(), SpherePoint.zero()):
-        q = sphere_point_from_json(p.to_jsonable())
+        obj = p.to_jsonable()  # read back as JSON readers of the CLI output do
+        q = SpherePoint.infinity() if obj == "inf" else SpherePoint.from_affine(complex(*obj))
         assert chordal_distance(p, q) < 1e-15
 
 

@@ -16,6 +16,7 @@ from kmsdyn.polyroots import Poly, derivative
 from kmsdyn.projective import SpherePoint, chordal_distance, embedding_array, homogeneous
 from kmsdyn.ratmap import INDEX_WEIGHTED, SET_COUNT, RationalMap
 
+from merge_oracles import pairs_backward_orbit
 from test_acceptance import _random_exact_poly
 
 
@@ -24,6 +25,12 @@ def aff(c):
 
 
 INF = SpherePoint.infinity()
+
+
+def pairs(level):
+    """An OrbitTree level (coords, weights) as (SpherePoint, weight) pairs."""
+    coords, weights = level
+    return [(SpherePoint.from_row(*row), w) for row, w in zip(coords.tolist(), weights.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +332,8 @@ def test_riemann_hurwitz_on_presets():
 def test_backward_orbit_set_count_totally_ramified():
     R = parse_map("z^2")
     tree = R.backward_orbit(SpherePoint.zero(), 2, SET_COUNT)
-    assert [len(level) for level in tree.levels] == [1, 1, 1]
-    for level in tree.levels:
+    assert [len(pairs(level)) for level in tree.levels] == [1, 1, 1]
+    for level in map(pairs, tree.levels):
         assert chordal_distance(level[0][0], SpherePoint.zero()) < 1e-12
         assert level[0][1] == 1.0
 
@@ -334,15 +341,15 @@ def test_backward_orbit_set_count_totally_ramified():
 def test_backward_orbit_set_count_z2p1():
     R = parse_map("z^2+1")
     tree = R.backward_orbit(SpherePoint.zero(), 1, SET_COUNT)
-    pts = sorted(p.to_affine().imag for p, _w in tree.levels[1])
+    pts = sorted(p.to_affine().imag for p, _w in pairs(tree.levels[1]))
     assert pts == pytest.approx([-1, 1])
-    assert [w for _p, w in tree.levels[1]] == [1.0, 1.0]
+    assert [w for _p, w in pairs(tree.levels[1])] == [1.0, 1.0]
 
 
 def test_backward_orbit_index_weighted_roots_of_unity():
     R = parse_map("z^2")
     tree = R.backward_orbit(aff(1), 2, INDEX_WEIGHTED)
-    level = tree.levels[2]
+    level = pairs(tree.levels[2])
     assert len(level) == 4
     for p, w in level:
         assert w == pytest.approx(0.25)
@@ -361,7 +368,7 @@ def test_backward_orbit_levels_match_oracle():
     tree = R.backward_orbit(SpherePoint.zero(), 4, SET_COUNT)
     ref = oracle_level_sets(R, SpherePoint.zero(), 4)
     for k in range(5):
-        mine = [p for p, _w in tree.levels[k]]
+        mine = [p for p, _w in pairs(tree.levels[k])]
         assert len(mine) == len(ref[k])
         for p in mine:
             assert min(chordal_distance(p, q) for q in ref[k]) < 1e-6
@@ -371,8 +378,8 @@ def test_backward_orbit_children_map_to_parents():
     R = parse_map("(z^3-16/27)/z")
     tree = R.backward_orbit(aff(0.5 + 0.3j), 3, SET_COUNT)
     for k in range(1, len(tree.levels)):
-        parents = [p for p, _w in tree.levels[k - 1]]
-        for p, _w in tree.levels[k]:
+        parents = [p for p, _w in pairs(tree.levels[k - 1])]
+        for p, _w in pairs(tree.levels[k]):
             image = R.evaluate(p)
             assert min(chordal_distance(image, q) for q in parents) <= 1e-6
 
@@ -383,6 +390,35 @@ def test_backward_orbit_budget_truncation():
     assert tree.truncated
     assert tree.depth < 10
     assert tree.atom_count() <= 40
+
+
+def test_backward_orbit_refuses_a_level_before_solving_it(monkeypatch):
+    # z^2 from 1 holds 1 + 2 + 4 + 8 = 15 atoms through level 3; level 4 could
+    # add 2 * 8 more, past a budget of 20, so its 8 parents are never solved
+    R = parse_map("z^2")
+    solved = []
+    original = RationalMap.preimages
+    monkeypatch.setattr(RationalMap, "preimages", lambda self, y, tol: solved.append(y) or original(self, y, tol))
+    tree = R.backward_orbit(aff(1), 10, SET_COUNT, atom_budget=20)
+    assert tree.truncated and tree.depth == 3 and tree.atom_count() == 15
+    assert len(solved) == 1 + 2 + 4
+
+
+@pytest.mark.parametrize("weighting", [SET_COUNT, INDEX_WEIGHTED])
+@pytest.mark.parametrize("expr, seed, depth", [
+    ("z^2", 0.6 + 0.8j, 10), ("z^3-z", 0.3, 6), ("z^5-z+3/10", 0.3 + 0.2j, 4),
+    ("z^2+1", 1, 8),  # a branch value: its sole preimage 0 has index 2
+])
+def test_array_levels_match_pair_levels_bit_for_bit(expr, seed, depth, weighting):
+    R = parse_map(expr)
+    tree = R.backward_orbit(aff(seed), depth, weighting)
+    want = pairs_backward_orbit(R, aff(seed), depth, weighting)
+    assert not tree.truncated and len(tree.levels) == len(want) == depth + 1
+    for (coords, weights), level in zip(tree.levels, want):
+        assert coords.dtype == np.complex128 and coords.shape == (len(level), 2)
+        assert weights.dtype == np.float64 and weights.shape == (len(level),)
+        assert coords.tobytes() == np.array([(p.z, p.w) for p, _w in level], dtype=np.complex128).tobytes()
+        assert weights.tobytes() == np.array([w for _p, w in level]).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +457,7 @@ def test_index_weighted_level_mass_through_branch_values():
     # the index weighting keeps every level at total mass one regardless
     R = parse_map("z^2+1")
     tree = R.backward_orbit(aff(1), 4, INDEX_WEIGHTED)
-    assert len(tree.levels[1]) == 1  # the double point 0, weight 2/2
+    assert len(pairs(tree.levels[1])) == 1  # the double point 0, weight 2/2
     for k in range(5):
         assert tree.level_mass(k) == pytest.approx(1.0, abs=1e-12)
 
