@@ -26,6 +26,7 @@ from .projective import (
     SpherePoint,
     chordal_distance,
     cluster,
+    homogeneous,
     merge_weighted,
 )
 
@@ -310,21 +311,22 @@ class RationalMap:
             raise ExceptionalSeed(
                 f"seed {z} is an exceptional point; index-weighted orbit averages require a non-exceptional seed"
             )
+        parents = [(z, 1.0)]  # the last level as pairs, each solved by one preimages call
         levels = [(np.array([[z.z, z.w]], dtype=np.complex128), np.ones(1))]
         total = 1
         truncated = False
         for _k in range(depth):
-            rows, weights = levels[-1]
-            if total + self.n * len(weights) > atom_budget:
+            if total + self.n * len(parents) > atom_budget:
                 truncated = True
                 break
             children = []
-            for (pz, pw), weight in zip(rows.tolist(), weights.tolist()):
-                for x, e in self.preimages(SpherePoint.from_row(pz, pw), tol):
+            for point, weight in parents:
+                for x, e in self.preimages(point, tol):
                     children.append((x, weight if weighting == SET_COUNT else weight * e / self.n))
-            merged = merge_weighted(children, tol)
-            total += len(merged)
-            levels.append((np.array([(p.z, p.w) for p, _w in merged]), np.array([w for _p, w in merged])))
+            parents = merge_weighted(children, tol)
+            total += len(parents)
+            levels.append((np.stack(homogeneous([p for p, _w in parents]), axis=1),
+                           np.array([w for _p, w in parents])))
         return OrbitTree(levels=levels, weighting=weighting, truncated=truncated)
 
     # -- exceptional points ------------------------------------------------
@@ -427,7 +429,7 @@ class OrbitTree:
         return len(self.levels) - 1
 
     def level_mass(self, k: int) -> float:
-        return sum(self.levels[k][1].tolist())  # added in order, as a loop over the atoms does
+        return sum(self.levels[k][1].tolist())  # in atom order: np.sum adds pairwise, in other last bits
 
     def atom_count(self) -> int:
         return sum(len(weights) for _coords, weights in self.levels)
