@@ -173,55 +173,6 @@ def xp_gcd(p: ExactPoly, q: ExactPoly) -> ExactPoly:
     return xp_monic(a)
 
 
-def xp_eval(p: ExactPoly, x: QG) -> QG:
-    out = QG_ZERO
-    for c in reversed(p):
-        out = out * x + c
-    return out
-
-
-def xp_resultant(p: ExactPoly, q: ExactPoly) -> QG:
-    """Resultant via the Sylvester matrix, exact Gaussian elimination.
-
-    Nonzero iff p and q are coprime.  Used as an independent cross-check of
-    the gcd-based coprimality test.
-    """
-    m, n = xp_degree(p), xp_degree(q)
-    if m < 0 or n < 0:
-        return QG_ZERO
-    if m == 0:
-        return p[0] ** n
-    if n == 0:
-        return q[0] ** m
-    size = m + n
-    rows = []
-    pc = list(reversed(p))  # descending
-    qc = list(reversed(q))
-    for i in range(n):
-        rows.append([QG_ZERO] * i + pc + [QG_ZERO] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([QG_ZERO] * i + qc + [QG_ZERO] * (size - n - 1 - i))
-    det = QG_ONE
-    for col in range(size):
-        piv = None
-        for r in range(col, size):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return QG_ZERO
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        pval = rows[col][col]
-        det = det * pval
-        for r in range(col + 1, size):
-            if rows[r][col]:
-                f = rows[r][col] / pval
-                rows[r] = [rows[r][k] - f * rows[col][k] for k in range(size)]
-    return det
-
-
 def xp_squarefree_decomposition(p: ExactPoly):
     """Yun's algorithm: p = lc * prod g_k^k with each g_k monic square-free.
 

@@ -11,6 +11,13 @@ Only affine maps are supported: branch values solve the linear systems
 gamma_j(y) = gamma_j'(y), which is what makes the analysis finite.
 Every length threshold is relative to IFSSystem.radius, the radius of the
 invariant ball, so a rescaled system gives rescaled answers.
+
+Every dedup of points is projective.merge_atoms' greedy founder rule at
+IFSSystem.tol (merge_planar, measure.planar_clusters, measure.unseen), on
+whole levels stepped at once by IFSSystem.images and inverse_images.  The
+exception is distinct_images, a loop over one atom's M images: the bench
+trace self-check counts one call per atom of the image tables, so it stays
+a one-point call until that count is re-pinned as work units.
 """
 
 from __future__ import annotations
@@ -35,7 +42,9 @@ from .measure import (
     FibreTable,
     TestFunctionLibrary,
     merge_planar,
+    planar_clusters,
     trace_conditions,
+    unseen,
 )
 from .ratmap import DEFAULT_ATOM_BUDGET, require_count
 from .states import (
@@ -96,12 +105,6 @@ class AffineMap:
     def __call__(self, x):
         return affine(self.offset, self.linear.T, np.asarray(x, dtype=np.float64))
 
-    def inverse(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            return np.linalg.solve(self.linear, x - self.offset)
-        return np.linalg.solve(self.linear, (x - self.offset[None, :]).T).T
-
     def fixed_point(self):
         return np.linalg.solve(np.eye(self.dim) - self.linear, self.offset)
 
@@ -132,9 +135,10 @@ class IFSSystem:
         self.dim = dim
         self.name = name
         self.n = len(maps)
-        # stacked coefficients: offsets[j] and columns[k, j] = column k of map j
+        # stacked coefficients: offsets[j], linears[j] and columns[k, j] = column k of map j
         self.offsets = np.array([m.offset for m in maps])
-        self.columns = np.array([[m.linear[:, k] for m in maps] for k in range(dim)])
+        self.linears = np.array([m.linear for m in maps])
+        self.columns = self.linears.transpose(2, 0, 1).copy()
         self.c1 = min(m.sv_min for m in maps)
         self.c2 = max(m.sv_max for m in maps)
         # invariant ball: gamma_i(B(center, radius)) subset B(center, radius)
@@ -152,6 +156,15 @@ class IFSSystem:
             return affine(self.offsets, self.columns, x)
         return affine(self.offsets[:, None, :], self.columns[:, :, None, :], x)
 
+    def inverse_images(self, x):
+        """Every inverse branch of every row, (n, d) -> (n M, d), point-major.
+
+        One batched solve over the stacked linear parts, each system with a
+        single right-hand side, as one point through one map is solved.
+        """
+        rhs = (x[:, None, :] - self.offsets)[..., None]
+        return np.linalg.solve(self.linears, rhs)[..., 0].reshape(-1, self.dim)
+
     def step(self, x, picks):
         """Row i of x through map picks[i]: the chaos-game step, (n, d) -> (n, d)."""
         return affine(np.take(self.offsets, picks, axis=0), np.take(self.columns, picks, axis=1), x)
@@ -161,8 +174,9 @@ class IFSSystem:
         hi = self.center + self.radius
         return tuple((float(a), float(b)) for a, b in zip(lo, hi))
 
-    def in_ball(self, x, slack: float) -> bool:
-        return float(np.linalg.norm(np.asarray(x) - self.center)) <= self.radius + slack
+    def in_ball(self, x, slack: float):
+        """Mask of the rows of x, (n, d), within radius + slack of the center."""
+        return np.linalg.norm(x - self.center, axis=1) <= self.radius + slack
 
     def membership_depth(self) -> int:
         """Depth at which attractor cover cells have diameter < 1e-6 radius.
@@ -183,27 +197,25 @@ class IFSSystem:
         y is in the attractor iff some chain of inverse branches keeps it
         inside the invariant ball for `depth` steps.  The ball slack grows
         with the error amplification 1/c1 per inverse step, so chains of
-        genuine attractor points are never pruned by rounding.
+        genuine attractor points are never pruned by rounding.  A y of
+        another dimension is refused with ValueError.
         """
-        y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-        depth = depth if depth is not None else self.membership_depth()
+        frontier = _as_point(self, y, "y")[None, :]
+        if depth is None:
+            depth = self.membership_depth()
+        require_count("depth", depth)
+        require_count("width_cap", width_cap)
         base_slack = 2e-7 * self.radius
-        if not self.in_ball(y, slack=base_slack):
+        if not self.in_ball(frontier, base_slack)[0]:
             return False
-        frontier = [y]
         for k in range(depth):
             slack = base_slack + 4.6e-16 * self.radius / self.c1 ** (k + 1)
-            nxt = []
-            for p in frontier:
-                for m in self.maps:
-                    q = m.inverse(p)
-                    if self.in_ball(q, slack=slack):
-                        nxt.append(q)
-            if not nxt:
+            nxt = self.inverse_images(frontier)
+            nxt = nxt[self.in_ball(nxt, slack)]
+            if not len(nxt):
                 return False
             if len(nxt) > 1:
-                coords, _w = merge_planar(np.array(nxt), np.ones(len(nxt)), self.tol)
-                nxt = list(coords)
+                nxt, _w = merge_planar(nxt, np.ones(len(nxt)), self.tol)
             frontier = nxt[:width_cap]
         return True
 
@@ -250,14 +262,24 @@ class IFSBranchData:
         }
 
 
+def _as_point(gamma: IFSSystem, y, name: str):
+    """y as a float point of the system's dimension, refused with ValueError otherwise."""
+    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
+    if y.shape != (gamma.dim,):
+        raise ValueError(f"{name} must be a point of shape ({gamma.dim},), not {y.shape}")
+    return y
+
+
 def branch_structure(gamma: IFSSystem, attractor_depth: int | None = None) -> IFSBranchData:
     """Solve gamma_j(y) = gamma_j'(y) for all pairs; keep attractor solutions.
 
     Each pair is a linear system; a singular pair with no solution is
     recorded and skipped, while a singular pair agreeing on an affine
-    subspace would make the branch set infinite and is rejected.
+    subspace would make the branch set infinite and is rejected.  Coincident
+    solutions cluster by planar_clusters in pair order, each keeping its
+    founder's value and its pairs in pair order.
     """
-    values = []  # list of (y, [(j, j')])
+    values, pairs = [], []
     singular = []
     tol = gamma.tol
     for j in range(gamma.n):
@@ -280,17 +302,15 @@ def branch_structure(gamma: IFSSystem, attractor_depth: int | None = None) -> IF
                 continue
             y = np.linalg.solve(mdiff, bdiff)
             if gamma.in_attractor(y, attractor_depth):
-                values.append((y, (j, jp)))
-    # cluster coincident branch values
-    merged: list = []
-    for y, pair in values:
-        for entry in merged:
-            if np.linalg.norm(entry[0] - y) <= tol:
-                entry[1].append(pair)
-                break
-        else:
-            merged.append([y, [pair]])
-    branch_values = [(y, prs) for y, prs in merged]
+                values.append(y)
+                pairs.append((j, jp))
+    branch_values = []
+    if values:
+        keep, member, to = planar_clusters(np.array(values), tol)
+        grouped = [[pairs[i]] for i in keep]
+        for i, c in zip(member.tolist(), to.tolist()):
+            grouped[c].append(pairs[i])
+        branch_values = [(values[i], prs) for i, prs in zip(keep, grouped)]
     points = []
     for y, prs in branch_values:
         for j, jp in prs:
@@ -465,7 +485,7 @@ def kms_measure_ifs(
     (N e^{-beta})^{depth+1}, recorded as the tail bound.
     """
     require_count("depth", depth)
-    b = np.atleast_1d(np.asarray(b, dtype=np.float64))
+    b = _as_point(gamma, b, "branch point")
     data = gamma.branch_structure()
     if not any(np.linalg.norm(b - x) <= 1e-7 * gamma.radius for x in data.branch_points):
         raise NotABranchPoint(f"{b} is not a branch point of the system")
@@ -578,39 +598,30 @@ def orbit_condition(
     witness search then walks O(y) breadth-first for a point outside the
     closure.
     """
+    require_count("depth", depth)
+    require_count("width_cap", width_cap)
     data = gamma.branch_structure()
-    cvalues = [np.atleast_1d(y) for y, _prs in data.branch_values]
-    if not cvalues:
+    if not data.branch_values:
         return OrbitConditionReport(
             entries=[], certified=True, inverse_closure_size=0, inverse_closure_stable=True
         )
+    tol = gamma.tol
+    cvalues = np.array([y for y, _prs in data.branch_values])
 
-    # inverse closure of C(gamma) inside the invariant ball
-    closure = [y.copy() for y in cvalues]
-    frontier = list(closure)
+    # inverse closure of C(gamma) inside the invariant ball, a level at a
+    # time; its rows, like the branch values, lie pairwise farther than tol
+    closure = frontier = cvalues
     stable = False
     for _ in range(depth):
-        new = []
-        for p in frontier:
-            for m in gamma.maps:
-                q = m.inverse(p)
-                if not gamma.in_ball(q, slack=2e-7 * gamma.radius):
-                    continue
-                if any(np.linalg.norm(q - r) <= gamma.tol for r in closure):
-                    continue
-                if any(np.linalg.norm(q - r) <= gamma.tol for r in new):
-                    continue
-                new.append(q)
-        if not new:
+        q = gamma.inverse_images(frontier)
+        q = q[gamma.in_ball(q, 2e-7 * gamma.radius)]
+        frontier = q[unseen(closure, q, tol)]
+        if not len(frontier):
             stable = True
             break
-        closure.extend(new)
-        frontier = new
+        closure = np.concatenate([closure, frontier])
         if len(closure) > width_cap:
             break
-
-    def in_closure(x):
-        return any(np.linalg.norm(x - r) <= gamma.tol for r in closure)
 
     entries = []
     for y in cvalues:
@@ -618,25 +629,17 @@ def orbit_condition(
             entries.append(OrbitConditionEntry(y, "inconclusive"))
             continue
         found = None
-        frontier = [y]
-        seen = [y]
+        frontier = seen = y[None, :]
         for level in range(depth + 1):
-            for x in frontier:
-                if not in_closure(x):
-                    found = (x, level)
-                    break
-            if found:
+            outside = unseen(closure, frontier, tol)
+            if len(outside):
+                found = (frontier[outside[0]], level)
                 break
-            nxt = []
-            for x in frontier:
-                for m in gamma.maps:
-                    q = m(x)
-                    if any(np.linalg.norm(q - r) <= gamma.tol for r in seen):
-                        continue
-                    seen.append(q)
-                    nxt.append(q)
-            frontier = nxt[:width_cap]
-            if not frontier:
+            images = gamma.images(frontier).swapaxes(0, 1).reshape(-1, gamma.dim)
+            new = images[unseen(seen, images, tol)]
+            seen = np.concatenate([seen, new])
+            frontier = new[:width_cap]
+            if not len(frontier):
                 break
         if found:
             entries.append(
@@ -670,6 +673,7 @@ def classify_ifs(
     none at all when the branch set is empty).  Runs the orbit-condition
     certificate first and warns if it is inconclusive.
     """
+    require_count("orbit_depth", orbit_depth)
     report = orbit_condition(gamma, orbit_depth)
     if not report.certified:
         warnings.warn(

@@ -6,11 +6,15 @@ of coords per atom, the homogeneous pair [z, w] on the sphere and the
 coordinates on the plane.  Both engines merge atoms with one kernel and one
 sum, projective.merge_atoms and cluster_sums: sphere rows through
 projective.merge_sphere, planar ones through merge_planar, which forms the
-moments w x on gathered rows only.  SpherePoints exist only at the boundary
-(AtomicMeasure.points: JSON, CSV, the CLI and the one-point APIs).  Diffuse
-limits (invariant measures of maximal entropy, self-similar measures) exist
-only as sequences of atomic approximants compared in a finite test-function
-library, which acts as a fixed proxy for the weak-* topology.
+moments w x on gathered rows only.  planar_clusters is the same partition
+of planar rows scanned in index order, without the sums, and unseen keeps
+the rows that found clusters past an already deduplicated set: the IFS
+branch values, inverse closure and forward orbits.  SpherePoints exist only
+at the boundary (AtomicMeasure.points: JSON, CSV, the CLI and the one-point
+APIs).  Diffuse limits (invariant measures of maximal entropy, self-similar
+measures) exist only as sequences of atomic approximants compared in a
+finite test-function library, which acts as a fixed proxy for the weak-*
+topology.
 
 One FibreTable holds the fibres of a whole measure: the distinct preimages
 under R, or the distinct images under an IFS, each with its owner atom and
@@ -85,6 +89,18 @@ def _lexicographic_order(cells):
     return order, first
 
 
+def _planar_cells(coords, tol):
+    """The cells round(x / tol) of finite rows with |x| < 2^62 tol, refused otherwise."""
+    if not (-2.0**62 * tol < coords.min() and coords.max() < 2.0**62 * tol):  # false for nan too
+        raise ValueError(f"planar coordinates must be finite and below {2.0**62 * tol:.6g} in modulus")
+    cells = coords / tol
+    return np.round(cells, out=cells).astype(np.int64)
+
+
+def _euclidean(coords, tol):
+    return lambda i, j: np.linalg.norm(coords[i] - coords[j], axis=1) <= tol
+
+
 def merge_planar(coords, weights, tol: float = PLANAR_MERGE_TOL):
     """Merge planar atoms closer than tol; weights add, centroids average.
 
@@ -103,16 +119,36 @@ def merge_planar(coords, weights, tol: float = PLANAR_MERGE_TOL):
         raise ValueError("coords and weights length mismatch")
     if coords.shape[0] == 0:
         return coords, weights
-    if not (-2.0**62 * tol < coords.min() and coords.max() < 2.0**62 * tol):  # false for nan too
-        raise ValueError(f"planar coordinates must be finite and below {2.0**62 * tol:.6g} in modulus")
-    cells = coords / tol
-    cells = np.round(cells, out=cells).astype(np.int64)
-    keep, member, to = merge_atoms(cells, *_lexicographic_order(cells),
-                                   lambda i, j: np.linalg.norm(coords[i] - coords[j], axis=1) <= tol)
+    cells = _planar_cells(coords, tol)
+    keep, member, to = merge_atoms(cells, *_lexicographic_order(cells), _euclidean(coords, tol))
     del cells  # the order and first keys went with merge_atoms' frame
     wsum = cluster_sums(keep, member, to, weights)
     moment = cluster_sums(keep, member, to, coords, weights)  # w x, formed on the gathered rows
     return np.divide(moment, wsum[:, None], out=moment), wsum
+
+
+def planar_clusters(coords, tol: float = PLANAR_MERGE_TOL):
+    """merge_atoms' partition of planar rows (n, d) scanned in index order.
+
+    merge_planar's cells and Euclidean metric: each row joins a founder
+    before it within tol, or founds a cluster.  Returns merge_atoms' keep,
+    member and to.
+    """
+    cells = _planar_cells(coords, tol)
+    return merge_atoms(cells, np.arange(len(coords)), None, _euclidean(coords, tol))
+
+
+def unseen(seen, coords, tol: float = PLANAR_MERGE_TOL):
+    """Indices of the rows of coords farther than tol from every row of seen and every earlier kept row.
+
+    The founders among coords of planar_clusters on seen stacked over
+    coords.  The rows of seen must lie pairwise farther than tol apart, so
+    that each founds its own cluster; this is then the sequential rule.
+    """
+    if not len(coords):
+        return np.empty(0, dtype=np.intp)
+    keep, _member, _to = planar_clusters(np.concatenate([seen, coords]), tol)
+    return keep[keep >= len(seen)] - len(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +203,6 @@ class AtomicMeasure:
     def from_planar_atoms(coords, weights, tol: float = PLANAR_MERGE_TOL, info=None):
         coords, weights = merge_planar(coords, weights, tol)
         return AtomicMeasure(PLANE, coords, weights, info=info, tol=tol)
-
-    @staticmethod
-    def delta_plane(coord) -> "AtomicMeasure":
-        return AtomicMeasure(PLANE, coord, [1.0])
 
     # -- basics -------------------------------------------------------------
 

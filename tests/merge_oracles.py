@@ -11,6 +11,10 @@ picked it, before every chain stepped at once.  scalar_distinct_images is
 ifs.distinct_images as a loop over the maps with a norm per pair, and
 collect_fibres flattens any one-atom fibre solver into a FibreTable, the
 per-atom lists both fibre tables were built from before they were arrays.
+list_in_attractor, list_branch_structure and list_orbit_condition are the
+IFS membership test, branch-value clustering and orbit-condition
+certificate as list scans, one inverse solve per point and map, before
+they stepped whole levels and deduplicated with measure.unseen.
 numpy_scalar_roots is polyroots.roots with its helpers as they ran on numpy
 complex128 scalars, before they ran on Python complex numbers.
 list_merge_weighted is projective.merge_weighted as a loop over
@@ -29,7 +33,8 @@ import math
 import numpy as np
 
 from kmsdyn.errors import NonConvergence
-from kmsdyn.measure import PLANAR_MERGE_TOL, FibreTable
+from kmsdyn.ifs import IFSBranchData, OrbitConditionEntry, OrbitConditionReport
+from kmsdyn.measure import PLANAR_MERGE_TOL, FibreTable, merge_planar
 from kmsdyn.polyroots import DEFAULT_MAX_ITER, DEFAULT_ROOT_TOL, Poly
 from kmsdyn.projective import (
     DEFAULT_CLUSTER_TOL,
@@ -187,6 +192,146 @@ def scalar_distinct_images(gamma, y):
         else:
             out.append([img, 1])
     return [(x, e) for x, e in out]
+
+
+def _inverse(m, p):
+    """The preimage of one point under one affine map, one linear solve."""
+    return np.linalg.solve(m.linear, p - m.offset)
+
+
+def _in_ball(gamma, x, slack):
+    return float(np.linalg.norm(np.asarray(x) - gamma.center)) <= gamma.radius + slack
+
+
+def list_in_attractor(gamma, y, depth=None, width_cap=512):
+    """IFSSystem.in_attractor with the frontier as a list, one inverse solve per point and map."""
+    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
+    depth = depth if depth is not None else gamma.membership_depth()
+    base_slack = 2e-7 * gamma.radius
+    if not _in_ball(gamma, y, base_slack):
+        return False
+    frontier = [y]
+    for k in range(depth):
+        slack = base_slack + 4.6e-16 * gamma.radius / gamma.c1 ** (k + 1)
+        nxt = []
+        for p in frontier:
+            for m in gamma.maps:
+                q = _inverse(m, p)
+                if _in_ball(gamma, q, slack):
+                    nxt.append(q)
+        if not nxt:
+            return False
+        if len(nxt) > 1:
+            coords, _w = merge_planar(np.array(nxt), np.ones(len(nxt)), gamma.tol)
+            nxt = list(coords)
+        frontier = nxt[:width_cap]
+    return True
+
+
+def list_branch_structure(gamma):
+    """ifs.branch_structure with list_in_attractor and the branch values clustered by a list scan."""
+    values = []
+    singular = []
+    tol = gamma.tol
+    for j in range(gamma.n):
+        for jp in range(j + 1, gamma.n):
+            mdiff = gamma.maps[j].linear - gamma.maps[jp].linear
+            bdiff = gamma.maps[jp].offset - gamma.maps[j].offset
+            scale = float(np.abs(mdiff).max())
+            cond = np.linalg.cond(mdiff) if scale > 0.0 else math.inf
+            if not np.isfinite(cond) or cond > 1e12:
+                singular.append((j, jp))
+                continue
+            y = np.linalg.solve(mdiff, bdiff)
+            if list_in_attractor(gamma, y):
+                values.append((y, (j, jp)))
+    merged = []
+    for y, pair in values:
+        for entry in merged:
+            if np.linalg.norm(entry[0] - y) <= tol:
+                entry[1].append(pair)
+                break
+        else:
+            merged.append([y, [pair]])
+    points = [gamma.maps[j](y) for y, prs in merged for j, _jp in prs]
+    if points:
+        coords, _w = merge_planar(np.array(points), np.ones(len(points)), tol)
+        points = list(coords)
+    return IFSBranchData(branch_values=[(y, prs) for y, prs in merged], branch_points=points,
+                         singular_pairs=singular)
+
+
+def list_orbit_condition(gamma, depth=12, width_cap=4096):
+    """ifs.orbit_condition on list_branch_structure, with the closure, frontier and seen sets as list scans."""
+    data = list_branch_structure(gamma)
+    cvalues = [np.atleast_1d(y) for y, _prs in data.branch_values]
+    if not cvalues:
+        return OrbitConditionReport(
+            entries=[], certified=True, inverse_closure_size=0, inverse_closure_stable=True
+        )
+
+    closure = [y.copy() for y in cvalues]
+    frontier = list(closure)
+    stable = False
+    for _ in range(depth):
+        new = []
+        for p in frontier:
+            for m in gamma.maps:
+                q = _inverse(m, p)
+                if not _in_ball(gamma, q, 2e-7 * gamma.radius):
+                    continue
+                if any(np.linalg.norm(q - r) <= gamma.tol for r in closure):
+                    continue
+                if any(np.linalg.norm(q - r) <= gamma.tol for r in new):
+                    continue
+                new.append(q)
+        if not new:
+            stable = True
+            break
+        closure.extend(new)
+        frontier = new
+        if len(closure) > width_cap:
+            break
+
+    def in_closure(x):
+        return any(np.linalg.norm(x - r) <= gamma.tol for r in closure)
+
+    entries = []
+    for y in cvalues:
+        if not stable:
+            entries.append(OrbitConditionEntry(y, "inconclusive"))
+            continue
+        found = None
+        frontier = [y]
+        seen = [y]
+        for level in range(depth + 1):
+            for x in frontier:
+                if not in_closure(x):
+                    found = (x, level)
+                    break
+            if found:
+                break
+            nxt = []
+            for x in frontier:
+                for m in gamma.maps:
+                    q = m(x)
+                    if any(np.linalg.norm(q - r) <= gamma.tol for r in seen):
+                        continue
+                    seen.append(q)
+                    nxt.append(q)
+            frontier = nxt[:width_cap]
+            if not frontier:
+                break
+        if found:
+            entries.append(OrbitConditionEntry(y, "certified", witness=found[0], witness_depth=found[1]))
+        else:
+            entries.append(OrbitConditionEntry(y, "inconclusive"))
+    return OrbitConditionReport(
+        entries=entries,
+        certified=all(e.status == "certified" for e in entries),
+        inverse_closure_size=len(closure),
+        inverse_closure_stable=stable,
+    )
 
 
 def collect_fibres(atoms, solve, embed):

@@ -137,6 +137,15 @@ def test_ifs_kms_rejects_a_negative_beta(capsys):
     assert json.loads(err)["error"]["kind"] == "ValueError"
 
 
+def test_ifs_kms_refuses_a_branch_point_of_the_wrong_dimension(capsys):
+    code, out, err = run_cli(capsys, "ifs", "kms", "--preset", "tent", "--beta", "1.5",
+                             "--branch-point", "0.5,0.5")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == {
+        "kind": "ValueError", "detail": "branch point must be a point of shape (1,), not (2,)"}
+
+
 def test_ifs_custom_system_file(tmp_path, capsys):
     def tent(scale=1.0, shift=0.0):
         # the tent scaled by `scale`, then translated by `shift`

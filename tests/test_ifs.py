@@ -1,6 +1,7 @@
 """IFS engine: presets, branch structure, Hutchinson, word-sum KMS measures."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -23,12 +24,16 @@ from kmsdyn.ifs import (
     system_from_jsonable,
     classify_ifs,
 )
-from kmsdyn.measure import AtomicMeasure, TestFunctionLibrary, integrate, measure_sum, merge_planar, weak_star_distance
+from kmsdyn.measure import PLANE, AtomicMeasure, TestFunctionLibrary, integrate, measure_sum, merge_planar, weak_star_distance
+from kmsdyn.serialize import stable_dumps
 
 from merge_oracles import (
     _greedy_planar_oracle,
     collect_fibres,
     lexsort_merge_planar,
+    list_branch_structure,
+    list_in_attractor,
+    list_orbit_condition,
     masked_chaos_samples,
     scalar_distinct_images,
 )
@@ -243,16 +248,20 @@ def test_image_table_matches_scalar_collect(name, depth):
         assert table.degree.max() >= 2
 
 
+def delta_plane(coord):
+    return AtomicMeasure(PLANE, coord, [1.0])
+
+
 def test_apply_F_beta_collision():
     tent = preset("tent")
-    out = apply_F_beta_ifs(tent, AtomicMeasure.delta_plane([1.0]), math.log(2))
+    out = apply_F_beta_ifs(tent, delta_plane([1.0]), math.log(2))
     assert out.n_atoms == 1
     assert out.coords[0] == pytest.approx([0.5])
     assert out.total_mass() == pytest.approx(0.5)
-    out = apply_F_beta_ifs(tent, AtomicMeasure.delta_plane([0.0]), math.log(2))
+    out = apply_F_beta_ifs(tent, delta_plane([0.0]), math.log(2))
     assert out.n_atoms == 2 and out.total_mass() == pytest.approx(1.0)
     binary = preset("binary")
-    out = apply_F_beta_ifs(binary, AtomicMeasure.delta_plane([0.3]), math.log(2))
+    out = apply_F_beta_ifs(binary, delta_plane([0.3]), math.log(2))
     assert out.total_mass() == pytest.approx(1.0)
 
 
@@ -261,9 +270,9 @@ def test_mass_at_critical_beta():
     # strictly shrinks measures charging them
     tent = preset("tent")
     log2 = math.log(2.0)
-    off = AtomicMeasure.delta_plane([0.3])
+    off = delta_plane([0.3])
     assert apply_F_beta_ifs(tent, off, log2).total_mass() == pytest.approx(1.0)
-    on = AtomicMeasure.delta_plane([1.0])
+    on = delta_plane([1.0])
     assert apply_F_beta_ifs(tent, on, log2).total_mass() == pytest.approx(0.5)
 
 
@@ -481,6 +490,42 @@ def test_twisted_kms_prefactor():
     assert km.measure.total_mass() == pytest.approx(1.0, abs=km.tail_bound)
 
 
+@pytest.mark.parametrize("name, point", [
+    ("tent", [0.5, 0.5]), ("sierpinski-twisted", [0.5, 0.0, 0.0]), ("sierpinski", [0.5]),
+    ("sierpinski-twisted", [[0.5, 0.0]]),
+])
+def test_points_of_the_wrong_dimension_are_refused(monkeypatch, name, point):
+    # refused with ValueError before any work, not left to broadcast or to
+    # fail inside the affine kernel
+    gamma = preset(name)
+    monkeypatch.setattr(type(gamma), "branch_structure", lambda *a, **k: pytest.fail("work before the check"))
+    monkeypatch.setattr(type(gamma), "inverse_images", lambda *a, **k: pytest.fail("work before the check"))
+    message = re.escape(f"must be a point of shape ({gamma.dim},), not {np.shape(point)}")
+    with pytest.raises(ValueError, match=message):
+        kms_measure_ifs(gamma, point, 3.0, depth=4)
+    with pytest.raises(ValueError, match=message):
+        gamma.in_attractor(point)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: orbit_condition(g, 2.0),
+    lambda g: orbit_condition(g, True),
+    lambda g: orbit_condition(g, -1),
+    lambda g: orbit_condition(g, width_cap=10.0),
+    lambda g: orbit_condition(g, width_cap=None),
+    lambda g: g.in_attractor(g.seed, depth=2.0),
+    lambda g: g.in_attractor(g.seed, depth=False),
+    lambda g: g.in_attractor(g.seed, width_cap="8"),
+    lambda g: classify_ifs(g, 2.0, orbit_depth=3.0),
+    lambda g: classify_ifs(g, 2.0, orbit_depth=True),
+], ids=["depth-float", "depth-bool", "depth-negative", "width_cap-float", "width_cap-none",
+        "in_attractor-depth-float", "in_attractor-depth-bool", "in_attractor-width_cap-str",
+        "classify-orbit_depth-float", "classify-orbit_depth-bool"])
+def test_orbit_analysis_refuses_counts_that_are_not_integers(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(preset("tent"))
+
+
 def test_kms_ifs_errors():
     tent = preset("tent")
     with pytest.raises(OutOfRegime):
@@ -491,6 +536,95 @@ def test_kms_ifs_errors():
 
 # ---------------------------------------------------------------------------
 # orbit condition and classification
+
+
+def _line(*coefficients):
+    """The system of the line maps a x + b, one (a, b) each."""
+    return IFSSystem([AffineMap([[a]], [b]) for a, b in coefficients], name="line")
+
+
+def _seeded_system(seed):
+    """A seeded random system: 2 or 3 maps of the line, or 3 or 4 of the plane.
+
+    Every singular value lies in [0.25, 0.7].  For half the seeds, map 1 is
+    made to fix map 0's fixed point, so the system has a branch value on its
+    attractor (with 2 maps the attractor would be that one point, so only
+    systems of 3 or more).
+    """
+    rng = np.random.default_rng(seed)
+    dim = 1 + seed % 2
+    linears = []
+    for _ in range(1 + dim + seed // 2 % 2):
+        if dim == 1:
+            linears.append(np.array([[rng.uniform(0.25, 0.7) * rng.choice([-1.0, 1.0])]]))
+        else:
+            t = rng.uniform(0.0, 2.0 * math.pi)
+            rotation = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+            linears.append(rotation @ np.diag(rng.uniform(0.25, 0.7, 2)))
+    offsets = [rng.uniform(0.0, 1.0, dim) for _ in linears]
+    if len(linears) > 2 and seed // 4 % 2 == 0:
+        y0 = np.linalg.solve(np.eye(dim) - linears[0], offsets[0])
+        offsets[1] = y0 - linears[1] @ y0
+    return IFSSystem([AffineMap(a, b) for a, b in zip(linears, offsets)], name=f"random{seed}")
+
+
+def _membership_points(gamma, count):
+    """count seeded points of the invariant box, the branch values, the branch points and the seed."""
+    data = gamma.branch_structure()
+    rng = np.random.default_rng(1)
+    box = gamma.center - gamma.radius + 2.0 * gamma.radius * rng.random((count, gamma.dim))
+    return list(box) + [y for y, _prs in data.branch_values] + list(data.branch_points) + [gamma.seed]
+
+
+ORACLE_SYSTEMS = {
+    **{name: (lambda name=name: preset(name)) for name in ["tent", "binary", "sierpinski", "sierpinski-twisted"]},
+    "three-branch": _three_branch_line,
+    # a stable 318-point inverse closure
+    "closure318": lambda: _line((0.5, 0.0), (-0.4, 1.0), (0.3, 0.35), (-0.25, 0.6)),
+    # witnesses two levels down, the first of several forward images outside the closure
+    "witness-depth2": lambda: _line((0.5, 0.5), (-1 / 3, 0.5), (-1 / 3, 1.0)),
+    "witness-depth21": lambda: _line((-0.5, 2 / 3), (0.5, 2 / 3), (0.5, 1 / 3)),
+    **{f"random{seed}": (lambda seed=seed: _seeded_system(seed)) for seed in range(20)},
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SYSTEMS))
+def test_orbit_analysis_matches_list_scan_oracle(name):
+    # branch values, orbit reports and membership answers byte for byte as
+    # the list scans give them.  The random systems run at smaller width
+    # caps (an unstable closure stops past 200 points, a membership frontier
+    # keeps 64) and test fewer points, so the oracle's quadratic scans stay
+    # short.
+    gamma = ORACLE_SYSTEMS[name]()
+    small = name.startswith("random")
+    cap = {"width_cap": 200} if small else {}
+    assert stable_dumps(gamma.branch_structure().to_jsonable()) == stable_dumps(
+        list_branch_structure(gamma).to_jsonable())
+    for depth in (0, 3, 12):
+        assert stable_dumps(orbit_condition(gamma, depth, **cap).to_jsonable()) == stable_dumps(
+            list_orbit_condition(gamma, depth, **cap).to_jsonable()), depth
+    points = _membership_points(gamma, 10 if small else 30)
+    width = {"width_cap": 64} if small else {}
+    assert [gamma.in_attractor(y, **width) for y in points] == [
+        list_in_attractor(gamma, y, **width) for y in points]
+    report = orbit_condition(gamma)
+    if name == "closure318":
+        assert report.inverse_closure_size == 318
+    if name == "witness-depth2":
+        assert [e.witness_depth for e in report.entries] == [2]
+    if name == "witness-depth21":
+        assert [e.witness_depth for e in report.entries] == [2, 1]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_inverse_images_match_one_solve_per_point_and_map(dim):
+    # point-major rows, each bit-identical to its own one-right-hand-side solve
+    rng = np.random.default_rng(60 + dim)
+    gamma = _random_system(rng, dim)
+    x = rng.normal(size=(7, dim))
+    want = [np.linalg.solve(m.linear, p - m.offset) for p in x for m in gamma.maps]
+    assert np.array_equal(gamma.inverse_images(x), np.array(want))
+    assert gamma.inverse_images(x[:0]).shape == (0, dim)
 
 
 def test_orbit_condition_tent():

@@ -16,6 +16,7 @@ from kmsdyn.mapexpr import parse_map
 from kmsdyn.kms import kms_measure, lyubich
 from kmsdyn.ifs import hutchinson, preset as ifs_preset
 from kmsdyn.measure import (
+    PLANE,
     SPHERE,
     AtomicMeasure,
     TestFunctionLibrary,
@@ -26,9 +27,11 @@ from kmsdyn.measure import (
     integrate,
     measure_sum,
     merge_planar,
+    planar_clusters,
     pullback_F,
     pullback_G,
     tilde,
+    unseen,
     weak_star_distance,
 )
 from kmsdyn.projective import (
@@ -250,7 +253,7 @@ def test_weak_star_examples():
 
 def test_weak_star_space_mismatch():
     mu = AtomicMeasure.delta(aff(0))
-    nu = AtomicMeasure.delta_plane([0.5])
+    nu = AtomicMeasure(PLANE, [0.5], [1.0])
     with pytest.raises(ValueError):
         weak_star_distance(mu, nu, LIB)
 
@@ -352,6 +355,37 @@ def test_merge_planar_matches_union_find_oracle(monkeypatch, dim, hash_base):
             assert np.array_equal(got[1], want[1])
             merged += len(x) - len(got[1])
     assert merged > 0
+
+
+def _sequential_unseen(seen, x, tol):
+    """The rows of x farther than tol from every row of seen and every earlier kept row, by a list scan."""
+    kept, out = list(seen), []
+    for k, q in enumerate(x):
+        if all(np.linalg.norm(q - r) > tol for r in kept):
+            kept.append(q)
+            out.append(k)
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_unseen_matches_the_sequential_rule(dim):
+    # seen is the list scan's own kept set of one half of the planted atoms,
+    # so its rows lie pairwise farther than tol apart; planar_clusters keeps
+    # the same founders in index order
+    rng = np.random.default_rng(100 + dim)
+    tol = 1e-9
+    dropped = 0
+    for scale in (1.0, 1e6, 1e9):
+        x = _planted_planar(rng, dim, scale, tol)
+        half = len(x) // 2
+        seen = x[:half][_sequential_unseen([], x[:half], tol)]
+        got = unseen(seen, x[half:], tol)
+        assert got.tolist() == _sequential_unseen(seen, x[half:], tol)
+        keep, _member, _to = planar_clusters(x, tol)
+        assert keep.tolist() == _sequential_unseen([], x, tol)
+        dropped += len(x) - half - len(got)
+    assert dropped > 0
+    assert unseen(seen, np.empty((0, dim)), tol).tolist() == []
 
 
 def test_merge_planar_matches_greedy_oracle_in_crowded_cells():
