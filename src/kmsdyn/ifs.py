@@ -53,6 +53,7 @@ from .states import (
     INFINITE_TYPE,
     SUBCRITICAL,
     SUPERCRITICAL,
+    ZERO,
     ExtremeState,
     KMSMeasure,
     PhaseReport,
@@ -145,7 +146,12 @@ class IFSSystem:
         fixed = np.array([m.fixed_point() for m in maps])
         self.center = fixed.mean(axis=0)
         drift = max(np.linalg.norm(m(self.center) - self.center) for m in maps)
-        self.radius = drift / (1.0 - self.c2) if drift > 0 else 1.0
+        # a drift within the rounding of the terms it is computed from is
+        # zero: every map fixes the one attractor point
+        rounding = 8 * dim * np.finfo(np.float64).eps * (
+            np.abs(self.center).max() + np.abs(self.offsets).max()
+        )
+        self.radius = drift / (1.0 - self.c2) if drift > rounding else 1.0
         self.tol = PLANAR_MERGE_TOL * self.radius  # the one merge and dedup length
         self.seed = maps[0].fixed_point()
         self._branch_cache = None
@@ -219,9 +225,9 @@ class IFSSystem:
             frontier = nxt[:width_cap]
         return True
 
-    def branch_structure(self, attractor_depth: int | None = None) -> "IFSBranchData":
+    def branch_structure(self) -> "IFSBranchData":
         if self._branch_cache is None:
-            self._branch_cache = branch_structure(self, attractor_depth)
+            self._branch_cache = branch_structure(self)
         return self._branch_cache
 
     def to_jsonable(self):
@@ -270,7 +276,7 @@ def _as_point(gamma: IFSSystem, y, name: str):
     return y
 
 
-def branch_structure(gamma: IFSSystem, attractor_depth: int | None = None) -> IFSBranchData:
+def branch_structure(gamma: IFSSystem) -> IFSBranchData:
     """Solve gamma_j(y) = gamma_j'(y) for all pairs; keep attractor solutions.
 
     Each pair is a linear system; a singular pair with no solution is
@@ -301,7 +307,7 @@ def branch_structure(gamma: IFSSystem, attractor_depth: int | None = None) -> IF
                 singular.append((j, jp))
                 continue
             y = np.linalg.solve(mdiff, bdiff)
-            if gamma.in_attractor(y, attractor_depth):
+            if gamma.in_attractor(y):
                 values.append(y)
                 pairs.append((j, jp))
     branch_values = []
@@ -482,15 +488,18 @@ def kms_measure_ifs(
     (1 - N e^{-beta}) sum_n e^{-n beta} sum_{words w of length n}
     delta_{gamma_w(b)}; colliding words merge.  Word counts are exactly N^n
     per level, so the truncated mass deficit is exactly the geometric tail
-    (N e^{-beta})^{depth+1}, recorded as the tail bound.
+    (N e^{-beta})^{depth+1}, recorded as the tail bound.  beta must be
+    supercritical (states.phase); None or a negative beta is refused with
+    ValueError.
     """
     require_count("depth", depth)
+    log_n = math.log(gamma.n)
+    regime = phase(beta, False, log_n)[1]
     b = _as_point(gamma, b, "branch point")
     data = gamma.branch_structure()
     if not any(np.linalg.norm(b - x) <= 1e-7 * gamma.radius for x in data.branch_points):
         raise NotABranchPoint(f"{b} is not a branch point of the system")
-    log_n = math.log(gamma.n)
-    if beta <= log_n:
+    if regime != SUPERCRITICAL:
         raise OutOfRegime(
             f"no finite-type state at beta={beta:.6g} <= log N={log_n:.6g}"
         )
@@ -681,18 +690,16 @@ def classify_ifs(
             HypothesisUncertified,
             stacklevel=2,
         )
-    log_n = math.log(gamma.n)
-    beta_val, regime = phase(beta, critical, log_n)
+    beta_val, regime = phase(beta, critical, math.log(gamma.n))
+    if regime == ZERO:
+        regime = SUBCRITICAL  # no exceptional points, so beta = 0 anchors nothing either
+    anchors = gamma.branch_structure().branch_points if regime == SUPERCRITICAL else []
+    points = [tuple(np.atleast_1d(x)) for x in anchors]
+    labels = ["(" + ", ".join(f"{v:.12g}" for v in x) + ")" for x in points]
+    states = [ExtremeState(FINITE_TYPE, (x,), label) for x, label in zip(points, labels)]
     if regime == CRITICAL:
-        states = [ExtremeState(kind=INFINITE_TYPE, anchors=(), label="hutchinson")]
-        return PhaseReport(beta_val, CRITICAL, states, counts=(0, 1))
-    if beta_val < log_n:
-        return PhaseReport(beta_val, SUBCRITICAL, [], counts=(0, 0))
-    states = []
-    for x in gamma.branch_structure().branch_points:
-        label = "(" + ", ".join(f"{v:.12g}" for v in np.atleast_1d(x)) + ")"
-        states.append(ExtremeState(kind=FINITE_TYPE, anchors=(tuple(np.atleast_1d(x)),), label=label))
-    return PhaseReport(beta_val, SUPERCRITICAL, states, counts=(len(states), 0))
+        states.append(ExtremeState(INFINITE_TYPE, (), "hutchinson"))
+    return PhaseReport(beta_val, regime, states)
 
 
 # ---------------------------------------------------------------------------

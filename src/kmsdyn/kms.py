@@ -51,10 +51,8 @@ from .projective import (
 from .ratmap import DEFAULT_ATOM_BUDGET, INDEX_WEIGHTED, SET_COUNT, RationalMap, require_count
 from .states import (
     CRITICAL,
-    CRITICAL_BETA_TOL,
     FINITE_TYPE,
     INFINITE_TYPE,
-    SUBCRITICAL,
     SUPERCRITICAL,
     ZERO,
     ZERO_TYPE,
@@ -88,17 +86,6 @@ def _exceptional_closed_form(R: RationalMap, w: SpherePoint, beta: float, tol: f
     return measure, 1.0 - math.exp(-beta)
 
 
-def min_depth_for_tail(R_degree: int, beta: float) -> int:
-    """Smallest depth with (N e^{-beta})^{depth+1}/(1 - N e^{-beta}) <= 1e-6."""
-    q = R_degree * math.exp(-beta)
-    if q >= 1.0:
-        raise OutOfRegime("tail bound requires beta > log N")
-    d = 0
-    while q ** (d + 1) / (1.0 - q) > 1e-6:
-        d += 1
-    return d
-
-
 def _budget_depth(degree: int, atom_budget: int) -> int:
     """Deepest full backward tree (levels of size N^k) within the budget."""
     total = 1
@@ -107,6 +94,19 @@ def _budget_depth(degree: int, atom_budget: int) -> int:
         total += degree ** (d + 1)
         d += 1
     return d
+
+
+def _auto_depth(degree: int, beta: float, atom_budget: int) -> int:
+    """Smallest depth whose tail (N e^{-beta})^{depth+1}/(1 - N e^{-beta}) is <= 1e-6, capped.
+
+    The cap is the budget depth of at most 131,072 atoms; beta > log N.
+    """
+    cap = _budget_depth(degree, min(atom_budget, 131072))
+    q = degree * math.exp(-beta)
+    depth = 0
+    while depth < cap and q ** (depth + 1) / (1.0 - q) > 1e-6:
+        depth += 1
+    return depth
 
 
 def kms_measure(
@@ -121,44 +121,34 @@ def kms_measure(
 
     mu_{beta,w} is the normalized geometric series over the backward-orbit
     levels of w.  Exceptional anchors sum in closed form (any beta > 0);
-    other anchors require beta > log N, where the truncated series carries an
-    explicit geometric tail bound.  An explicit depth wins; otherwise the
-    depth is chosen so the tail bound reaches 1e-6 where the atom budget
-    permits, with a warning when it cannot.
+    other anchors require a supercritical beta (states.phase), where the
+    truncated series carries an explicit geometric tail bound.  An explicit
+    depth wins; otherwise the depth is chosen so the tail bound reaches 1e-6
+    where the atom budget permits, with a warning when it cannot.  A beta
+    that is None or negative is refused with ValueError.
     """
     if depth is not None:
         require_count("depth", depth)
-    data = R.branch_data(tol)
-    if data.index_at(w) < 2:
-        raise NotABranchPoint(f"{w} is not a branched point of the map")
     log_n = math.log(R.n)
+    regime = phase(beta, False, log_n)[1]
+    if R.branch_data(tol).index_at(w) < 2:
+        raise NotABranchPoint(f"{w} is not a branched point of the map")
     if R.is_exceptional(w, tol):
-        if beta <= 0:
+        if regime == ZERO:
             raise OutOfRegime("exceptional anchors require beta > 0")
         measure, norm = _exceptional_closed_form(R, w, beta, tol)
-        return KMSMeasure(
-            measure=measure,
-            anchor=w,
-            beta=beta,
-            kind=FINITE_TYPE,
-            normalization=norm,
-            truncation_depth=0,
-            tail_bound=0.0,
-        )
-    if beta <= log_n + CRITICAL_BETA_TOL:
+        return KMSMeasure(measure=measure, anchor=w, beta=beta, kind=FINITE_TYPE,
+                          normalization=norm, truncation_depth=0, tail_bound=0.0)
+    if regime != SUPERCRITICAL:
         raise OutOfRegime(
             f"no finite-type state at beta={beta:.6g} <= log N={log_n:.6g} for a "
             "non-exceptional anchor"
         )
-    q = R.n * math.exp(-beta)
     if depth is None:
         # auto-selection spends at most ~131k atoms; pass depth explicitly to
         # spend up to the full atom budget
-        cap = _budget_depth(R.n, min(atom_budget, 131072))
-        if beta > log_n + 0.05:
-            depth = min(min_depth_for_tail(R.n, beta), cap)
-        else:
-            depth = min(20, cap)
+        depth = _auto_depth(R.n, beta, atom_budget)
+        q = R.n * math.exp(-beta)
         residual_tail = q ** (depth + 1) / (1.0 - q)
         if residual_tail > 1e-6:
             warnings.warn(
@@ -169,25 +159,14 @@ def kms_measure(
             )
     tree = R.backward_orbit(w, depth, SET_COUNT, tol, atom_budget)
     if tree.truncated or tree.depth < depth:
-        raise AtomBudgetExceeded(
-            f"backward orbit truncated at depth {tree.depth} (requested {depth})"
-        )
+        raise AtomBudgetExceeded(f"backward orbit truncated at depth {tree.depth} (requested {depth})")
     q = math.exp(-beta)
-    denom = sum(q**k * tree.level_mass(k) for k in range(depth + 1))
-    norm = 1.0 / denom
+    norm = 1.0 / sum(q**k * tree.level_mass(k) for k in range(depth + 1))
     weights = np.concatenate([(norm * q**k) * wgt for k, (_c, wgt) in enumerate(tree.levels)])
     measure = AtomicMeasure.from_sphere_rows(tree.rows(), weights, tol)
     qn = R.n * q
-    tail = norm * qn ** (depth + 1) / (1.0 - qn)
-    return KMSMeasure(
-        measure=measure,
-        anchor=w,
-        beta=beta,
-        kind=FINITE_TYPE,
-        normalization=norm,
-        truncation_depth=depth,
-        tail_bound=tail,
-    )
+    return KMSMeasure(measure=measure, anchor=w, beta=beta, kind=FINITE_TYPE, normalization=norm,
+                      truncation_depth=depth, tail_bound=norm * qn ** (depth + 1) / (1.0 - qn))
 
 
 # ---------------------------------------------------------------------------
@@ -203,25 +182,24 @@ def check_K1(
     mu: AtomicMeasure,
     beta: float,
     lib: TestFunctionLibrary | None = None,
-    rho: float = DEFAULT_CUTOFF_RADIUS,
     tol: float = DEFAULT_CLUSTER_TOL,
 ) -> ResidualReport:
     """Residuals of the equality condition on functions vanishing near B(R).
 
     Each library function is multiplied by a quintic cutoff that vanishes on
-    a chordal rho-neighborhood of the branched points, giving an admissible
-    test function; the report returns max |e^{-beta} int a~ dmu - int a dmu|.
+    the chordal DEFAULT_CUTOFF_RADIUS-neighborhood of the branched points, an
+    admissible test function; the report returns max |e^{-beta} int a~ dmu - int a dmu|.
     """
     lib = lib or TestFunctionLibrary.sphere()
     residuals, _k2, masked = trace_conditions(
-        lib, mu, fibre_table(R, mu, tol), beta, _branch_embedding(R, tol), rho
+        lib, mu, fibre_table(R, mu, tol), beta, _branch_embedding(R, tol), DEFAULT_CUTOFF_RADIUS
     )
     worst = int(np.argmax(residuals)) if len(residuals) else 0
     return ResidualReport(
         max_residual=float(residuals.max()) if len(residuals) else 0.0,
         worst_function=lib.functions[worst].exponents,
         per_function=[float(r) for r in residuals],
-        cutoff_radius=rho,
+        cutoff_radius=DEFAULT_CUTOFF_RADIUS,
         masked_mass=masked,
     )
 
@@ -418,60 +396,32 @@ def classify(
     exceptional orbit classes (a swapped pair yields one symmetric state).
     """
     beta_val, regime = phase(beta, critical, math.log(R.n))
-
     exc = R.exceptional_points(tol)
-    states: list[ExtremeState] = []
-
     if regime == ZERO:
-        for orbit in exc.orbit_classes:
-            if len(orbit) == 1:
-                states.append(
-                    ExtremeState(
-                        kind=ZERO_TYPE,
-                        anchors=(orbit[0],),
-                        label=_point_label(orbit[0]),
-                        restriction=AtomicMeasure.delta(orbit[0]),
-                    )
-                )
-            else:
-                mixture = AtomicMeasure.from_sphere_atoms(
-                    [(orbit[0], 0.5), (orbit[1], 0.5)], tol
-                )
-                states.append(
-                    ExtremeState(
-                        kind=ZERO_TYPE,
-                        anchors=tuple(orbit),
-                        label="cycle " + "+".join(_point_label(p) for p in orbit),
-                        restriction=mixture,
-                    )
-                )
-        return PhaseReport(beta_val, regime, states, counts=(len(states), 0))
-
-    if regime in (SUBCRITICAL, CRITICAL):
-        anchors = list(exc.points)
+        states = [_zero_state(orbit, tol) for orbit in exc.orbit_classes]
     else:
-        anchors = [p for p, _e in R.branch_data(tol).branch_points]
-
-    finite_count = 0
-    for w in anchors:
-        restriction = None
-        if R.is_exceptional(w, tol):
-            restriction, _norm = _exceptional_closed_form(R, w, beta_val, tol)
-        states.append(
+        branched = regime == SUPERCRITICAL
+        anchors = [p for p, _e in R.branch_data(tol).branch_points] if branched else exc.points
+        states = [
             ExtremeState(
-                kind=FINITE_TYPE,
-                anchors=(w,),
-                label=_point_label(w),
-                restriction=restriction,
+                FINITE_TYPE, (w,), _point_label(w),
+                _exceptional_closed_form(R, w, beta_val, tol)[0] if R.is_exceptional(w, tol) else None,
             )
-        )
-        finite_count += 1
-
-    infinite_count = 0
+            for w in anchors
+        ]
     if regime == CRITICAL:
-        states.append(ExtremeState(kind=INFINITE_TYPE, anchors=(), label="lyubich"))
-        infinite_count = 1
-    return PhaseReport(beta_val, regime, states, counts=(finite_count, infinite_count))
+        states.append(ExtremeState(INFINITE_TYPE, (), "lyubich"))
+    return PhaseReport(beta_val, regime, states)
+
+
+def _zero_state(orbit, tol: float) -> ExtremeState:
+    """The invariant trace on one exceptional orbit class: a fixed point or a swapped pair."""
+    if len(orbit) == 1:
+        p = orbit[0]
+        return ExtremeState(ZERO_TYPE, (p,), _point_label(p), AtomicMeasure.delta(p))
+    label = "cycle " + "+".join(_point_label(p) for p in orbit)
+    mixture = AtomicMeasure.from_sphere_atoms([(orbit[0], 0.5), (orbit[1], 0.5)], tol)
+    return ExtremeState(ZERO_TYPE, tuple(orbit), label, mixture)
 
 
 def classify_julia(
@@ -491,20 +441,15 @@ def classify_julia(
     """
     beta_val, regime = phase(beta, critical, math.log(R.n))
     data = R.branch_data(tol)
-    asserted = []
-    for p in julia_branch_points:
+    asserted = list(julia_branch_points)
+    for p in asserted:
         if data.index_at(p) < 2:
             raise NotABranchPoint(f"{p} asserted in the Julia set is not a branched point")
-        asserted.append(p)
+    anchors = asserted if regime == SUPERCRITICAL else []
+    states = [ExtremeState(FINITE_TYPE, (w,), _point_label(w)) for w in anchors]
     if regime == CRITICAL:
-        states = [ExtremeState(kind=INFINITE_TYPE, anchors=(), label="lyubich")]
-        return PhaseReport(beta_val, CRITICAL, states, counts=(0, 1))
-    if regime != SUPERCRITICAL:
-        return PhaseReport(beta_val, regime, [], counts=(0, 0))
-    states = [
-        ExtremeState(kind=FINITE_TYPE, anchors=(w,), label=_point_label(w)) for w in asserted
-    ]
-    return PhaseReport(beta_val, SUPERCRITICAL, states, counts=(len(states), 0))
+        states.append(ExtremeState(INFINITE_TYPE, (), "lyubich"))
+    return PhaseReport(beta_val, regime, states)
 
 
 def _point_label(p: SpherePoint) -> str:

@@ -184,10 +184,10 @@ class AtomicMeasure:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_sphere_atoms(pairs, tol: float = DEFAULT_CLUSTER_TOL, info=None):
+    def from_sphere_atoms(pairs, tol: float = DEFAULT_CLUSTER_TOL):
         pairs = merge_weighted(pairs, tol)
         rows = np.stack(homogeneous([p for p, _w in pairs]), axis=1)
-        return AtomicMeasure(SPHERE, rows, [w for _p, w in pairs], info=info)
+        return AtomicMeasure(SPHERE, rows, [w for _p, w in pairs])
 
     @staticmethod
     def from_sphere_rows(coords, weights, tol: float = DEFAULT_CLUSTER_TOL):

@@ -1,4 +1,4 @@
-"""Result types shared by the rational-map and IFS classification engines."""
+"""The regime rule and the result types shared by the rational-map and IFS engines."""
 
 from __future__ import annotations
 
@@ -16,7 +16,12 @@ CRITICAL_BETA_TOL = 1e-12
 
 
 def phase(beta, critical: bool, log_n: float):
-    """(beta, regime) of a classification: beta = log N when critical, else beta >= 0."""
+    """(beta, regime) at inverse temperature beta: the one regime rule of both engines.
+
+    beta = log N when critical; otherwise beta must be a number >= 0, and
+    it is critical within CRITICAL_BETA_TOL of log N, zero at 0, and
+    subcritical or supercritical on either side of log N.
+    """
     if critical:
         return log_n, CRITICAL
     if beta is None:
@@ -32,16 +37,10 @@ def phase(beta, critical: bool, log_n: float):
 
 
 def _anchor_jsonable(anchor):
-    if anchor is None:
-        return None
-    if isinstance(anchor, str):
-        return anchor
+    """A SpherePoint's JSON form, or a planar point's coordinates as floats."""
     if hasattr(anchor, "to_jsonable"):
         return anchor.to_jsonable()
-    try:
-        return [float(v) for v in anchor]
-    except TypeError:
-        return float(anchor)
+    return [float(v) for v in anchor]
 
 
 @dataclass
@@ -101,7 +100,12 @@ class PhaseReport:
     beta: float
     regime: str
     extreme_states: list = field(default_factory=list)
-    counts: tuple = (0, 0)  # (finite, infinite)
+
+    @property
+    def counts(self) -> tuple:
+        """(finite, infinite) state counts; zero-temperature states count as finite."""
+        infinite = sum(s.kind == INFINITE_TYPE for s in self.extreme_states)
+        return len(self.extreme_states) - infinite, infinite
 
     def to_jsonable(self):
         return {

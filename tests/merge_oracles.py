@@ -23,18 +23,27 @@ were merged as arrays by projective.merge_sphere; its founders are
 index_founders, every atom sent to CellIndex, as before merge_atoms'
 first-key filter.  pairs_backward_orbit is RationalMap.backward_orbit with
 its levels kept as lists of (SpherePoint, weight) pairs, before they were
-stored as arrays.
+stored as arrays.  hand_counted_classify, hand_counted_classify_julia and
+hand_counted_classify_ifs are the three classifiers as they were written
+out one regime at a time, each keeping its (finite, infinite) counts by
+hand, before states.phase decided every regime and PhaseReport derived the
+counts from the states; two_branch_depth is kms_measure's automatic depth
+as the two rules it was, the tail-target depth above log N + 0.05 and 20
+below, each capped by the budget depth, before it was one loop.
 """
 
 import cmath
 import itertools
 import math
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
-from kmsdyn.errors import NonConvergence
-from kmsdyn.ifs import IFSBranchData, OrbitConditionEntry, OrbitConditionReport
-from kmsdyn.measure import PLANAR_MERGE_TOL, FibreTable, merge_planar
+from kmsdyn.errors import HypothesisUncertified, NonConvergence, NotABranchPoint, OutOfRegime
+from kmsdyn.ifs import IFSBranchData, OrbitConditionEntry, OrbitConditionReport, orbit_condition
+from kmsdyn.kms import _budget_depth, _exceptional_closed_form, _point_label
+from kmsdyn.measure import PLANAR_MERGE_TOL, AtomicMeasure, FibreTable, merge_planar
 from kmsdyn.polyroots import DEFAULT_MAX_ITER, DEFAULT_ROOT_TOL, Poly
 from kmsdyn.projective import (
     DEFAULT_CLUSTER_TOL,
@@ -46,7 +55,18 @@ from kmsdyn.projective import (
     merge_weighted,
     sphere_cells,
 )
-from kmsdyn.ratmap import SET_COUNT
+from kmsdyn.ratmap import SET_COUNT, require_count
+from kmsdyn.states import (
+    CRITICAL,
+    FINITE_TYPE,
+    INFINITE_TYPE,
+    SUBCRITICAL,
+    SUPERCRITICAL,
+    ZERO,
+    ZERO_TYPE,
+    ExtremeState,
+    phase,
+)
 
 
 class _SphereHash:
@@ -597,3 +617,148 @@ def numpy_scalar_roots(p: Poly, tol: float = DEFAULT_ROOT_TOL, max_iter: int = D
             )
     out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the classifiers with hand-kept counts, and the two-branch automatic depth
+
+
+@dataclass
+class HandCountedReport:
+    """states.PhaseReport with its (finite, infinite) counts stored, not derived."""
+
+    beta: float
+    regime: str
+    extreme_states: list
+    counts: tuple
+
+    def to_jsonable(self):
+        return {
+            "beta": self.beta,
+            "regime": self.regime,
+            "states": [s.to_jsonable() for s in self.extreme_states],
+            "counts": {"finite": self.counts[0], "infinite": self.counts[1]},
+        }
+
+
+def hand_counted_classify(R, beta=None, critical=False, tol: float = DEFAULT_CLUSTER_TOL):
+    """kms.classify, one regime at a time."""
+    beta_val, regime = phase(beta, critical, math.log(R.n))
+
+    exc = R.exceptional_points(tol)
+    states = []
+
+    if regime == ZERO:
+        for orbit in exc.orbit_classes:
+            if len(orbit) == 1:
+                states.append(
+                    ExtremeState(
+                        kind=ZERO_TYPE,
+                        anchors=(orbit[0],),
+                        label=_point_label(orbit[0]),
+                        restriction=AtomicMeasure.delta(orbit[0]),
+                    )
+                )
+            else:
+                mixture = AtomicMeasure.from_sphere_atoms(
+                    [(orbit[0], 0.5), (orbit[1], 0.5)], tol
+                )
+                states.append(
+                    ExtremeState(
+                        kind=ZERO_TYPE,
+                        anchors=tuple(orbit),
+                        label="cycle " + "+".join(_point_label(p) for p in orbit),
+                        restriction=mixture,
+                    )
+                )
+        return HandCountedReport(beta_val, regime, states, (len(states), 0))
+
+    if regime in (SUBCRITICAL, CRITICAL):
+        anchors = list(exc.points)
+    else:
+        anchors = [p for p, _e in R.branch_data(tol).branch_points]
+
+    finite_count = 0
+    for w in anchors:
+        restriction = None
+        if R.is_exceptional(w, tol):
+            restriction, _norm = _exceptional_closed_form(R, w, beta_val, tol)
+        states.append(
+            ExtremeState(
+                kind=FINITE_TYPE,
+                anchors=(w,),
+                label=_point_label(w),
+                restriction=restriction,
+            )
+        )
+        finite_count += 1
+
+    infinite_count = 0
+    if regime == CRITICAL:
+        states.append(ExtremeState(kind=INFINITE_TYPE, anchors=(), label="lyubich"))
+        infinite_count = 1
+    return HandCountedReport(beta_val, regime, states, (finite_count, infinite_count))
+
+
+def hand_counted_classify_julia(R, beta=None, critical=False, julia_branch_points=(),
+                                tol: float = DEFAULT_CLUSTER_TOL):
+    """kms.classify_julia, one regime at a time."""
+    beta_val, regime = phase(beta, critical, math.log(R.n))
+    data = R.branch_data(tol)
+    asserted = []
+    for p in julia_branch_points:
+        if data.index_at(p) < 2:
+            raise NotABranchPoint(f"{p} asserted in the Julia set is not a branched point")
+        asserted.append(p)
+    if regime == CRITICAL:
+        states = [ExtremeState(kind=INFINITE_TYPE, anchors=(), label="lyubich")]
+        return HandCountedReport(beta_val, CRITICAL, states, (0, 1))
+    if regime != SUPERCRITICAL:
+        return HandCountedReport(beta_val, regime, [], (0, 0))
+    states = [
+        ExtremeState(kind=FINITE_TYPE, anchors=(w,), label=_point_label(w)) for w in asserted
+    ]
+    return HandCountedReport(beta_val, SUPERCRITICAL, states, (len(states), 0))
+
+
+def hand_counted_classify_ifs(gamma, beta=None, critical=False, orbit_depth=12):
+    """ifs.classify_ifs, one regime at a time."""
+    require_count("orbit_depth", orbit_depth)
+    report = orbit_condition(gamma, orbit_depth)
+    if not report.certified:
+        warnings.warn(
+            "orbit condition not certified at this depth; classification assumes it",
+            HypothesisUncertified,
+            stacklevel=2,
+        )
+    log_n = math.log(gamma.n)
+    beta_val, regime = phase(beta, critical, log_n)
+    if regime == CRITICAL:
+        states = [ExtremeState(kind=INFINITE_TYPE, anchors=(), label="hutchinson")]
+        return HandCountedReport(beta_val, CRITICAL, states, (0, 1))
+    if beta_val < log_n:
+        return HandCountedReport(beta_val, SUBCRITICAL, [], (0, 0))
+    states = []
+    for x in gamma.branch_structure().branch_points:
+        label = "(" + ", ".join(f"{v:.12g}" for v in np.atleast_1d(x)) + ")"
+        states.append(ExtremeState(kind=FINITE_TYPE, anchors=(tuple(np.atleast_1d(x)),), label=label))
+    return HandCountedReport(beta_val, SUPERCRITICAL, states, (len(states), 0))
+
+
+def _min_depth_for_tail(degree: int, beta: float) -> int:
+    """Smallest depth with (N e^{-beta})^{depth+1}/(1 - N e^{-beta}) <= 1e-6."""
+    q = degree * math.exp(-beta)
+    if q >= 1.0:
+        raise OutOfRegime("tail bound requires beta > log N")
+    d = 0
+    while q ** (d + 1) / (1.0 - q) > 1e-6:
+        d += 1
+    return d
+
+
+def two_branch_depth(degree: int, beta: float, atom_budget: int) -> int:
+    """kms_measure's automatic depth for beta > log N: the tail-target depth, or 20 near log N, capped."""
+    cap = _budget_depth(degree, min(atom_budget, 131072))
+    if beta > math.log(degree) + 0.05:
+        return min(_min_depth_for_tail(degree, beta), cap)
+    return min(20, cap)

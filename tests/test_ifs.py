@@ -767,3 +767,27 @@ def test_rescaled_system_gives_rescaled_results(name, exponent):
         coords0, weights0 = unit["measures"][key]
         assert np.array_equal(coords, coords0), key
         assert np.array_equal(weights, weights0), key
+
+
+def _one_point_system():
+    # both maps fix p = (0.125, 1.1875): the attractor is that one point
+    p = np.array([0.125, 1.1875])
+    a2 = np.array([[-0.3, 0.1], [0.2, 0.35]])
+    return p, IFSSystem([AffineMap([[0.5, -0.2], [0.1, 0.4]], [0.3, 0.7]), AffineMap(a2, p - a2 @ p)])
+
+
+def test_one_point_attractor_gets_the_unit_ball():
+    p, gamma = _one_point_system()
+    assert gamma.radius == 1.0
+    points = gamma.branch_structure().branch_points
+    assert len(points) == 1 and np.linalg.norm(points[0] - p) <= 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HypothesisUncertified)
+        assert classify_ifs(gamma, beta=1.5).counts == (1, 0)
+
+
+def test_preset_radii_are_unchanged_by_the_rounding_floor():
+    radii = {"tent": "0x1.0000000000000p+0", "binary": "0x1.0000000000000p-1",
+             "sierpinski": "0x1.279a74590331cp-1", "sierpinski-twisted": "0x1.92d6e5ea92c54p-1"}
+    for name, radius in radii.items():
+        assert float(preset(name).radius).hex() == radius, name
