@@ -58,7 +58,7 @@ from .measure import (
     tilde,
     weak_star_distance,
 )
-from .polyroots import Poly, derivative, multiplicity_of_root, roots
+from .polyroots import Poly, derivative, roots
 from .projective import SpherePoint, chordal_distance, cluster
 from .ratmap import (
     INDEX_WEIGHTED,
@@ -123,7 +123,6 @@ __all__ = [
     "lyubich",
     "lyubich_invariance_residual",
     "measure_sum",
-    "multiplicity_of_root",
     "orbit_condition",
     "parse_constant",
     "parse_expression",

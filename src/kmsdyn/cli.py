@@ -39,9 +39,9 @@ from .errors import (
 from .mapexpr import parse_constant, parse_map
 from .measure import TestFunctionLibrary, integrate
 from .projective import SpherePoint
-from .ratmap import DEFAULT_ATOM_BUDGET, analysis_report
+from .ratmap import analysis_report
 from .serialize import stable_dumps, write_planar_atoms_csv, write_sphere_atoms_csv
-from .states import SUPERCRITICAL
+from .states import DEFAULT_ATOM_BUDGET, FINITE_TYPE, SUPERCRITICAL, ExtremeState
 
 SCHEMA_VERSION = 1
 
@@ -115,7 +115,7 @@ def _cmd_rat_kms(args) -> dict:
     states = []
     for k, state in enumerate(report.extreme_states):
         entry = state.to_jsonable()
-        if state.kind == "finite" and state.anchors:
+        if state.kind == FINITE_TYPE and state.anchors:
             km = kmsmod.kms_measure(
                 R, state.anchors[0], report.beta, depth=args.depth,
                 tol=args.tol, atom_budget=budget,
@@ -166,6 +166,8 @@ def _cmd_rat_lyubich(args) -> dict:
 def _cmd_rat_phase(args) -> dict:
     R = parse_map(args.map)
     lo, hi, step = (float(v) for v in args.beta_grid.split(":"))
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError(f"--beta-grid needs finite numbers, got {args.beta_grid!r}")
     if step <= 0:
         raise ValueError("grid step must be positive")
     grid = []
@@ -212,28 +214,25 @@ def _cmd_ifs_kms(args) -> dict:
     gamma = _load_system(args)
     beta, critical = _beta_args(args)
     report = ifsmod.classify_ifs(gamma, beta=beta, critical=critical)
-    if report.regime != SUPERCRITICAL:
-        states = [s.to_jsonable() for s in report.extreme_states]
-        return {"system": gamma.to_jsonable(), "beta": report.beta, "states": states}
-    anchors = (
-        [_parse_planar_point(args.branch_point)] if args.branch_point
-        else list(gamma.branch_structure().branch_points)
-    )
+    if args.branch_point and report.regime == SUPERCRITICAL:
+        report.extreme_states = [ExtremeState(FINITE_TYPE, (_parse_planar_point(args.branch_point),))]
     lib = TestFunctionLibrary.plane(box=gamma.bounding_box())
     states = []
-    for k, b in enumerate(anchors):
-        km = ifsmod.kms_measure_ifs(
-            gamma, b, report.beta, depth=args.depth, atom_budget=atom_budget()
-        )
-        ref = None
-        if args.atoms_csv:
-            ref = f"{args.atoms_csv}-state{k}.csv"
-            write_planar_atoms_csv(km.measure, ref)
-        entry = km.to_jsonable(atoms_ref=ref)
-        if not args.skip_residuals:
-            k1, k2 = ifsmod.check_K1_ifs(gamma, km.measure, report.beta, lib)
-            entry["k1_residual"] = k1
-            entry["k2_violation"] = k2
+    for k, state in enumerate(report.extreme_states):
+        entry = state.to_jsonable()
+        if state.kind == FINITE_TYPE and state.anchors:
+            km = ifsmod.kms_measure_ifs(
+                gamma, state.anchors[0], report.beta, depth=args.depth, atom_budget=atom_budget()
+            )
+            ref = None
+            if args.atoms_csv:
+                ref = f"{args.atoms_csv}-state{k}.csv"
+                write_planar_atoms_csv(km.measure, ref)
+            entry.update(km.to_jsonable(atoms_ref=ref))
+            if not args.skip_residuals:
+                entry["k1_residual"], entry["k2_violation"] = ifsmod.check_K1_ifs(
+                    gamma, km.measure, report.beta, lib
+                )
         states.append(entry)
     return {"system": gamma.to_jsonable(), "beta": report.beta, "states": states}
 

@@ -28,12 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AtomBudgetExceeded,
-    HypothesisUncertified,
-    NotABranchPoint,
-    OutOfRegime,
-)
+from .errors import HypothesisUncertified, NotABranchPoint, OutOfRegime
 from .measure import (
     DEFAULT_CUTOFF_RADIUS,
     PLANAR_MERGE_TOL,
@@ -46,9 +41,9 @@ from .measure import (
     trace_conditions,
     unseen,
 )
-from .ratmap import DEFAULT_ATOM_BUDGET, require_count
 from .states import (
     CRITICAL,
+    DEFAULT_ATOM_BUDGET,
     FINITE_TYPE,
     INFINITE_TYPE,
     SUBCRITICAL,
@@ -58,6 +53,8 @@ from .states import (
     KMSMeasure,
     PhaseReport,
     phase,
+    require_budget,
+    require_count,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -375,15 +372,11 @@ def apply_F_beta_ifs(
     beta: float,
     atom_budget: int = DEFAULT_ATOM_BUDGET,
 ) -> AtomicMeasure:
-    """F_beta(delta_y) = e^{-beta} sum over distinct images, extended linearly."""
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
+    """F_beta(delta_y) = e^{-beta} sum over distinct images, extended linearly; beta as phase takes it."""
+    beta = phase(beta, False, math.log(gamma.n))[0]
     if mu.space != "plane":
         raise ValueError("IFS transfer operator needs a planar measure")
-    if mu.n_atoms * gamma.n > atom_budget:
-        raise AtomBudgetExceeded(
-            f"pullback would create up to {mu.n_atoms * gamma.n} atoms"
-        )
+    require_budget(mu.n_atoms * gamma.n, atom_budget, "pullback")
     images = _image_table(gamma, mu)
     return AtomicMeasure.from_planar_atoms(
         images.coords, math.exp(-beta) * mu.weights[images.owner], gamma.tol
@@ -438,10 +431,7 @@ def hutchinson(
         coords = gamma.seed[None, :].copy()
         weights = np.array([1.0])
         for _ in range(n):
-            if gamma.n * len(weights) > atom_budget:
-                raise AtomBudgetExceeded(
-                    f"deterministic pushforward needs up to {gamma.n * len(weights)} atoms"
-                )
+            require_budget(gamma.n * len(weights), atom_budget, "deterministic pushforward")
             coords = gamma.images(coords).reshape(-1, gamma.dim)
             weights = np.tile(weights / gamma.n, gamma.n)
             coords, weights = merge_planar(coords, weights, gamma.tol)
@@ -449,10 +439,7 @@ def hutchinson(
         return AtomicMeasure(PLANE, coords=coords, weights=weights, info=info, tol=gamma.tol)
 
     require_count("chaos_samples", chaos_samples, 1)
-    if chaos_samples > atom_budget:
-        raise AtomBudgetExceeded(
-            f"chaos game with {chaos_samples} samples exceeds the atom budget"
-        )
+    require_budget(chaos_samples, atom_budget, "chaos game")
     burn_in = 100
     rng = np.random.Generator(np.random.Philox(seed))
     chains = min(1024, chaos_samples)
@@ -489,8 +476,8 @@ def kms_measure_ifs(
     delta_{gamma_w(b)}; colliding words merge.  Word counts are exactly N^n
     per level, so the truncated mass deficit is exactly the geometric tail
     (N e^{-beta})^{depth+1}, recorded as the tail bound.  beta must be
-    supercritical (states.phase); None or a negative beta is refused with
-    ValueError.
+    supercritical (states.phase); a beta that is None, negative or not
+    finite is refused with ValueError.
     """
     require_count("depth", depth)
     log_n = math.log(gamma.n)
@@ -512,8 +499,7 @@ def kms_measure_ifs(
     acc_weights = [weights]
     total = 1
     for k in range(1, depth + 1):
-        if total + gamma.n * len(weights) > atom_budget:
-            raise AtomBudgetExceeded(f"word sum needs more than {atom_budget} atoms")
+        require_budget(total + gamma.n * len(weights), atom_budget, "word sum")
         coords = gamma.images(coords).reshape(-1, gamma.dim)
         weights = np.tile(weights * ebeta, gamma.n)
         coords, weights = merge_planar(coords, weights, gamma.tol)
@@ -679,18 +665,18 @@ def classify_ifs(
 
     Below log N none exist; at log N the unique state is the Hutchinson
     measure; above log N there is one finite-type state per branch point (so
-    none at all when the branch set is empty).  Runs the orbit-condition
-    certificate first and warns if it is inconclusive.
+    none at all when the branch set is empty).  Once states.phase has
+    accepted beta, runs the orbit-condition certificate and warns if it is
+    inconclusive.
     """
     require_count("orbit_depth", orbit_depth)
-    report = orbit_condition(gamma, orbit_depth)
-    if not report.certified:
+    beta_val, regime = phase(beta, critical, math.log(gamma.n))
+    if not orbit_condition(gamma, orbit_depth).certified:
         warnings.warn(
             "orbit condition not certified at this depth; classification assumes it",
             HypothesisUncertified,
             stacklevel=2,
         )
-    beta_val, regime = phase(beta, critical, math.log(gamma.n))
     if regime == ZERO:
         regime = SUBCRITICAL  # no exceptional points, so beta = 0 anchors nothing either
     anchors = gamma.branch_structure().branch_points if regime == SUPERCRITICAL else []
@@ -746,8 +732,12 @@ def preset(name: str) -> IFSSystem:
 
 
 def system_from_jsonable(obj) -> IFSSystem:
-    """Custom systems: {"dim": d, "maps": [{"linear": [[...]], "offset": [...]}]}."""
-    maps = [AffineMap(m["linear"], m["offset"]) for m in obj["maps"]]
+    """Custom systems: {"dim": d, "maps": [{"linear": [[...]], "offset": [...]}]}; ValueError otherwise."""
+    maps = obj.get("maps") if isinstance(obj, dict) else None
+    if not isinstance(maps, list) or not all(isinstance(m, dict) and {"linear", "offset"} <= m.keys()
+                                             for m in maps):
+        raise ValueError('a system is {"maps": [{"linear": [[...]], "offset": [...]}, ...]}')
+    maps = [AffineMap(m["linear"], m["offset"]) for m in maps]
     system = IFSSystem(maps, name=obj.get("name", "custom"))
     if "dim" in obj and system.dim != int(obj["dim"]):
         raise ValueError("declared dim does not match the maps")

@@ -48,9 +48,10 @@ from .projective import (
     founders,
     homogeneous,
 )
-from .ratmap import DEFAULT_ATOM_BUDGET, INDEX_WEIGHTED, SET_COUNT, RationalMap, require_count
+from .ratmap import INDEX_WEIGHTED, SET_COUNT, RationalMap
 from .states import (
     CRITICAL,
+    DEFAULT_ATOM_BUDGET,
     FINITE_TYPE,
     INFINITE_TYPE,
     SUPERCRITICAL,
@@ -62,6 +63,7 @@ from .states import (
     ResidualReport,
     ViolationReport,
     phase,
+    require_count,
 )
 
 
@@ -125,7 +127,7 @@ def kms_measure(
     truncated series carries an explicit geometric tail bound.  An explicit
     depth wins; otherwise the depth is chosen so the tail bound reaches 1e-6
     where the atom budget permits, with a warning when it cannot.  A beta
-    that is None or negative is refused with ValueError.
+    that is None, negative or not finite is refused with ValueError.
     """
     if depth is not None:
         require_count("depth", depth)

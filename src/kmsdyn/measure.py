@@ -41,7 +41,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import AtomBudgetExceeded, NotSubinvariant
+from .errors import NotSubinvariant
 from .projective import (
     DEFAULT_CLUSTER_TOL,
     SpherePoint,
@@ -55,7 +55,8 @@ from .projective import (
     normalize_rows,
 )
 from .polyroots import BLOCK_ROWS
-from .ratmap import DEFAULT_ATOM_BUDGET, RationalMap
+from .ratmap import RationalMap
+from .states import DEFAULT_ATOM_BUDGET, phase, require_budget
 
 PLANAR_MERGE_TOL = 1e-9
 DEFAULT_CUTOFF_RADIUS = 1e-3
@@ -176,7 +177,7 @@ class AtomicMeasure:
         self.weights = np.array(weights, dtype=np.float64)
         if self.coords.shape[0] != len(self.weights):
             raise ValueError("coords and weights length mismatch")
-        if np.any(self.weights <= 0):
+        if not np.all(self.weights > 0):
             raise ValueError("atom weights must be positive")
         self._embedding = None
         self._fibres = None  # (R, tol, FibreTable) of the last fibre_table call
@@ -550,8 +551,7 @@ def pullback_G(
 def _pullback(R, mu, tol, atom_budget, index_weighted):
     """Merge the fibre table's pairs, normalized as SpherePoint stores them, with their owners' weights."""
     _require_sphere(mu)
-    if mu.n_atoms * R.n > atom_budget:
-        raise AtomBudgetExceeded(f"pullback would create up to {mu.n_atoms * R.n} atoms (budget {atom_budget})")
+    require_budget(mu.n_atoms * R.n, atom_budget, "pullback")
     fib = fibre_table(R, mu, tol)
     weights = mu.weights[fib.owner] * fib.degree if index_weighted else mu.weights[fib.owner]
     return AtomicMeasure.from_sphere_rows(normalize_rows(np.stack([fib.z, fib.w], axis=1)), weights, tol)
@@ -564,9 +564,8 @@ def apply_F_beta(
     tol: float = DEFAULT_CLUSTER_TOL,
     atom_budget: int = DEFAULT_ATOM_BUDGET,
 ) -> AtomicMeasure:
-    """F_beta = e^{-beta} F."""
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
+    """F_beta = e^{-beta} F; beta as phase takes it."""
+    beta = phase(beta, False, math.log(R.n))[0]
     return pullback_F(R, mu, tol, atom_budget).scaled(math.exp(-beta))
 
 

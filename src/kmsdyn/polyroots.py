@@ -437,21 +437,3 @@ def roots_batch(C, tol: float = DEFAULT_ROOT_TOL):
         fallback = merged.any(axis=(1, 2)) | missed.any(axis=1) | ~np.all(np.isfinite(X), axis=1)
     order = np.lexsort((X.imag, X.real))
     return np.take_along_axis(X, order, axis=1), fallback
-
-
-def multiplicity_of_root(p: Poly, r: complex, tol: float = 1e-6) -> int:
-    """Smallest k with p^(k)(r) above the noise floor 1e-7 * derivative scale.
-
-    The input must already be a root: |p(r)| <= tol * scale, else ValueError.
-    """
-    scale = p.eval_scale(r)
-    if abs(p(r)) > tol * max(scale, 1e-300):
-        raise ValueError(f"{r} is not a root of the polynomial (residual {abs(p(r)):.3e})")
-    q = p
-    for k in range(1, p.degree + 1):
-        q = derivative(q)
-        val = abs(q(r))
-        noise = 1e-7 * max(q.eval_scale(r), 1e-300)
-        if val > noise:
-            return k
-    raise ValueError("polynomial vanishes to all orders; zero polynomial?")

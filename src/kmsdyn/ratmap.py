@@ -9,7 +9,6 @@ exceptional set with its orbit structure.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,20 +28,14 @@ from .projective import (
     homogeneous,
     merge_weighted,
 )
+from .states import DEFAULT_ATOM_BUDGET, require_count
 
-DEFAULT_ATOM_BUDGET = 2_000_000
 # relative threshold below which a leading coefficient counts as a true
 # degree drop (a preimage at infinity)
 _DEGREE_DROP_TOL = 1e-12
 
 SET_COUNT = "set"
 INDEX_WEIGHTED = "index"
-
-
-def require_count(name: str, k, least: int = 0):
-    """Refuse a bool, a non-integer or a count below least with ValueError, before any work."""
-    if type(k) is bool or not hasattr(type(k), "__index__") or operator.index(k) < least:
-        raise ValueError(f"{name} must be an integer of at least {least}, not {k!r}")
 
 
 class RationalMap:

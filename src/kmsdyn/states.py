@@ -1,8 +1,16 @@
-"""The regime rule and the result types shared by the rational-map and IFS engines."""
+"""The rules and the result types shared by the rational-map and IFS engines.
+
+phase decides beta and its regime, require_count a count and require_budget
+a step against the atom budget, each before any work.
+"""
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
+
+from .errors import AtomBudgetExceeded
 
 FINITE_TYPE = "finite"
 INFINITE_TYPE = "infinite"
@@ -13,22 +21,36 @@ CRITICAL = "Critical"
 SUPERCRITICAL = "Supercritical"
 ZERO = "Zero"
 CRITICAL_BETA_TOL = 1e-12
+DEFAULT_ATOM_BUDGET = 2_000_000
+
+
+def require_count(name: str, k, least: int = 0):
+    """Refuse a bool, a non-integer or a count below least with ValueError, before any work."""
+    if type(k) is bool or not hasattr(type(k), "__index__") or operator.index(k) < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, not {k!r}")
+
+
+def require_budget(atoms: int, atom_budget: int, what: str):
+    """Refuse a step that could create more than atom_budget atoms, before it runs."""
+    if atoms > atom_budget:
+        raise AtomBudgetExceeded(f"{what} could create {atoms} atoms, more than the budget of {atom_budget}")
 
 
 def phase(beta, critical: bool, log_n: float):
     """(beta, regime) at inverse temperature beta: the one regime rule of both engines.
 
-    beta = log N when critical; otherwise beta must be a number >= 0, and
-    it is critical within CRITICAL_BETA_TOL of log N, zero at 0, and
-    subcritical or supercritical on either side of log N.
+    beta = log N when critical; otherwise beta must be a finite number >= 0
+    (ValueError for None, NaN or infinity), and it is critical within
+    CRITICAL_BETA_TOL of log N, zero at 0, and subcritical or supercritical
+    on either side of log N.
     """
     if critical:
         return log_n, CRITICAL
     if beta is None:
         raise ValueError("beta required unless critical=True")
     beta_val = float(beta)
-    if beta_val < 0:
-        raise ValueError("beta must be nonnegative")
+    if not 0.0 <= beta_val < math.inf:
+        raise ValueError("beta must be nonnegative and finite")
     if abs(beta_val - log_n) < CRITICAL_BETA_TOL:
         return beta_val, CRITICAL
     if beta_val == 0.0:

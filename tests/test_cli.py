@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from kmsdyn import ifs, kms
 from kmsdyn.cli import EXIT_CODES, atom_budget, main
 from kmsdyn.ratmap import DEFAULT_ATOM_BUDGET
 
@@ -280,3 +281,47 @@ def test_rat_analyze_nan_roots_exit_as_nonconvergence(capsys):
     code, _out, err = run_cli(capsys, "rat", "analyze", "--map", "z^5+10^100*z+1")
     assert code == EXIT_CODES_BY_NAME["NonConvergence"] == 6
     assert json.loads(err)["error"]["kind"] == "NonConvergence"
+
+
+def _one_json_error_line(code, out, err, kind="ValueError"):
+    lines = err.splitlines()
+    assert code == 1 and out == "" and len(lines) == 1
+    assert json.loads(lines[0])["error"]["kind"] == kind
+
+
+@pytest.mark.parametrize("argv", [
+    ("rat", "kms", "--map", "z^2+1", "--beta", "nan", "--depth", "6"),
+    ("rat", "kms", "--map", "z^2+1", "--beta", "inf"),
+    ("ifs", "kms", "--preset", "tent", "--beta", "nan"),
+    ("rat", "phase", "--map", "z^2", "--beta-grid", "0:inf:1"),
+    ("rat", "phase", "--map", "z^2", "--beta-grid", "0:nan:0.5"),
+], ids=["rat-kms-nan", "rat-kms-inf", "ifs-kms-nan", "grid-inf", "grid-nan"])
+def test_a_beta_that_is_not_finite_leaves_through_one_json_error_line(monkeypatch, capsys, argv):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a measure was built for a bad beta")
+
+    monkeypatch.setattr(kms, "kms_measure", refuse)
+    monkeypatch.setattr(ifs, "kms_measure_ifs", refuse)
+    _one_json_error_line(*run_cli(capsys, *argv))
+
+
+@pytest.mark.parametrize("system", [
+    {},
+    [1, 2],
+    {"maps": [{"linear": [[0.5]]}, {"linear": [[-0.5]], "offset": [1.0]}]},
+], ids=["empty", "list", "no-offset"])
+def test_a_malformed_system_file_leaves_through_one_json_error_line(tmp_path, capsys, system):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system))
+    _one_json_error_line(*run_cli(capsys, "ifs", "analyze", "--system", str(path)))
+
+
+@pytest.mark.parametrize("beta_args", [("--beta", "0"), ("--beta", "0.3"), ("--critical",)])
+def test_ifs_kms_ignores_the_branch_point_outside_the_supercritical_regime(capsys, beta_args):
+    base = ("ifs", "kms", "--preset", "tent", *beta_args)
+    code, out, _err = run_cli(capsys, *base)
+    # 0.3 is no branch point of the tent system, so an anchor there would be refused
+    assert run_cli(capsys, *base, "--branch-point", "0.3") == (code, out, "") and code == 0
+    code, _out, err = run_cli(capsys, "ifs", "kms", "--preset", "tent", "--beta", "1.5",
+                              "--branch-point", "0.3")
+    assert code == EXIT_CODES_BY_NAME["NotABranchPoint"]

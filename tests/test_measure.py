@@ -692,3 +692,9 @@ def test_sphere_rows_read_back_exactly(build):
         assert np.all(same | (np.hypot(nu.coords.real, nu.coords.imag).min(axis=1) == 1.0))
         moved += int(np.sum(~same))
     assert (moved > 0) == (build is _z2_circle)
+
+
+@pytest.mark.parametrize("weight", [math.nan, 0.0, -1.0], ids=repr)
+def test_atomic_measure_refuses_a_weight_that_is_not_positive(weight):
+    with pytest.raises(ValueError, match="atom weights must be positive"):
+        AtomicMeasure(SPHERE, [[0j, 1]], [weight])

@@ -20,7 +20,6 @@ from kmsdyn.polyroots import (
     _div,
     _recip_sum,
     derivative,
-    multiplicity_of_root,
     roots,
     roots_batch,
 )
@@ -64,17 +63,6 @@ def test_derivative_examples():
     assert list(derivative(Poly([0, 0, 0, 1])).coeffs) == [0, 0, 3]
     assert derivative(Poly([5.0])).degree == -1
     assert list(derivative(Poly([1, 0, 1])).coeffs) == [0, 2]
-
-
-def test_multiplicity_examples():
-    assert multiplicity_of_root(Poly([0, 0, 0, 1]), 0.0) == 3
-    assert multiplicity_of_root(Poly([-1, 0, 1]), 1.0) == 1
-    assert multiplicity_of_root(Poly([1, -2, 1]), 1.0) == 2
-
-
-def test_multiplicity_rejects_non_root():
-    with pytest.raises(ValueError):
-        multiplicity_of_root(Poly([-1, 0, 1]), 0.5)
 
 
 def test_root_count_always_degree():

@@ -1,4 +1,5 @@
-"""The one regime rule: states.phase, the three classifiers on it, and the measure builders' regime checks."""
+"""The shared rules: states.phase, the three classifiers on it, the measure builders' regime checks, and
+the beta and budget refusals of every entry point."""
 
 import math
 import warnings
@@ -6,10 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
-from kmsdyn import ifs, kms
-from kmsdyn.errors import OutOfRegime
+from kmsdyn import ifs, kms, measure, states
+from kmsdyn.errors import AtomBudgetExceeded, OutOfRegime
 from kmsdyn.mapexpr import parse_map
+from kmsdyn.measure import PLANE, AtomicMeasure
 from kmsdyn.projective import SpherePoint
+from kmsdyn.ratmap import RationalMap
 from kmsdyn.serialize import stable_dumps
 
 from merge_oracles import (
@@ -127,3 +130,71 @@ def test_exceptional_anchor_needs_a_nonzero_beta_only():
         kms.kms_measure(R, SpherePoint.infinity(), 0.0)
     km = kms.kms_measure(R, SpherePoint.infinity(), 0.3)
     assert km.truncation_depth == 0 and km.measure.n_atoms == 1
+
+
+BAD_BETAS = [-1.0, math.nan, math.inf, -math.inf, None]
+BETA_ENTRY_POINTS = ["classify", "classify_julia", "classify_ifs", "kms_measure", "kms_measure_ifs",
+                     "apply_F_beta", "apply_F_beta_ifs"]
+
+
+def _refuse_work(*_args, **_kwargs):
+    raise AssertionError("work started before beta was checked")
+
+
+def _beta_entry_points(monkeypatch):
+    """Each beta entry point as a call of beta, with its first expensive step patched to fail."""
+    R = parse_map("z^2+1")
+    tent = ifs.preset("tent")
+    w = R.branch_data().branch_points[0][0]
+    sphere_mu = AtomicMeasure.delta(SpherePoint.from_affine(0.5))
+    plane_mu = AtomicMeasure(PLANE, [[0.5]], [1.0])
+    monkeypatch.setattr(RationalMap, "exceptional_points", _refuse_work)
+    monkeypatch.setattr(RationalMap, "branch_data", _refuse_work)
+    monkeypatch.setattr(ifs.IFSSystem, "branch_structure", _refuse_work)
+    monkeypatch.setattr(ifs, "orbit_condition", _refuse_work)
+    monkeypatch.setattr(ifs, "_image_table", _refuse_work)
+    monkeypatch.setattr(measure, "fibre_table", _refuse_work)
+    return {
+        "classify": lambda b: kms.classify(R, b),
+        "classify_julia": lambda b: kms.classify_julia(R, b),
+        "classify_ifs": lambda b: ifs.classify_ifs(tent, b),
+        "kms_measure": lambda b: kms.kms_measure(R, w, b, depth=4),
+        "kms_measure_ifs": lambda b: ifs.kms_measure_ifs(tent, [0.5], b, depth=4),
+        "apply_F_beta": lambda b: measure.apply_F_beta(R, sphere_mu, b),
+        "apply_F_beta_ifs": lambda b: ifs.apply_F_beta_ifs(tent, plane_mu, b),
+    }
+
+
+@pytest.mark.parametrize("beta", BAD_BETAS, ids=repr)
+@pytest.mark.parametrize("entry", BETA_ENTRY_POINTS)
+def test_every_beta_entry_point_refuses_a_beta_that_is_not_finite_and_nonnegative_before_any_work(
+        monkeypatch, entry, beta):
+    call = _beta_entry_points(monkeypatch)[entry]
+    with pytest.raises(AssertionError, match="before beta was checked"):
+        call(1.5)  # a valid beta reaches the patched step
+    with pytest.raises(ValueError, match="beta"):
+        call(beta)
+
+
+def test_require_budget_refuses_only_past_the_budget():
+    states.require_budget(5, 5, "step")
+    with pytest.raises(AtomBudgetExceeded, match=r"^step could create 6 atoms, more than the budget of 5$"):
+        states.require_budget(6, 5, "step")
+
+
+@pytest.mark.parametrize("build, detail", [
+    (lambda R, tent: measure.pullback_F(R, AtomicMeasure.delta(SpherePoint.from_affine(0.5)), atom_budget=1),
+     "pullback could create 2 atoms, more than the budget of 1"),
+    (lambda R, tent: ifs.apply_F_beta_ifs(tent, AtomicMeasure(PLANE, [[0.5]], [1.0]), 1.0, atom_budget=1),
+     "pullback could create 2 atoms, more than the budget of 1"),
+    (lambda R, tent: ifs.hutchinson(tent, 2, atom_budget=1),
+     "deterministic pushforward could create 2 atoms, more than the budget of 1"),
+    (lambda R, tent: ifs.hutchinson(tent, 0, chaos_samples=10, atom_budget=9),
+     "chaos game could create 10 atoms, more than the budget of 9"),
+    (lambda R, tent: ifs.kms_measure_ifs(tent, [0.5], 1.5, depth=3, atom_budget=2),
+     "word sum could create 3 atoms, more than the budget of 2"),
+], ids=["pullback", "apply_F_beta_ifs", "hutchinson", "chaos", "word_sum"])
+def test_every_budget_refusal_has_the_shared_wording(build, detail):
+    with pytest.raises(AtomBudgetExceeded) as info:
+        build(parse_map("z^2"), ifs.preset("tent"))
+    assert str(info.value) == detail
