@@ -19,7 +19,6 @@ from .errors import (
     MapSyntaxError,
     NonConvergence,
     NotABranchPoint,
-    NotSubinvariant,
     OutOfRegime,
     WitnessNotFoundAtDepth,
 )
@@ -50,7 +49,6 @@ from .measure import (
     AtomicMeasure,
     TestFunctionLibrary,
     apply_F_beta,
-    decompose_trace,
     integrate,
     measure_sum,
     pullback_F,
@@ -92,7 +90,6 @@ __all__ = [
     "MapSyntaxError",
     "NonConvergence",
     "NotABranchPoint",
-    "NotSubinvariant",
     "OrbitTree",
     "OutOfRegime",
     "PhaseReport",
@@ -113,7 +110,6 @@ __all__ = [
     "classify_ifs",
     "classify_julia",
     "cluster",
-    "decompose_trace",
     "derivative",
     "divergence_witness",
     "hutchinson",

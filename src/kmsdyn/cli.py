@@ -32,7 +32,6 @@ from .errors import (
     MapSyntaxError,
     NonConvergence,
     NotABranchPoint,
-    NotSubinvariant,
     OutOfRegime,
     WitnessNotFoundAtDepth,
 )
@@ -53,7 +52,7 @@ EXIT_CODES = {
     NotABranchPoint: 7,
     OutOfRegime: 8,
     ExceptionalSeed: 9,
-    NotSubinvariant: 10,
+    # 10 is retired with the error class it named; it is not reused
     AtomBudgetExceeded: 11,
     WitnessNotFoundAtDepth: 12,
     InternalConsistencyError: 13,

@@ -41,10 +41,6 @@ class ExceptionalSeed(KmsdynError):
     """Operation requires a seed outside the exceptional set."""
 
 
-class NotSubinvariant(KmsdynError):
-    """mu - F_beta(mu) has a significantly negative atom; mu fails (K2)."""
-
-
 class AtomBudgetExceeded(KmsdynError):
     """A pullback or orbit expansion would exceed the configured atom budget."""
 

@@ -737,8 +737,20 @@ def system_from_jsonable(obj) -> IFSSystem:
     if not isinstance(maps, list) or not all(isinstance(m, dict) and {"linear", "offset"} <= m.keys()
                                              for m in maps):
         raise ValueError('a system is {"maps": [{"linear": [[...]], "offset": [...]}, ...]}')
-    maps = [AffineMap(m["linear"], m["offset"]) for m in maps]
+    maps = [AffineMap(_json_numbers("linear", m["linear"]), _json_numbers("offset", m["offset"])) for m in maps]
     system = IFSSystem(maps, name=obj.get("name", "custom"))
-    if "dim" in obj and system.dim != int(obj["dim"]):
-        raise ValueError("declared dim does not match the maps")
+    if "dim" in obj:
+        require_count("dim", obj["dim"], 1)
+        if system.dim != obj["dim"]:
+            raise ValueError("declared dim does not match the maps")
     return system
+
+
+def _json_numbers(field, value):
+    """value when it is a JSON number or nested lists of them; ValueError naming field otherwise."""
+    if isinstance(value, list):
+        for v in value:
+            _json_numbers(field, v)
+    elif type(value) not in (int, float):
+        raise ValueError(f"{field} must be numbers or lists of numbers, not {value!r}")
+    return value

@@ -60,9 +60,6 @@ class MapExpression:
     source: str
     ast: object
 
-    def __str__(self):
-        return to_string(self.ast)
-
 
 # ---------------------------------------------------------------------------
 # tokenizer
@@ -192,92 +189,6 @@ class _Parser:
 
 def parse_expression(source: str) -> MapExpression:
     return MapExpression(source=source, ast=_Parser(source).parse())
-
-
-# ---------------------------------------------------------------------------
-# printing (minimal parentheses; print -> parse round-trips to the same AST)
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "pow": 4, "atom": 5}
-
-
-def _prec(node) -> int:
-    if isinstance(node, Binary):
-        return _PREC[node.op]
-    if isinstance(node, Unary):
-        return _PREC["neg"]
-    if isinstance(node, Power):
-        return _PREC["pow"]
-    return _PREC["atom"]
-
-
-def _exact_decimal(q: Fraction) -> str | None:
-    """Exact decimal text when the denominator is 2^a 5^b, else None."""
-    den = q.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den != 1:
-        return None
-    k = max(twos, fives)
-    scaled = q.numerator * 10**k // q.denominator
-    text = str(abs(scaled)).rjust(k + 1, "0")
-    body = text if k == 0 else f"{text[:-k]}.{text[-k:]}"
-    return ("-" if scaled < 0 else "") + body
-
-
-def _format_qg(v: xq.QG) -> str:
-    def frac(q: Fraction) -> str:
-        if q.denominator == 1:
-            return str(q.numerator)
-        # decimal literals reparse to the identical Num node; a/b would not
-        dec = _exact_decimal(q)
-        return dec if dec is not None else f"{q.numerator}/{q.denominator}"
-
-    if not v.im:
-        return frac(v.re)
-    if not v.re:
-        return "i" if v.im == 1 else f"{frac(v.im)}*i"
-    im = "i" if v.im == 1 else f"{frac(v.im)}*i"
-    return f"{frac(v.re)}+{im}"
-
-
-def to_string(node) -> str:
-    if isinstance(node, Num):
-        text = _format_qg(node.value)
-        # negative or composite literals reparse only when parenthesized
-        if text.startswith("-") or "+" in text[1:] or "/" in text or "*" in text:
-            return f"({text})"
-        return text
-    if isinstance(node, Var):
-        return "z"
-    if isinstance(node, Unary):
-        inner = to_string(node.operand)
-        # a nested negation must keep its parentheses: the tokenizer would
-        # otherwise collapse the sign chain into the literal
-        if _prec(node.operand) <= _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Power):
-        base = to_string(node.base)
-        if _prec(node.base) < _PREC["pow"] or isinstance(node.base, Power):
-            base = f"({base})"
-        return f"{base}^{node.exponent}"
-    if isinstance(node, Binary):
-        lhs = to_string(node.left)
-        rhs = to_string(node.right)
-        if _prec(node.left) < _PREC[node.op]:
-            lhs = f"({lhs})"
-        # the parser is left-associative, so an equal-precedence right child
-        # needs parentheses to reparse to the identical tree
-        if _prec(node.right) <= _PREC[node.op]:
-            rhs = f"({rhs})"
-        return f"{lhs}{node.op}{rhs}"
-    raise TypeError(f"not an AST node: {node!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -41,13 +41,11 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import NotSubinvariant
 from .projective import (
     DEFAULT_CLUSTER_TOL,
     SpherePoint,
     cluster_sums,
     embedding_array,
-    first_within,
     homogeneous,
     merge_atoms,
     merge_sphere,
@@ -272,10 +270,6 @@ def measure_sum(measures, tol=None) -> AtomicMeasure:
     if space == SPHERE:
         return AtomicMeasure.from_sphere_rows(coords, weights, tol)
     return AtomicMeasure.from_planar_atoms(coords, weights, tol)
-
-
-def empty_measure(space: str, dim: int = 1) -> AtomicMeasure:
-    return AtomicMeasure(space, np.zeros((0, 2 if space == SPHERE else dim)), [])
 
 
 # ---------------------------------------------------------------------------
@@ -576,77 +570,6 @@ def weak_star_distance(mu: AtomicMeasure, nu: AtomicMeasure, lib: TestFunctionLi
     gaps = np.abs(lib.integrate_all(mu) - lib.integrate_all(nu))
     sups = np.array([f.sup_norm for f in lib.functions])
     return float(np.max(gaps / sups)) if len(gaps) else 0.0
-
-
-# ---------------------------------------------------------------------------
-# finite/infinite decomposition
-
-
-@dataclass
-class TraceDecomposition:
-    finite_part: AtomicMeasure
-    infinite_part: AtomicMeasure
-    residual: float
-    clipped_mass: float
-
-
-def decompose_trace(
-    R: RationalMap,
-    mu: AtomicMeasure,
-    beta: float,
-    n_max: int,
-    lib: TestFunctionLibrary | None = None,
-    tol: float = DEFAULT_CLUSTER_TOL,
-    atom_budget: int = DEFAULT_ATOM_BUDGET,
-) -> TraceDecomposition:
-    """Split a (K2-subinvariant) measure into finite and infinite parts.
-
-    mu0 = mu - F_beta(mu) must be nonnegative up to 1e-6 per atom; the finite
-    part is the partial geometric series over mu0 and the infinite part is
-    F_beta^{n_max}(mu).  The reported residual is the library distance
-    between mu and finite + infinite, which vanishes as n_max grows for
-    genuine trace-condition measures.
-    """
-    _require_sphere(mu)
-    fmu = apply_F_beta(R, mu, beta, tol, atom_budget)
-
-    # signed subtraction mu - fmu, clipping small negative atoms
-    hits = first_within(*mu.coords.T, *fmu.coords.T, tol)
-    miss = hits < 0
-    deficit = np.flatnonzero(miss & (fmu.weights > 1e-6))
-    if len(deficit):
-        i = deficit[0]
-        raise NotSubinvariant(f"mu - F_beta(mu) has an atom of weight {-fmu.weights[i]:.3e} at {fmu.points[i]}")
-    wts = mu.weights.copy()
-    np.subtract.at(wts, hits[~miss], fmu.weights[~miss])
-    negative = np.flatnonzero(wts < -1e-6)
-    if len(negative):
-        i = negative[0]
-        raise NotSubinvariant(f"mu - F_beta(mu) has an atom of weight {wts[i]:.3e} at {mu.points[i]}")
-    clipped = sum(-wts[wts < 0.0], sum(fmu.weights[miss], 0.0))
-    keep = wts > 0.0
-    if keep.any():
-        mu0 = AtomicMeasure.from_sphere_rows(mu.coords[keep], wts[keep], tol)
-        terms = [mu0]
-        current = mu0
-        for _ in range(n_max):
-            current = apply_F_beta(R, current, beta, tol, atom_budget)
-            terms.append(current)
-        finite = measure_sum(terms, tol)
-    else:
-        finite = empty_measure(SPHERE)
-
-    infinite = mu
-    for _ in range(n_max):
-        infinite = apply_F_beta(R, infinite, beta, tol, atom_budget)
-
-    lib = lib or TestFunctionLibrary.sphere()
-    if finite.n_atoms or infinite.n_atoms:
-        recon = measure_sum([m for m in (finite, infinite) if m.n_atoms], tol)
-        residual = weak_star_distance(mu, recon, lib)
-    else:
-        residual = weak_star_distance(mu, empty_measure(SPHERE), lib)
-    return TraceDecomposition(finite, infinite, residual, clipped_mass=clipped)
 
 
 def _require_sphere(mu: AtomicMeasure):

@@ -88,10 +88,6 @@ class SpherePoint:
             raise ZeroDivisionError("point at infinity has no affine value")
         return self.z / self.w
 
-    def reciprocal(self) -> "SpherePoint":
-        """The image under z -> 1/z, i.e. [w : z]."""
-        return SpherePoint(self.w, self.z)
-
     def embedding(self):
         """Unit-sphere embedding xi(p) in R^3 (stereographic chart).
 

@@ -7,6 +7,7 @@ a step against the atom budget, each before any work.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -39,15 +40,17 @@ def require_budget(atoms: int, atom_budget: int, what: str):
 def phase(beta, critical: bool, log_n: float):
     """(beta, regime) at inverse temperature beta: the one regime rule of both engines.
 
-    beta = log N when critical; otherwise beta must be a finite number >= 0
-    (ValueError for None, NaN or infinity), and it is critical within
-    CRITICAL_BETA_TOL of log N, zero at 0, and subcritical or supercritical
-    on either side of log N.
+    beta = log N when critical; otherwise beta must be a finite real number
+    >= 0 (ValueError for None, a complex, a string, NaN or infinity), and it
+    is critical within CRITICAL_BETA_TOL of log N, zero at 0, and
+    subcritical or supercritical on either side of log N.
     """
     if critical:
         return log_n, CRITICAL
     if beta is None:
         raise ValueError("beta required unless critical=True")
+    if not isinstance(beta, numbers.Real):
+        raise ValueError(f"beta must be a real number, not {beta!r}")
     beta_val = float(beta)
     if not 0.0 <= beta_val < math.inf:
         raise ValueError("beta must be nonnegative and finite")

@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from kmsdyn import ifs, kms
+import kmsdyn
+from kmsdyn import errors, ifs, kms
 from kmsdyn.cli import EXIT_CODES, atom_budget, main
 from kmsdyn.ratmap import DEFAULT_ATOM_BUDGET
 
@@ -230,6 +231,13 @@ def test_exit_code_table_is_injective():
     assert all(c not in (0, 1, 2) for c in codes)  # 2 is argparse's own
 
 
+def test_public_tables_match_the_package():
+    assert [name for name in kmsdyn.__all__ if not hasattr(kmsdyn, name)] == []
+    defined = {cls for cls in vars(errors).values() if isinstance(cls, type)
+               and issubclass(cls, errors.KmsdynError) and cls is not errors.KmsdynError}
+    assert set(EXIT_CODES) == defined
+
+
 def test_atom_budget_env(monkeypatch):
     assert atom_budget() == DEFAULT_ATOM_BUDGET
     monkeypatch.setenv("KMSDYN_ATOM_BUDGET", "12345")
@@ -309,7 +317,14 @@ def test_a_beta_that_is_not_finite_leaves_through_one_json_error_line(monkeypatc
     {},
     [1, 2],
     {"maps": [{"linear": [[0.5]]}, {"linear": [[-0.5]], "offset": [1.0]}]},
-], ids=["empty", "list", "no-offset"])
+    {"maps": [{"linear": {}, "offset": [0]}, {"linear": [[-0.5]], "offset": [1.0]}]},
+    {"dim": [1], "maps": [{"linear": [[0.5]], "offset": [0]}, {"linear": [[-0.5]], "offset": [1.0]}]},
+    {"maps": [{"linear": None, "offset": [0]}, {"linear": [[-0.5]], "offset": [1.0]}]},
+    {"maps": [{"linear": [[0.5]], "offset": "0"}, {"linear": [[-0.5]], "offset": [1.0]}]},
+    {"maps": [{"linear": [[0.5]], "offset": [0]}, {"linear": [[{}]], "offset": [1.0]}]},
+    {"maps": [{"linear": [[0.5]], "offset": [0]}, {"linear": [[-0.5]], "offset": [None]}]},
+], ids=["empty", "list", "no-offset", "linear-object", "dim-list", "linear-null", "offset-string",
+        "nested-object", "nested-null"])
 def test_a_malformed_system_file_leaves_through_one_json_error_line(tmp_path, capsys, system):
     path = tmp_path / "system.json"
     path.write_text(json.dumps(system))

@@ -1,4 +1,4 @@
-"""Atomic-measure algebra: integration, transfer operators, decomposition.
+"""Atomic-measure algebra: integration, transfer operators, merging.
 
 The semigroup oracle re-enumerates backward paths recursively through
 numpy.roots, independent of the production pullback.
@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from kmsdyn import projective
-from kmsdyn.errors import NotSubinvariant
 from kmsdyn.mapexpr import parse_map
 from kmsdyn.kms import kms_measure, lyubich
 from kmsdyn.ifs import hutchinson, preset as ifs_preset
@@ -22,7 +21,6 @@ from kmsdyn.measure import (
     TestFunctionLibrary,
     _lexicographic_order,
     apply_F_beta,
-    decompose_trace,
     fibre_table,
     integrate,
     measure_sum,
@@ -155,6 +153,13 @@ def test_apply_F_beta_examples():
         out = apply_F_beta(Rp, AtomicMeasure.delta(INF), beta)
         assert out.n_atoms == 1 and out.points[0].is_infinity()
         assert out.total_mass() == pytest.approx(math.exp(-beta))
+    # z^3 totally ramifies over 0: F_beta delta_0 = e^-beta delta_0
+    out = apply_F_beta(parse_map("z^3"), AtomicMeasure.delta(aff(0)), 1.0)
+    assert out.n_atoms == 1 and out.points[0].to_affine() == 0
+    assert out.total_mass() == pytest.approx(math.exp(-1.0))
+    # 1/z^2 swaps 0 and infinity, so F_0 fixes (delta_0 + delta_inf)/2
+    mu = two_point(aff(0), 0.5, INF, 0.5)
+    assert weak_star_distance(apply_F_beta(parse_map("1/z^2"), mu, 0.0), mu, LIB) < 1e-12
 
 
 def test_apply_F_beta_rejects_negative_beta():
@@ -256,50 +261,6 @@ def test_weak_star_space_mismatch():
     nu = AtomicMeasure(PLANE, [0.5], [1.0])
     with pytest.raises(ValueError):
         weak_star_distance(mu, nu, LIB)
-
-
-# ---------------------------------------------------------------------------
-# finite/infinite decomposition
-
-
-def test_decompose_geometric_fixed_atom():
-    # delta_inf for z^2+1: F_beta(delta_inf) = e^-beta delta_inf, so the
-    # finite part reconstructs delta_inf and the infinite part dies
-    R = parse_map("z^2+1")
-    beta = 0.9
-    mu = AtomicMeasure.delta(INF)
-    out = decompose_trace(R, mu, beta, n_max=40)
-    assert out.finite_part.total_mass() == pytest.approx(1.0, abs=1e-12)
-    assert out.infinite_part.total_mass() == pytest.approx(math.exp(-40 * beta), rel=1e-9)
-    assert out.residual < 1e-12
-    assert out.clipped_mass == 0.0
-
-
-def test_decompose_power_map_fixed_atom_is_finite_type():
-    # delta_0 for z^N is the finite-type geometric series over its own orbit
-    for n, beta in ((2, 0.5), (3, 1.0)):
-        R = parse_map(f"z^{n}")
-        out = decompose_trace(R, AtomicMeasure.delta(aff(0)), beta, n_max=60)
-        assert out.finite_part.total_mass() == pytest.approx(1.0, abs=1e-10)
-        assert out.infinite_part.total_mass() == pytest.approx(math.exp(-60 * beta), abs=1e-12)
-
-
-def test_decompose_invariant_two_cycle_at_beta_zero():
-    # (delta_0 + delta_inf)/2 for 1/z^2 at beta = 0 is exactly invariant:
-    # the finite part vanishes and the infinite part is the measure itself
-    R = parse_map("1/z^2")
-    mu = two_point(aff(0), 0.5, INF, 0.5)
-    out = decompose_trace(R, mu, 0.0, n_max=10)
-    assert out.finite_part.n_atoms == 0
-    assert weak_star_distance(out.infinite_part, mu, LIB) < 1e-12
-    assert out.residual < 1e-12
-
-
-def test_decompose_rejects_far_from_subinvariant():
-    # delta_1 under z^2 at beta=0: F(delta_1) charges -1, which mu does not
-    R = parse_map("z^2")
-    with pytest.raises(NotSubinvariant):
-        decompose_trace(R, AtomicMeasure.delta(aff(1)), 0.0, n_max=3)
 
 
 # ---------------------------------------------------------------------------

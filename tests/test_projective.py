@@ -361,13 +361,6 @@ def test_json_round_trip():
         assert chordal_distance(p, q) < 1e-15
 
 
-def test_reciprocal_conjugation():
-    assert SpherePoint.zero().reciprocal().is_infinity()
-    assert SpherePoint.infinity().reciprocal().to_affine() == 0
-    p = SpherePoint.from_affine(2 - 1j)
-    assert p.reciprocal().to_affine() == pytest.approx(1 / (2 - 1j))
-
-
 def test_embedding_unit_norm():
     rng = np.random.default_rng(5)
     for _ in range(50):

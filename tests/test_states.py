@@ -132,7 +132,7 @@ def test_exceptional_anchor_needs_a_nonzero_beta_only():
     assert km.truncation_depth == 0 and km.measure.n_atoms == 1
 
 
-BAD_BETAS = [-1.0, math.nan, math.inf, -math.inf, None]
+BAD_BETAS = [-1.0, math.nan, math.inf, -math.inf, None, 1j, "1.5", [1.5]]
 BETA_ENTRY_POINTS = ["classify", "classify_julia", "classify_ifs", "kms_measure", "kms_measure_ifs",
                      "apply_F_beta", "apply_F_beta_ifs"]
 
