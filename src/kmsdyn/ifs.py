@@ -10,7 +10,8 @@ classification theorem assumes.
 Only affine maps are supported: branch values solve the linear systems
 gamma_j(y) = gamma_j'(y), which is what makes the analysis finite.
 Every length threshold is relative to IFSSystem.radius, the radius of the
-invariant ball, so a rescaled system gives rescaled answers.
+invariant ball, so a rescaled system gives rescaled answers.  The word sum
+runs on states.level_series, the loop of the rational backward orbit too.
 
 Every dedup of points is projective.merge_atoms' greedy founder rule at
 IFSSystem.tol (merge_planar, measure.planar_clusters, measure.unseen), on
@@ -52,6 +53,7 @@ from .states import (
     ExtremeState,
     KMSMeasure,
     PhaseReport,
+    level_series,
     phase,
     require_budget,
     require_count,
@@ -410,6 +412,11 @@ def _image_table(gamma: IFSSystem, mu: AtomicMeasure) -> FibreTable:
 # Hutchinson measure
 
 
+def _pushforward(gamma: IFSSystem, coords, weights):
+    """Every atom's image under every map, each carrying its atom's weight, merged."""
+    return merge_planar(gamma.images(coords).reshape(-1, gamma.dim), np.tile(weights, gamma.n), gamma.tol)
+
+
 def hutchinson(
     gamma: IFSSystem,
     n: int,
@@ -421,10 +428,11 @@ def hutchinson(
 
     Deterministic mode pushes delta at the system seed point through n
     rounds of the averaged pushforward (1/N) sum gamma_i*, merging collided
-    atoms.  Chaos-game mode runs counter-based random orbits (Philox;
-    burn-in 100) across independent chains and returns the empirical
-    measure; the mode and parameters are recorded on the result.  All
-    chains step at once, each keeping its own pick's image m(x) of the step.
+    atoms; its budget counts the next level alone, as it keeps no other.
+    Chaos-game mode runs counter-based random orbits (Philox; burn-in 100)
+    across independent chains and returns the empirical measure; the mode
+    and parameters are recorded on the result.  All chains step at once,
+    each keeping its own pick's image m(x) of the step.
     """
     require_count("n", n)
     if chaos_samples is None:
@@ -432,9 +440,7 @@ def hutchinson(
         weights = np.array([1.0])
         for _ in range(n):
             require_budget(gamma.n * len(weights), atom_budget, "deterministic pushforward")
-            coords = gamma.images(coords).reshape(-1, gamma.dim)
-            weights = np.tile(weights / gamma.n, gamma.n)
-            coords, weights = merge_planar(coords, weights, gamma.tol)
+            coords, weights = _pushforward(gamma, coords, weights / gamma.n)
         info = {"mode": "deterministic", "iterations": n}
         return AtomicMeasure(PLANE, coords=coords, weights=weights, info=info, tol=gamma.tol)
 
@@ -493,22 +499,9 @@ def kms_measure_ifs(
     q = gamma.n * math.exp(-beta)
     prefactor = 1.0 - q
     ebeta = math.exp(-beta)
-    coords = b[None, :].copy()
-    weights = np.array([prefactor])
-    acc_coords = [coords]
-    acc_weights = [weights]
-    total = 1
-    for k in range(1, depth + 1):
-        require_budget(total + gamma.n * len(weights), atom_budget, "word sum")
-        coords = gamma.images(coords).reshape(-1, gamma.dim)
-        weights = np.tile(weights * ebeta, gamma.n)
-        coords, weights = merge_planar(coords, weights, gamma.tol)
-        total += len(weights)
-        acc_coords.append(coords)
-        acc_weights.append(weights)
-    all_coords, all_weights = merge_planar(
-        np.concatenate(acc_coords), np.concatenate(acc_weights), gamma.tol
-    )
+    levels = level_series((b[None, :], np.array([prefactor])), lambda c, w: _pushforward(gamma, c, w * ebeta),
+                          depth, gamma.n, atom_budget, "word sum")
+    all_coords, all_weights = merge_planar(*map(np.concatenate, zip(*levels)), gamma.tol)
     measure = AtomicMeasure(PLANE, coords=all_coords, weights=all_weights, tol=gamma.tol)
     tail = q ** (depth + 1)
     return KMSMeasure(
@@ -737,7 +730,7 @@ def system_from_jsonable(obj) -> IFSSystem:
     if not isinstance(maps, list) or not all(isinstance(m, dict) and {"linear", "offset"} <= m.keys()
                                              for m in maps):
         raise ValueError('a system is {"maps": [{"linear": [[...]], "offset": [...]}, ...]}')
-    maps = [AffineMap(_json_numbers("linear", m["linear"]), _json_numbers("offset", m["offset"])) for m in maps]
+    maps = [AffineMap(_json_numbers("linear", m["linear"], 2), _json_numbers("offset", m["offset"], 1)) for m in maps]
     system = IFSSystem(maps, name=obj.get("name", "custom"))
     if "dim" in obj:
         require_count("dim", obj["dim"], 1)
@@ -746,11 +739,11 @@ def system_from_jsonable(obj) -> IFSSystem:
     return system
 
 
-def _json_numbers(field, value):
-    """value when it is a JSON number or nested lists of them; ValueError naming field otherwise."""
-    if isinstance(value, list):
-        for v in value:
-            _json_numbers(field, v)
-    elif type(value) not in (int, float):
-        raise ValueError(f"{field} must be numbers or lists of numbers, not {value!r}")
+def _json_numbers(field, value, nesting):
+    """value when it is a JSON number or lists of them nested at most nesting deep; ValueError naming field otherwise."""
+    flat = [value]
+    for _level in range(nesting):
+        flat = [v for x in flat for v in (x if isinstance(x, list) else [x])]
+    if any(type(v) not in (int, float) for v in flat):
+        raise ValueError(f"{field} must be numbers or lists of numbers nested at most {nesting} deep, not {value!r}")
     return value

@@ -160,8 +160,6 @@ def kms_measure(
                 stacklevel=2,
             )
     tree = R.backward_orbit(w, depth, SET_COUNT, tol, atom_budget)
-    if tree.truncated or tree.depth < depth:
-        raise AtomBudgetExceeded(f"backward orbit truncated at depth {tree.depth} (requested {depth})")
     q = math.exp(-beta)
     norm = 1.0 / sum(q**k * tree.level_mass(k) for k in range(depth + 1))
     weights = np.concatenate([(norm * q**k) * wgt for k, (_c, wgt) in enumerate(tree.levels)])
@@ -255,8 +253,6 @@ def lyubich(
     """
     require_count("n", n)
     tree = R.backward_orbit(y, n, INDEX_WEIGHTED, tol, atom_budget)
-    if tree.truncated or tree.depth < n:
-        raise AtomBudgetExceeded(f"orbit truncated at depth {tree.depth} (requested {n})")
     coords, weights = tree.levels[n]
     pairs = zip(map(SpherePoint.from_row, *coords.T.tolist()), (weights / tree.level_mass(n)).tolist())
     return AtomicMeasure.from_sphere_atoms(list(pairs), tol)
@@ -329,7 +325,8 @@ def divergence_witness(
     levels then have exactly N^n points, each forced to carry e^{-n beta}
     times mu{w}, so the partial sums sum((N e^{-beta})^n) bound the total
     mass from below.  Failure to find one within the depth budget is
-    inconclusive, not a refutation.
+    inconclusive, not a refutation; a candidate whose tree passes
+    atom_budget is rejected, a seed whose orbit does is refused.
     """
     log_n = math.log(R.n)
     if not 0.0 < beta < log_n:
@@ -353,8 +350,11 @@ def divergence_witness(
     rejected = 0
     for i, gen in candidates[:max_candidates]:
         w = SpherePoint.from_row(*rows[i].tolist())
-        tree = R.backward_orbit(w, depth, SET_COUNT, tol, atom_budget)
-        if tree.truncated or tree.depth < depth or not _clear(tree, branch_values, tol):
+        try:
+            clear = _clear(R.backward_orbit(w, depth, SET_COUNT, tol, atom_budget), branch_values, tol)
+        except AtomBudgetExceeded:
+            clear = False
+        if not clear:
             rejected += 1
             continue
         return WitnessReport(

@@ -11,7 +11,8 @@ of planar rows scanned in index order, without the sums, and unseen keeps
 the rows that found clusters past an already deduplicated set: the IFS
 branch values, inverse closure and forward orbits.  SpherePoints exist only
 at the boundary (AtomicMeasure.points: JSON, CSV, the CLI and the one-point
-APIs).  Diffuse limits (invariant measures of maximal entropy, self-similar
+APIs).  Both finite-type KMS builders sum the levels of states.level_series.
+Diffuse limits (invariant measures of maximal entropy, self-similar
 measures) exist only as sequences of atomic approximants compared in a
 finite test-function library, which acts as a fixed proxy for the weak-*
 topology.

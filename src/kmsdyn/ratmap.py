@@ -28,7 +28,7 @@ from .projective import (
     homogeneous,
     merge_weighted,
 )
-from .states import DEFAULT_ATOM_BUDGET, require_count
+from .states import DEFAULT_ATOM_BUDGET, level_series, require_count
 
 # relative threshold below which a leading coefficient counts as a true
 # degree drop (a preimage at infinity)
@@ -293,9 +293,9 @@ class RationalMap:
         invariant-measure approximants).  INDEX_WEIGHTED refuses exceptional
         seeds, whose orbit averages do not converge to the invariant measure.
         Each level is a pair of arrays, (n, 2) rows [z, w] and (n,) weights,
-        as OrbitTree states.  A level has at most N times its parent count of
-        atoms, so one that could pass atom_budget is refused before any of its
-        solves, and the tree comes back truncated.
+        as OrbitTree states, from states.level_series: one preimages call per
+        parent, one merge_weighted call per level, and AtomBudgetExceeded
+        before any solve of a level that could pass atom_budget.
         """
         require_count("depth", depth)
         if weighting not in (SET_COUNT, INDEX_WEIGHTED):
@@ -304,23 +304,16 @@ class RationalMap:
             raise ExceptionalSeed(
                 f"seed {z} is an exceptional point; index-weighted orbit averages require a non-exceptional seed"
             )
-        parents = [(z, 1.0)]  # the last level as pairs, each solved by one preimages call
-        levels = [(np.array([[z.z, z.w]], dtype=np.complex128), np.ones(1))]
-        total = 1
-        truncated = False
-        for _k in range(depth):
-            if total + self.n * len(parents) > atom_budget:
-                truncated = True
-                break
-            children = []
-            for point, weight in parents:
-                for x, e in self.preimages(point, tol):
-                    children.append((x, weight if weighting == SET_COUNT else weight * e / self.n))
-            parents = merge_weighted(children, tol)
-            total += len(parents)
-            levels.append((np.stack(homogeneous([p for p, _w in parents]), axis=1),
-                           np.array([w for _p, w in parents])))
-        return OrbitTree(levels=levels, weighting=weighting, truncated=truncated)
+
+        def step(coords, weights):
+            children = [(x, weight if weighting == SET_COUNT else weight * e / self.n)
+                        for row, weight in zip(coords.tolist(), weights.tolist())
+                        for x, e in self.preimages(SpherePoint.from_row(*row), tol)]
+            pairs = merge_weighted(children, tol)
+            return np.stack(homogeneous([p for p, _w in pairs]), axis=1), np.array([w for _p, w in pairs])
+
+        seed = (np.array([[z.z, z.w]], dtype=np.complex128), np.ones(1))
+        return OrbitTree(level_series(seed, step, depth, self.n, atom_budget, "backward orbit"), weighting)
 
     # -- exceptional points ------------------------------------------------
 
@@ -415,7 +408,6 @@ class OrbitTree:
 
     levels: list
     weighting: str
-    truncated: bool = False
 
     @property
     def depth(self) -> int:

@@ -1,7 +1,8 @@
 """The rules and the result types shared by the rational-map and IFS engines.
 
 phase decides beta and its regime, require_count a count and require_budget
-a step against the atom budget, each before any work.
+a step against the atom budget, each before any work, also in level_series,
+the level loop of the rational backward orbit and of the IFS word sum.
 """
 
 from __future__ import annotations
@@ -35,6 +36,18 @@ def require_budget(atoms: int, atom_budget: int, what: str):
     """Refuse a step that could create more than atom_budget atoms, before it runs."""
     if atoms > atom_budget:
         raise AtomBudgetExceeded(f"{what} could create {atoms} atoms, more than the budget of {atom_budget}")
+
+
+def level_series(seed, step, depth: int, growth: int, atom_budget: int, what: str) -> list:
+    """[seed, step(*seed), ...]: depth steps of (coords, weights) pairs, each at most growth times the last.
+
+    A step that could bring all the levels past atom_budget atoms is refused before it runs.
+    """
+    levels = [seed]
+    for _k in range(depth):
+        require_budget(sum(len(w) for _c, w in levels) + growth * len(levels[-1][1]), atom_budget, what)
+        levels.append(step(*levels[-1]))
+    return levels
 
 
 def phase(beta, critical: bool, log_n: float):

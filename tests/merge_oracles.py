@@ -7,10 +7,14 @@ rule by brute force, and lexsort_merge_planar is merge_planar as it was
 before it sorted by the first cell key alone: one full lexsort of the cells
 and fancy-indexed gathers.  masked_chaos_samples is the chaos game of
 ifs.hutchinson as a loop over the maps, each applied to the chains that
-picked it, before every chain stepped at once.  scalar_distinct_images is
-ifs.distinct_images as a loop over the maps with a norm per pair, and
-collect_fibres flattens any one-atom fibre solver into a FibreTable, the
-per-atom lists both fibre tables were built from before they were arrays.
+picked it, before every chain stepped at once.  loop_word_sum and
+loop_hutchinson are the word sum of ifs.kms_measure_ifs and the
+deterministic ifs.hutchinson as the loops they were written as, before the
+word sum ran on states.level_series and both took one pushforward step.
+scalar_distinct_images is ifs.distinct_images as a loop over the maps with
+a norm per pair, and collect_fibres flattens any one-atom fibre solver into
+a FibreTable, the per-atom lists both fibre tables were built from before
+they were arrays.
 list_in_attractor, list_branch_structure and list_orbit_condition are the
 IFS membership test, branch-value clustering and orbit-condition
 certificate as list scans, one inverse solve per point and map, before
@@ -197,6 +201,33 @@ def masked_chaos_samples(gamma, chaos_samples, seed):
         if t >= burn_in:
             collected.append(x.copy())
     return np.concatenate(collected)[:chaos_samples]
+
+
+def loop_word_sum(gamma, b, beta, depth):
+    """The merged (coords, weights) of kms_measure_ifs(gamma, b, beta, depth), its word sum as one loop, with no budget."""
+    ebeta = math.exp(-beta)
+    coords = np.asarray(b, dtype=np.float64)[None, :].copy()
+    weights = np.array([1.0 - gamma.n * ebeta])
+    acc_coords = [coords]
+    acc_weights = [weights]
+    for _k in range(depth):
+        coords = gamma.images(coords).reshape(-1, gamma.dim)
+        weights = np.tile(weights * ebeta, gamma.n)
+        coords, weights = merge_planar(coords, weights, gamma.tol)
+        acc_coords.append(coords)
+        acc_weights.append(weights)
+    return merge_planar(np.concatenate(acc_coords), np.concatenate(acc_weights), gamma.tol)
+
+
+def loop_hutchinson(gamma, n):
+    """The (coords, weights) of deterministic hutchinson(gamma, n), its pushforward written out, with no budget."""
+    coords = gamma.seed[None, :].copy()
+    weights = np.array([1.0])
+    for _ in range(n):
+        coords = gamma.images(coords).reshape(-1, gamma.dim)
+        weights = np.tile(weights / gamma.n, gamma.n)
+        coords, weights = merge_planar(coords, weights, gamma.tol)
+    return coords, weights
 
 
 def scalar_distinct_images(gamma, y):

@@ -258,6 +258,16 @@ def test_budget_env_enforced(monkeypatch, capsys):
 EXIT_CODES_BY_NAME = {cls.__name__: code for cls, code in EXIT_CODES.items()}
 
 
+def test_witness_with_an_over_budget_seed_orbit_exits_as_over_budget(monkeypatch, capsys):
+    # a seed orbit past the budget is a budget refusal (exit 11), not an
+    # inconclusive search (exit 12)
+    monkeypatch.setenv("KMSDYN_ATOM_BUDGET", "100")
+    code, out, err = run_cli(capsys, "rat", "witness", "--map", "z^2+1", "--point", "0.3", "--beta", "0.5")
+    assert code == EXIT_CODES_BY_NAME["AtomBudgetExceeded"] == 11 and out == ""
+    assert json.loads(err)["error"] == {
+        "kind": "AtomBudgetExceeded", "detail": "backward orbit could create 127 atoms, more than the budget of 100"}
+
+
 def test_rat_kms_zero_beta_inlines_restrictions(capsys):
     code, out, _e = run_cli(capsys, "rat", "kms", "--map", "1/z^2", "--beta", "0.0")
     assert code == 0

@@ -34,6 +34,8 @@ from merge_oracles import (
     list_branch_structure,
     list_in_attractor,
     list_orbit_condition,
+    loop_hutchinson,
+    loop_word_sum,
     masked_chaos_samples,
     scalar_distinct_images,
 )
@@ -113,6 +115,23 @@ def test_system_json_round_trip():
     assert clone.n == 3 and clone.dim == 2
     for m1, m2 in zip(gamma.maps, clone.maps):
         assert np.allclose(m1.linear, m2.linear) and np.allclose(m1.offset, m2.offset)
+
+
+@pytest.mark.parametrize("field, linear, offset", [
+    ("linear", [[[0.5]]], [0]), ("linear", [[[0.5]]], [[0]]), ("offset", [[0.5]], [[0]]), ("offset", 0.5, [[[0]]]),
+])
+def test_system_fields_nested_too_deep_are_refused_by_name(field, linear, offset):
+    # numpy's own shape errors name no field, and a nested offset would pass
+    # numpy and fail later in to_jsonable with a raw TypeError
+    maps = [{"linear": linear, "offset": offset}, {"linear": [[0.5]], "offset": [1]}]
+    with pytest.raises(ValueError, match=f"^{field} must be numbers or lists of numbers nested at most"):
+        system_from_jsonable({"maps": maps})
+
+
+@pytest.mark.parametrize("linear, offset", [(0.5, 0), ([0.5], 0), ([[0.5]], [0]), (0.5, [0])])
+def test_system_fields_nested_as_before_are_accepted(linear, offset):
+    gamma = system_from_jsonable({"maps": [{"linear": linear, "offset": offset}, {"linear": 0.5, "offset": 1}]})
+    assert gamma.dim == 1 and gamma.maps[0].linear.tolist() == [[0.5]] and gamma.maps[0].offset.tolist() == [0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +409,24 @@ def test_merge_planar_matches_lexsort_oracle_on_twisted_kms_states(monkeypatch):
     for b in anchors:
         kms_measure_ifs(gamma, b, 1.5, depth=8)
     assert len(sizes) == 9 * len(anchors)
+
+
+@pytest.mark.parametrize("name, beta, depth", [
+    ("sierpinski-twisted", 1.5, 6), ("sierpinski-twisted", 1.5, 8), ("tent", 1.0, 16),
+])
+def test_word_sum_matches_the_loop_oracle_bit_for_bit(name, beta, depth):
+    gamma = preset(name)
+    for b in gamma.branch_structure().branch_points:
+        mu = kms_measure_ifs(gamma, b, beta, depth=depth).measure
+        coords, weights = loop_word_sum(gamma, b, beta, depth)
+        assert mu.coords.tobytes() == coords.tobytes() and mu.weights.tobytes() == weights.tobytes()
+
+
+@pytest.mark.parametrize("name, n", [("sierpinski", 8), ("sierpinski-twisted", 10)])
+def test_deterministic_hutchinson_matches_the_loop_oracle_bit_for_bit(name, n):
+    mu = hutchinson(preset(name), n)
+    coords, weights = loop_hutchinson(preset(name), n)
+    assert mu.coords.tobytes() == coords.tobytes() and mu.weights.tobytes() == weights.tobytes()
 
 
 def test_hutchinson_budget():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kmsdyn.errors import (
+    AtomBudgetExceeded,
     ExceptionalSeed,
     NotABranchPoint,
     OutOfRegime,
@@ -385,6 +386,18 @@ def test_witness_for_z2_plus_1():
     R = parse_map("z^2+1")
     rep = divergence_witness(R, aff(0), 0.6, depth=8)
     assert rep.partial_sum == pytest.approx(sum((2 * math.exp(-0.6)) ** n for n in range(9)))
+
+
+def test_witness_refuses_an_over_budget_seed_and_rejects_over_budget_candidates():
+    # from the branch value 1 of z^2+1 the depth-6 orbit holds 64 atoms, and
+    # each candidate's own tree 127: at a budget of 64 the seed's orbit fits
+    # and every candidate is rejected, at 63 the seed's orbit is refused
+    R = parse_map("z^2+1")
+    assert divergence_witness(R, aff(1), 0.5, depth=6).generation == 1
+    with pytest.raises(WitnessNotFoundAtDepth):
+        divergence_witness(R, aff(1), 0.5, depth=6, atom_budget=64)
+    with pytest.raises(AtomBudgetExceeded, match="^backward orbit could create 64 atoms, more than the budget of 63$"):
+        divergence_witness(R, aff(1), 0.5, depth=6, atom_budget=63)
 
 
 def test_witness_precondition_errors():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kmsdyn import ratmap
-from kmsdyn.errors import DegreeTooLow, ExceptionalSeed
+from kmsdyn.errors import AtomBudgetExceeded, DegreeTooLow, ExceptionalSeed
 from kmsdyn.kms import lyubich
 from kmsdyn.mapexpr import parse_map
 from kmsdyn import exact as xq
@@ -384,12 +384,10 @@ def test_backward_orbit_children_map_to_parents():
             assert min(chordal_distance(image, q) for q in parents) <= 1e-6
 
 
-def test_backward_orbit_budget_truncation():
+def test_backward_orbit_over_budget_is_refused():
     R = parse_map("z^2")
-    tree = R.backward_orbit(aff(1), 10, SET_COUNT, atom_budget=40)
-    assert tree.truncated
-    assert tree.depth < 10
-    assert tree.atom_count() <= 40
+    with pytest.raises(AtomBudgetExceeded, match="^backward orbit could create 63 atoms, more than the budget of 40$"):
+        R.backward_orbit(aff(1), 10, SET_COUNT, atom_budget=40)
 
 
 def test_backward_orbit_refuses_a_level_before_solving_it(monkeypatch):
@@ -399,8 +397,8 @@ def test_backward_orbit_refuses_a_level_before_solving_it(monkeypatch):
     solved = []
     original = RationalMap.preimages
     monkeypatch.setattr(RationalMap, "preimages", lambda self, y, tol: solved.append(y) or original(self, y, tol))
-    tree = R.backward_orbit(aff(1), 10, SET_COUNT, atom_budget=20)
-    assert tree.truncated and tree.depth == 3 and tree.atom_count() == 15
+    with pytest.raises(AtomBudgetExceeded, match="could create 31 atoms"):
+        R.backward_orbit(aff(1), 10, SET_COUNT, atom_budget=20)
     assert len(solved) == 1 + 2 + 4
 
 
@@ -413,7 +411,7 @@ def test_array_levels_match_pair_levels_bit_for_bit(expr, seed, depth, weighting
     R = parse_map(expr)
     tree = R.backward_orbit(aff(seed), depth, weighting)
     want = pairs_backward_orbit(R, aff(seed), depth, weighting)
-    assert not tree.truncated and len(tree.levels) == len(want) == depth + 1
+    assert len(tree.levels) == len(want) == depth + 1
     for (coords, weights), level in zip(tree.levels, want):
         assert coords.dtype == np.complex128 and coords.shape == (len(level), 2)
         assert weights.dtype == np.float64 and weights.shape == (len(level),)

@@ -193,7 +193,11 @@ def test_require_budget_refuses_only_past_the_budget():
      "chaos game could create 10 atoms, more than the budget of 9"),
     (lambda R, tent: ifs.kms_measure_ifs(tent, [0.5], 1.5, depth=3, atom_budget=2),
      "word sum could create 3 atoms, more than the budget of 2"),
-], ids=["pullback", "apply_F_beta_ifs", "hutchinson", "chaos", "word_sum"])
+    (lambda R, tent: R.backward_orbit(SpherePoint.from_affine(1), 3, atom_budget=2),
+     "backward orbit could create 3 atoms, more than the budget of 2"),
+    (lambda R, tent: kms.lyubich(R, SpherePoint.from_affine(1), 12, atom_budget=100),
+     "backward orbit could create 127 atoms, more than the budget of 100"),
+], ids=["pullback", "apply_F_beta_ifs", "hutchinson", "chaos", "word_sum", "backward_orbit", "lyubich"])
 def test_every_budget_refusal_has_the_shared_wording(build, detail):
     with pytest.raises(AtomBudgetExceeded) as info:
         build(parse_map("z^2"), ifs.preset("tent"))
