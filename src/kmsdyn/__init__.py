@@ -10,6 +10,7 @@ verification of the defining trace conditions.
 
 from .errors import (
     AtomBudgetExceeded,
+    DegreeTooHigh,
     DegreeTooLow,
     DivisionByZeroPolynomial,
     ExceptionalSeed,
@@ -76,6 +77,7 @@ __all__ = [
     "AtomicMeasure",
     "AtomBudgetExceeded",
     "BranchData",
+    "DegreeTooHigh",
     "DegreeTooLow",
     "DivisionByZeroPolynomial",
     "ExceptionalReport",

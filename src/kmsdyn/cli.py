@@ -24,6 +24,7 @@ from . import ifs as ifsmod
 from . import kms as kmsmod
 from .errors import (
     AtomBudgetExceeded,
+    DegreeTooHigh,
     DegreeTooLow,
     DivisionByZeroPolynomial,
     ExceptionalSeed,
@@ -56,6 +57,7 @@ EXIT_CODES = {
     AtomBudgetExceeded: 11,
     WitnessNotFoundAtDepth: 12,
     InternalConsistencyError: 13,
+    DegreeTooHigh: 14,
 }
 
 

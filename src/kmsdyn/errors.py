@@ -21,6 +21,10 @@ class DegreeTooLow(KmsdynError):
     """Rational map of degree < 2; the theory requires degree at least two."""
 
 
+class DegreeTooHigh(KmsdynError):
+    """Map expression whose degree could pass the ceiling mapexpr.MAX_DEGREE; refused before it is expanded."""
+
+
 class DivisionByZeroPolynomial(KmsdynError):
     """Expression divides by the zero polynomial."""
 

@@ -740,9 +740,14 @@ def system_from_jsonable(obj) -> IFSSystem:
 
 
 def _json_numbers(field, value, nesting):
-    """value when it is a JSON number or lists of them nested at most nesting deep; ValueError naming field otherwise."""
+    """value when it is a JSON number or lists of them nested at most nesting deep.
+
+    The lists at one depth must have one length.  ValueError naming field otherwise.
+    """
     flat = [value]
     for _level in range(nesting):
+        if len({len(x) if isinstance(x, list) else -1 for x in flat}) > 1:  # numpy's refusal names no field
+            raise ValueError(f"{field} must nest lists of equal length, not {value!r}")
         flat = [v for x in flat for v in (x if isinstance(x, list) else [x])]
     if any(type(v) not in (int, float) for v in flat):
         raise ValueError(f"{field} must be numbers or lists of numbers nested at most {nesting} deep, not {value!r}")

@@ -4,6 +4,8 @@ Grammar over {z, i, exact decimal/integer literals, + - * / ^, parentheses},
 with integer exponents.  Expressions evaluate to a pair of coprime
 polynomials over the Gaussian rationals, so degree and coprimality are exact
 decisions; floats enter only when the resulting map does numeric work.
+An expression whose degree, bounded from its parse tree, could pass
+MAX_DEGREE is refused before it is expanded.
 
     expr   := term (('+' | '-') term)*
     term   := unary (('*' | '/') unary)*
@@ -18,8 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exact as xq
-from .errors import DivisionByZeroPolynomial, MapSyntaxError
+from .errors import DegreeTooHigh, DivisionByZeroPolynomial, MapSyntaxError
 from .ratmap import RationalMap
+
+# one below the largest degree at which the float root solves were measured
+# to keep sum e(x) = N and the Wronskian cross-check on z^N + c (65; 66 fails)
+MAX_DEGREE = 64
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +201,26 @@ def parse_expression(source: str) -> MapExpression:
 # evaluation to a rational map
 
 
+def _degree_bound(node):
+    """Bounds on the degrees of _eval_ratfunc(node)'s numerator and denominator, from the tree alone."""
+    if isinstance(node, Num):
+        return 0, 0
+    if isinstance(node, Var):
+        return 1, 0
+    if isinstance(node, Unary):
+        return _degree_bound(node.operand)
+    if isinstance(node, Power):
+        n, d = _degree_bound(node.base)
+        e = abs(node.exponent)
+        return (n * e, d * e) if node.exponent >= 0 else (d * e, n * e)
+    (an, ad), (bn, bd) = _degree_bound(node.left), _degree_bound(node.right)
+    if node.op in "+-":
+        return max(an + bd, bn + ad), ad + bd
+    if node.op == "*":
+        return an + bn, ad + bd
+    return an + bd, ad + bn
+
+
 def _eval_ratfunc(node):
     """Evaluate to (numerator, denominator) over Q(i)[z]."""
     if isinstance(node, Num):
@@ -245,19 +271,23 @@ def reduce_ratfunc(num, den):
     return num, den
 
 
+def _reduced(source: str):
+    """The reduced (numerator, denominator) of an expression; DegreeTooHigh before expanding past MAX_DEGREE."""
+    ast = parse_expression(source).ast
+    bound = max(_degree_bound(ast))
+    if bound > MAX_DEGREE:
+        raise DegreeTooHigh(f"expression degree could reach {bound}, more than the ceiling of {MAX_DEGREE}")
+    return reduce_ratfunc(*_eval_ratfunc(ast))
+
+
 def parse_map(source: str) -> RationalMap:
     """Parse an expression into a degree >= 2 rational map with exact coefficients."""
-    expr = parse_expression(source)
-    num, den = _eval_ratfunc(expr.ast)
-    num, den = reduce_ratfunc(num, den)
-    return RationalMap.from_exact(num, den)
+    return RationalMap.from_exact(*_reduced(source))
 
 
 def parse_constant(source: str) -> complex:
     """Evaluate a z-free expression to an exact constant (as a complex)."""
-    expr = parse_expression(source)
-    num, den = _eval_ratfunc(expr.ast)
-    num, den = reduce_ratfunc(num, den)
+    num, den = _reduced(source)
     if xq.xp_degree(num) > 0 or xq.xp_degree(den) > 0:
         raise MapSyntaxError("expected a constant expression without z", 0)
     if not num:

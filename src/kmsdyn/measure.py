@@ -227,9 +227,6 @@ class AtomicMeasure:
             raise ValueError("scale factor must be positive")
         return AtomicMeasure(self.space, self.coords, self.weights * c, tol=self.tol)
 
-    def normalized(self) -> "AtomicMeasure":
-        return self.scaled(1.0 / self.total_mass())
-
     def embedding(self):
         """Coordinate matrix: sphere embedding (n, 3) or plane coords (n, d)."""
         if self.space == PLANE:

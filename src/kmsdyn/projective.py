@@ -5,7 +5,8 @@ A point is an equivalence class [z : w] with (z, w) != (0, 0); infinity is
 analysis free of special cases at infinity.  Points are stored normalized by
 the coordinate of larger modulus, which becomes exactly 1.0 (near |z| = |w|
 the other modulus can round just above 1).  Arrays of atoms hold these pairs
-as (n, 2) complex rows [z, w], made by normalize_rows, read by from_row.
+as (n, 2) complex rows [z, w], made by normalize_rows, read by from_row;
+pivot applies the same rule to arrays, moduli compared as abs() does.
 
 Atoms are merged by one kernel for both engines, merge_atoms: a first-key
 filter, then CellIndex, which sorts integer cell keys of any width by a
@@ -373,6 +374,22 @@ def cluster(points, tol: float = DEFAULT_CLUSTER_TOL):
     return [(points[i], int(m)) for i, m in zip(keep.tolist(), size.tolist())]
 
 
+def modulus_ge(a, b):
+    """|a| >= |b| elementwise, the moduli rounded as abs() of a Python complex (np.abs rounds differently)."""
+    return np.hypot(a.real, a.imag) >= np.hypot(b.real, b.imag)
+
+
+def pivot(z, w):
+    """Each homogeneous pair divided by its larger coordinate, as new arrays (z, w).
+
+    A tie pivots on z and a pivot of 1.0 divides nothing, as in SpherePoint.
+    """
+    on_z = modulus_ge(z, w)
+    big, small = np.where(on_z, z, w), np.where(on_z, w, z)
+    ratio = np.where(big == 1.0, small, small / big)
+    return np.where(on_z, 1.0, ratio), np.where(on_z, ratio, 1.0)
+
+
 def normalize_rows(coords):
     """Each homogeneous row [z, w] as the pair SpherePoint(z, w) stores, in a new (n, 2) array.
 
@@ -380,8 +397,8 @@ def normalize_rows(coords):
     them; stored pairs near |z| = |w| can fail that test, so never come here.
     """
     coords = np.array(coords, dtype=np.complex128).reshape(-1, 2)
-    a = np.hypot(coords.real, coords.imag)  # abs() of a Python complex; np.abs rounds differently
-    kept = np.where(a[:, 0] >= a[:, 1], coords[:, 0] == 1.0, coords[:, 1] == 1.0) & np.isfinite(a.sum(axis=1))
+    z, w = coords.T
+    kept = np.where(modulus_ge(z, w), z == 1.0, w == 1.0) & np.isfinite(coords).all(axis=1)
     for k in np.flatnonzero(~kept).tolist():
         p = SpherePoint(*coords[k])
         coords[k] = p.z, p.w

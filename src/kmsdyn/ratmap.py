@@ -27,6 +27,8 @@ from .projective import (
     cluster,
     homogeneous,
     merge_weighted,
+    modulus_ge,
+    pivot,
 )
 from .states import DEFAULT_ATOM_BUDGET, level_series, require_count
 
@@ -85,18 +87,15 @@ class RationalMap:
     # -- evaluation ------------------------------------------------------
 
     def _form(self, coeffs, z: complex, w: complex) -> complex:
-        """Evaluate the degree-n binary form with the given coefficients."""
-        if abs(w) >= abs(z):
-            t = z / w
-            out = 0j
-            for c in coeffs[::-1]:
-                out = out * t + c
-            return out * w**self.n
-        t = w / z
+        """The degree-n binary form with these coefficients, by Horner's rule in the smaller coordinate over the larger."""
+        if modulus_ge(w, z):  # a tie pivots on w
+            t, big, coeffs = z / w, w, coeffs[::-1]
+        else:
+            t, big = w / z, z
         out = 0j
         for c in coeffs:
             out = out * t + c
-        return out * z**self.n
+        return out * big**self.n
 
     def evaluate(self, p: SpherePoint) -> SpherePoint:
         """Image [P(z,w) : Q(z,w)]; well defined everywhere by coprimality."""
@@ -110,18 +109,14 @@ class RationalMap:
         Each binary form is evaluated by Horner's rule in the ratio of the
         smaller coordinate to the larger, the pivot rule of _form.
         """
-        use_w = np.abs(w) >= np.abs(z)
+        use_w = modulus_ge(w, z)
         t = np.where(use_w, z, w) / np.where(use_w, w, z)
         num = np.zeros_like(t)
         den = np.zeros_like(t)
         for k in range(self.n + 1):
             num = num * t + np.where(use_w, self._hp[self.n - k], self._hp[k])
             den = den * t + np.where(use_w, self._hq[self.n - k], self._hq[k])
-        # the common factor pivot^n cancels here: divide by the larger image
-        # coordinate, as SpherePoint normalizes
-        num_big = np.abs(num) >= np.abs(den)
-        ratio = np.where(num_big, den, num) / np.where(num_big, num, den)
-        return np.where(num_big, 1.0, ratio), np.where(num_big, ratio, 1.0)
+        return pivot(num, den)  # the common factor pivot^n cancels here
 
     def __call__(self, p: SpherePoint) -> SpherePoint:
         return self.evaluate(p)
@@ -184,11 +179,7 @@ class RationalMap:
         xw = np.empty_like(xz)
         degree = np.ones(len(xz), dtype=np.int64)
         at = (start[rows][:, None] + np.arange(n)).ravel()
-        r = X.ravel()
-        big = np.abs(r) >= 1.0  # pivot on the larger coordinate, as SpherePoint does
-        xz[at] = np.where(big, 1.0, r)
-        xw[at] = 1.0
-        xw[at[big]] = 1.0 / r[big]
+        xz[at], xw[at] = pivot(X.ravel(), np.ones(X.size))
         for i, pre in solved.items():
             for k, (x, e) in enumerate(pre, start[i]):
                 xz[k], xw[k], degree[k] = x.z, x.w, e
@@ -313,7 +304,7 @@ class RationalMap:
             return np.stack(homogeneous([p for p, _w in pairs]), axis=1), np.array([w for _p, w in pairs])
 
         seed = (np.array([[z.z, z.w]], dtype=np.complex128), np.ones(1))
-        return OrbitTree(level_series(seed, step, depth, self.n, atom_budget, "backward orbit"), weighting)
+        return OrbitTree(level_series(seed, step, depth, self.n, atom_budget, "backward orbit"))
 
     # -- exceptional points ------------------------------------------------
 
@@ -407,7 +398,6 @@ class OrbitTree:
     """
 
     levels: list
-    weighting: str
 
     @property
     def depth(self) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import AtomBudgetExceeded
 
@@ -192,9 +192,4 @@ class ViolationReport:
     point_mass_equality_residual: float
 
     def to_jsonable(self):
-        return {
-            "max_violation": self.max_violation,
-            "function_violation": self.function_violation,
-            "point_mass_violation": self.point_mass_violation,
-            "point_mass_equality_residual": self.point_mass_equality_residual,
-        }
+        return asdict(self)

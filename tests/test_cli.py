@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import time
 
 import pytest
 
@@ -205,6 +206,7 @@ def test_error_exit_codes_distinct(capsys):
     cases = [
         (("rat", "analyze", "--map", "z^2+"), "MapSyntaxError"),
         (("rat", "analyze", "--map", "z+1"), "DegreeTooLow"),
+        (("rat", "analyze", "--map", "z^68+1"), "DegreeTooHigh"),
         (("rat", "analyze", "--map", "z^2/(z-z)"), "DivisionByZeroPolynomial"),
         (("rat", "kms", "--map", "z^2+1", "--beta", "0.3"), None),  # fine: subcritical state
         (("rat", "witness", "--map", "z^2", "--point", "0", "--beta", "0.5"),
@@ -301,6 +303,15 @@ def test_rat_analyze_nan_roots_exit_as_nonconvergence(capsys):
     assert json.loads(err)["error"]["kind"] == "NonConvergence"
 
 
+@pytest.mark.parametrize("source", ["z^68+1", "z^100000"])
+def test_a_degree_past_the_ceiling_exits_with_its_own_code_in_time(capsys, source):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "rat", "analyze", "--map", source)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_CODES_BY_NAME["DegreeTooHigh"] == 14 and out == "" and len(err.splitlines()) == 1
+    assert json.loads(err)["error"]["kind"] == "DegreeTooHigh"
+
+
 def _one_json_error_line(code, out, err, kind="ValueError"):
     lines = err.splitlines()
     assert code == 1 and out == "" and len(lines) == 1
@@ -333,8 +344,9 @@ def test_a_beta_that_is_not_finite_leaves_through_one_json_error_line(monkeypatc
     {"maps": [{"linear": [[0.5]], "offset": "0"}, {"linear": [[-0.5]], "offset": [1.0]}]},
     {"maps": [{"linear": [[0.5]], "offset": [0]}, {"linear": [[{}]], "offset": [1.0]}]},
     {"maps": [{"linear": [[0.5]], "offset": [0]}, {"linear": [[-0.5]], "offset": [None]}]},
+    {"maps": [{"linear": [[0.5], [0.5, 0.1]], "offset": [0, 0]}, {"linear": [[0.5, 0], [0, 0.5]], "offset": [1, 0]}]},
 ], ids=["empty", "list", "no-offset", "linear-object", "dim-list", "linear-null", "offset-string",
-        "nested-object", "nested-null"])
+        "nested-object", "nested-null", "ragged"])
 def test_a_malformed_system_file_leaves_through_one_json_error_line(tmp_path, capsys, system):
     path = tmp_path / "system.json"
     path.write_text(json.dumps(system))

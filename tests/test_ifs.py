@@ -128,6 +128,14 @@ def test_system_fields_nested_too_deep_are_refused_by_name(field, linear, offset
         system_from_jsonable({"maps": maps})
 
 
+@pytest.mark.parametrize("linear, offset", [([[0.5], [0.5, 0.1]], [0, 0]), ([[0.5, 0], 0.5], [0, 0]), ([0.5, [0.5]], [0])])
+def test_a_ragged_linear_part_is_refused_by_name(linear, offset):
+    # numpy refuses these as an "inhomogeneous shape", naming no field
+    maps = [{"linear": linear, "offset": offset}, {"linear": [[0.5, 0], [0, 0.5]], "offset": [1, 0]}]
+    with pytest.raises(ValueError, match="^linear must nest lists of equal length"):
+        system_from_jsonable({"maps": maps})
+
+
 @pytest.mark.parametrize("linear, offset", [(0.5, 0), ([0.5], 0), ([[0.5]], [0]), (0.5, [0])])
 def test_system_fields_nested_as_before_are_accepted(linear, offset):
     gamma = system_from_jsonable({"maps": [{"linear": linear, "offset": offset}, {"linear": 0.5, "offset": 1}]})

@@ -1,11 +1,13 @@
 """Expression parsing: exact coefficients, precedence, errors."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
-from kmsdyn.errors import DegreeTooLow, DivisionByZeroPolynomial, MapSyntaxError
-from kmsdyn.mapexpr import parse_constant, parse_expression, parse_map
+from kmsdyn.errors import DegreeTooHigh, DegreeTooLow, DivisionByZeroPolynomial, MapSyntaxError
+from kmsdyn.mapexpr import MAX_DEGREE, parse_constant, parse_expression, parse_map
+from kmsdyn.ratmap import analysis_report
 
 
 def exact_coeffs(poly):
@@ -106,6 +108,29 @@ def test_degree_too_low():
         parse_map("3/4")
     with pytest.raises(DegreeTooLow):
         parse_map("(z^2+z)/(z+1)")  # reduces to z
+
+
+def test_the_degree_ceiling_analyzes_and_one_more_is_refused():
+    assert analysis_report(parse_map(f"z^{MAX_DEGREE}+1"))["degree"] == MAX_DEGREE
+    with pytest.raises(DegreeTooHigh, match=f"could reach {MAX_DEGREE + 1}, more than the ceiling of {MAX_DEGREE}$"):
+        parse_map(f"z^{MAX_DEGREE + 1}+1")
+
+
+@pytest.mark.parametrize("source, bound", [
+    ("z^100000", 100000),
+    ("((z^2)^40)^1000", 80000),
+    ("z^100/z^98", 100),  # bounded before the gcd cancels it to z^2
+    ("(z^-70+1)*z^2", 72),
+    # a sum of fractions multiplies the denominators: degree 65, though each term has degree 1
+    ("+".join(f"1/(z-{k})" for k in range(1, 66)), 65),
+])
+def test_a_degree_past_the_ceiling_is_refused_before_expansion(source, bound):
+    start = time.perf_counter()
+    with pytest.raises(DegreeTooHigh, match=f"could reach {bound}, "):
+        parse_map(source)
+    with pytest.raises(DegreeTooHigh):
+        parse_constant(source)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_division_by_zero_polynomial():

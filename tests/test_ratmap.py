@@ -275,6 +275,25 @@ def test_fibres_fallback_reads_stored_pairs_as_they_are(monkeypatch):
     assert got == want
 
 
+def test_fibres_and_evaluate_array_pivot_as_abs_does_near_modulus_one(monkeypatch):
+    # np.abs and abs() round differently in the last bit; within a few ulps
+    # of |x| = 1 the coordinate divided by must be the one abs() finds larger
+    rng = np.random.default_rng(5)
+    r = np.exp(2j * np.pi * rng.random(20000)) * (1.0 + 2.0**-52 * rng.integers(-3, 4, 20000))
+    R = parse_map("z^2")
+    monkeypatch.setattr(ratmap, "roots_batch", lambda C, tol: (r.reshape(-1, 2), np.zeros(len(C), dtype=bool)))
+    xz, xw, _owner, _degree = R.fibres(np.full(len(r) // 2, 0.5 + 0j), np.ones(len(r) // 2, dtype=complex))
+    by_abs = np.array([abs(x) >= 1.0 for x in r.tolist()])
+    assert np.any(by_abs != (np.abs(r) >= 1.0))  # np.abs would pivot some of these the other way
+    assert np.array_equal(xz == 1.0, by_abs) and np.all(xw[~by_abs] == 1.0)
+
+    x = r[np.hypot(r.real, r.imag) < 1.0]  # pairs (x, 1) pivot on w; z^2 is then x * x over 1
+    by_abs = np.array([abs(y) >= 1.0 for y in (x * x).tolist()])
+    assert np.any(by_abs != (np.abs(x * x) >= 1.0))
+    iz, iw = R.evaluate_array(x, np.ones_like(x))
+    assert np.array_equal(iz == 1.0, by_abs) and np.all(iw[~by_abs] == 1.0)
+
+
 # ---------------------------------------------------------------------------
 # branch data
 
