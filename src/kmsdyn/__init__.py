@@ -10,6 +10,7 @@ verification of the defining trace conditions.
 
 from .errors import (
     AtomBudgetExceeded,
+    ConstantOutOfRange,
     DegreeTooHigh,
     DegreeTooLow,
     DivisionByZeroPolynomial,
@@ -77,6 +78,7 @@ __all__ = [
     "AtomicMeasure",
     "AtomBudgetExceeded",
     "BranchData",
+    "ConstantOutOfRange",
     "DegreeTooHigh",
     "DegreeTooLow",
     "DivisionByZeroPolynomial",

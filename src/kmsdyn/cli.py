@@ -24,6 +24,7 @@ from . import ifs as ifsmod
 from . import kms as kmsmod
 from .errors import (
     AtomBudgetExceeded,
+    ConstantOutOfRange,
     DegreeTooHigh,
     DegreeTooLow,
     DivisionByZeroPolynomial,
@@ -58,6 +59,7 @@ EXIT_CODES = {
     WitnessNotFoundAtDepth: 12,
     InternalConsistencyError: 13,
     DegreeTooHigh: 14,
+    ConstantOutOfRange: 15,
 }
 
 
@@ -285,8 +287,15 @@ def _add_ifs_common(p):
     p.add_argument("--out", help="write JSON here instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValueError, to leave as one JSON line like any other."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="kmsdyn")
+    parser = _Parser(prog="kmsdyn")
     top = parser.add_subparsers(dest="group", required=True)
 
     rat = top.add_parser("rat", help="rational maps on the Riemann sphere")
@@ -363,13 +372,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         tol = getattr(args, "tol", 1.0)
         if not 0.0 < tol < math.inf:
             raise ValueError(f"--tol must be finite and positive, got {tol!r}")
-        payload = args.func(args)
+        text = stable_dumps({"schema": SCHEMA_VERSION, **args.func(args)})
+        if getattr(args, "out", None):
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        else:
+            sys.stdout.write(text + "\n")
     except KmsdynError as exc:
         kind = type(exc).__name__
         sys.stderr.write(stable_dumps({"error": {"kind": kind, "detail": str(exc)}}) + "\n")
@@ -379,13 +392,6 @@ def main(argv=None) -> int:
             stable_dumps({"error": {"kind": type(exc).__name__, "detail": str(exc)}}) + "\n"
         )
         return 1
-    payload = {"schema": SCHEMA_VERSION, **payload}
-    text = stable_dumps(payload)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
     return 0
 
 

@@ -25,6 +25,10 @@ class DegreeTooHigh(KmsdynError):
     """Map expression whose degree could pass the ceiling mapexpr.MAX_DEGREE; refused before it is expanded."""
 
 
+class ConstantOutOfRange(KmsdynError):
+    """Exact constant whose real or imaginary part is past the double range; refused before float arithmetic."""
+
+
 class DivisionByZeroPolynomial(KmsdynError):
     """Expression divides by the zero polynomial."""
 

@@ -11,7 +11,10 @@ entry; the zero polynomial is the empty list.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+from .errors import ConstantOutOfRange
 
 
 class QG:
@@ -71,7 +74,13 @@ class QG:
         return out
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        """The nearest complex double; ConstantOutOfRange if a part is past the double range."""
+        try:
+            return complex(self.re) + 1j * complex(self.im)
+        except OverflowError:
+            part = max(abs(self.re), abs(self.im))
+            digits = math.floor(math.log10(part.numerator) - math.log10(part.denominator))
+            raise ConstantOutOfRange(f"constant of about 10^{digits} is past the double range") from None
 
     def __repr__(self):
         return f"QG({self.re!r}, {self.im!r})"

@@ -142,15 +142,18 @@ class IFSSystem:
         self.c1 = min(m.sv_min for m in maps)
         self.c2 = max(m.sv_max for m in maps)
         # invariant ball: gamma_i(B(center, radius)) subset B(center, radius)
-        fixed = np.array([m.fixed_point() for m in maps])
-        self.center = fixed.mean(axis=0)
-        drift = max(np.linalg.norm(m(self.center) - self.center) for m in maps)
-        # a drift within the rounding of the terms it is computed from is
-        # zero: every map fixes the one attractor point
-        rounding = 8 * dim * np.finfo(np.float64).eps * (
-            np.abs(self.center).max() + np.abs(self.offsets).max()
-        )
-        self.radius = drift / (1.0 - self.c2) if drift > rounding else 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            fixed = np.array([m.fixed_point() for m in maps])
+            self.center = fixed.mean(axis=0)
+            drift = max(np.linalg.norm(m(self.center) - self.center) for m in maps)
+            # a drift within the rounding of the terms it is computed from is
+            # zero: every map fixes the one attractor point
+            rounding = 8 * dim * np.finfo(np.float64).eps * (
+                np.abs(self.center).max() + np.abs(self.offsets).max()
+            )
+            self.radius = drift / (1.0 - self.c2) if drift > rounding else 1.0
+        if not (np.all(np.isfinite(self.center)) and math.isfinite(self.radius) and math.isfinite(rounding)):
+            raise ValueError("the invariant ball of the system overflows double precision")
         self.tol = PLANAR_MERGE_TOL * self.radius  # the one merge and dedup length
         self.seed = maps[0].fixed_point()
         self._branch_cache = None
@@ -731,6 +734,8 @@ def system_from_jsonable(obj) -> IFSSystem:
                                              for m in maps):
         raise ValueError('a system is {"maps": [{"linear": [[...]], "offset": [...]}, ...]}')
     maps = [AffineMap(_json_numbers("linear", m["linear"], 2), _json_numbers("offset", m["offset"], 1)) for m in maps]
+    if not isinstance(obj.get("name", ""), str):
+        raise ValueError(f"name must be a string, not {obj['name']!r}")
     system = IFSSystem(maps, name=obj.get("name", "custom"))
     if "dim" in obj:
         require_count("dim", obj["dim"], 1)
@@ -740,7 +745,7 @@ def system_from_jsonable(obj) -> IFSSystem:
 
 
 def _json_numbers(field, value, nesting):
-    """value when it is a JSON number or lists of them nested at most nesting deep.
+    """value when it is a finite JSON number or lists of them nested at most nesting deep.
 
     The lists at one depth must have one length.  ValueError naming field otherwise.
     """
@@ -751,4 +756,6 @@ def _json_numbers(field, value, nesting):
         flat = [v for x in flat for v in (x if isinstance(x, list) else [x])]
     if any(type(v) not in (int, float) for v in flat):
         raise ValueError(f"{field} must be numbers or lists of numbers nested at most {nesting} deep, not {value!r}")
+    if not all(map(math.isfinite, flat)):  # JSON's NaN and Infinity, and 1e400
+        raise ValueError(f"{field} must be finite, not {value!r}")
     return value

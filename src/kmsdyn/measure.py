@@ -26,7 +26,7 @@ self-check pins.  Its readers are the pullbacks, kms.check_K1, kms.check_K2,
 ifs.apply_F_beta_ifs and ifs.check_K1_ifs.  The three checks share one
 trace-condition kernel: quintic_cutoff near the branch set, and
 trace_conditions, which reduces the library to the (K1) residuals and the
-(K2) shifted-library sweep.
+(K2) shifted-library sweep, a block of atoms or fibres at a time.
 
 The operators:
     pullback_F   F(delta_y) = sum over distinct preimages x of delta_x
@@ -274,6 +274,11 @@ def measure_sum(measures, tol=None) -> AtomicMeasure:
 # test-function library
 
 
+def _blocks(n: int):
+    """The slices of BLOCK_ROWS rows that cover range(n), in order: the blocks of every library sum."""
+    return (slice(i, i + BLOCK_ROWS) for i in range(0, n, BLOCK_ROWS))
+
+
 @dataclass(frozen=True)
 class TestFunction:
     """A monomial in the embedding coordinates with its recorded sup norm."""
@@ -379,8 +384,8 @@ class TestFunctionLibrary:
         peak memory of the trace checks down.
         """
         out = np.zeros((len(self.functions), V.shape[1]))
-        for i in range(0, len(X), BLOCK_ROWS):
-            out += self.values_matrix(X[i : i + BLOCK_ROWS]) @ V[i : i + BLOCK_ROWS]
+        for rows in _blocks(len(X)):
+            out += self.values_matrix(X[rows]) @ V[rows]
         return out
 
     def integrate_all(self, mu: AtomicMeasure):
@@ -488,6 +493,22 @@ def quintic_cutoff(X, centers, rho: float):
     return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
 
 
+def _cutoff_sums(lib: TestFunctionLibrary, X, w, branch, rho):
+    """lib.sums(X, [c w, w]), c the quintic_cutoff of each row, and the indices of the rows where c < 1.
+
+    The cutoff, the weights and the product are formed one block of rows at
+    a time, on lib.sums' blocks, so every product and addition happens as
+    there and no array as long as X is formed.
+    """
+    out = np.zeros((len(lib), 2))
+    near = [np.empty(0, dtype=np.intp)]
+    for rows in _blocks(len(X)):
+        cut = quintic_cutoff(X[rows], branch, rho)
+        out += lib.values_matrix(X[rows]) @ np.stack([cut * w[rows], w[rows]], axis=1)
+        near.append(rows.start + np.flatnonzero(cut < 1.0))
+    return out, np.concatenate(near)
+
+
 def trace_conditions(lib: TestFunctionLibrary, mu: AtomicMeasure, fibres: FibreTable, beta: float,
                      branch=(), rho: float = DEFAULT_CUTOFF_RADIUS):
     """Both trace conditions of mu, read through its fibre table.
@@ -497,15 +518,15 @@ def trace_conditions(lib: TestFunctionLibrary, mu: AtomicMeasure, fibres: FibreT
     |e^{-beta} int (c f_j)~ dmu - int c f_j dmu| for each library function
     f_j, and masked is the weight of the atoms where c < 1.  k2 is the worst
     e^{-beta} int a~ dmu - int a dmu over the shifted library
-    a = sup|f| +/- f >= 0, floored at 0.
+    a = sup|f| +/- f >= 0, floored at 0.  Atoms and fibres are read a block
+    at a time (_cutoff_sums); the one array as long as the fibre table is
+    the owners' weights, whose pairwise sum is int 1~ dmu.
     """
     ebeta = math.exp(-beta)
     w = mu.weights
     w_pre = w[fibres.owner]
-    cut = quintic_cutoff(mu.embedding(), branch, rho)
-    cut_pre = quintic_cutoff(fibres.coords, branch, rho)
-    on_atoms = lib.sums(mu.embedding(), np.stack([cut * w, w], axis=1))
-    on_fibres = lib.sums(fibres.coords, np.stack([cut_pre * w_pre, w_pre], axis=1))
+    on_atoms, near = _cutoff_sums(lib, mu.embedding(), w, branch, rho)
+    on_fibres, _near = _cutoff_sums(lib, fibres.coords, w_pre, branch, rho)
     k1 = np.abs(ebeta * on_fibres[:, 0] - on_atoms[:, 0])
     T = on_fibres[:, 1]  # int f~ dmu per function
     I = on_atoms[:, 1]  # int f dmu per function
@@ -513,7 +534,7 @@ def trace_conditions(lib: TestFunctionLibrary, mu: AtomicMeasure, fibres: FibreT
     C = float(w_pre.sum())  # int 1~ dmu
     M = mu.total_mass()
     viol = np.maximum(ebeta * (sups * C + T) - (sups * M + I), ebeta * (sups * C - T) - (sups * M - I))
-    return k1, float(viol.max(initial=0.0)), float(w[cut < 1.0].sum())
+    return k1, float(viol.max(initial=0.0)), float(w[near].sum())
 
 
 # ---------------------------------------------------------------------------

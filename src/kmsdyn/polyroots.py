@@ -252,7 +252,9 @@ def roots(p: Poly, tol: float = DEFAULT_ROOT_TOL):
 
     Multiplicities sum to the degree.  Each returned root r is finite, and
     above degree 1 it satisfies |p(r)| <= tol * (magnitude of p near r);
-    otherwise NonConvergence is raised.
+    otherwise NonConvergence is raised.  The m lowest coefficients, if they
+    are exactly zero, come off first as the root 0 of multiplicity m, where
+    |p| and that magnitude are both |c_m r^m| and the gate cannot pass.
 
     The arithmetic runs on Python complex numbers, which cost less per
     operation than numpy scalars.  Their + - * abs sqrt round as numpy's do;
@@ -265,6 +267,11 @@ def roots(p: Poly, tol: float = DEFAULT_ROOT_TOL):
     n = len(coeffs) - 1
     if n < 1:
         raise ValueError("root finding needs degree >= 1")
+    zeros = n - next(k for k in range(n, -1, -1) if coeffs[k] != 0)
+    if zeros:  # an exact root 0 of multiplicity zeros, which the residual gate cannot certify
+        out = [(0j, zeros)] + (roots(Poly(p.coeffs[zeros:]), tol) if zeros < n else [])
+        out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
+        return out
     if n == 1:
         r = _div(-coeffs[1], coeffs[0])
         if not cmath.isfinite(r):

@@ -14,13 +14,16 @@ word sum ran on states.level_series and both took one pushforward step.
 scalar_distinct_images is ifs.distinct_images as a loop over the maps with
 a norm per pair, and collect_fibres flattens any one-atom fibre solver into
 a FibreTable, the per-atom lists both fibre tables were built from before
-they were arrays.
+they were arrays.  one_shot_trace_conditions is measure.trace_conditions
+as it formed the cutoffs and weights of a whole fibre table at once,
+before it read the table a block of rows at a time.
 list_in_attractor, list_branch_structure and list_orbit_condition are the
 IFS membership test, branch-value clustering and orbit-condition
 certificate as list scans, one inverse solve per point and map, before
 they stepped whole levels and deduplicated with measure.unseen.
 numpy_scalar_roots is polyroots.roots with its helpers as they ran on numpy
-complex128 scalars, before they ran on Python complex numbers.
+complex128 scalars, before they ran on Python complex numbers (it takes
+exact zero roots off first, as roots now does).
 list_merge_weighted is projective.merge_weighted as a loop over
 (SpherePoint, weight) pairs with Python complex sums, before sphere atoms
 were merged as arrays by projective.merge_sphere; its founders are
@@ -47,7 +50,14 @@ import numpy as np
 from kmsdyn.errors import HypothesisUncertified, NonConvergence, NotABranchPoint, OutOfRegime
 from kmsdyn.ifs import IFSBranchData, OrbitConditionEntry, OrbitConditionReport, orbit_condition
 from kmsdyn.kms import _budget_depth, _exceptional_closed_form, _point_label
-from kmsdyn.measure import PLANAR_MERGE_TOL, AtomicMeasure, FibreTable, merge_planar
+from kmsdyn.measure import (
+    DEFAULT_CUTOFF_RADIUS,
+    PLANAR_MERGE_TOL,
+    AtomicMeasure,
+    FibreTable,
+    merge_planar,
+    quintic_cutoff,
+)
 from kmsdyn.polyroots import DEFAULT_MAX_ITER, DEFAULT_ROOT_TOL, Poly
 from kmsdyn.projective import (
     DEFAULT_CLUSTER_TOL,
@@ -396,6 +406,25 @@ def collect_fibres(atoms, solve, embed):
     return FibreTable(np.array(owner, dtype=np.intp), np.array(degree, dtype=np.int64), embed(points))
 
 
+def one_shot_trace_conditions(lib, mu, fibres, beta, branch=(), rho=DEFAULT_CUTOFF_RADIUS):
+    """measure.trace_conditions with the cutoffs and weights of every atom and fibre formed at once."""
+    ebeta = math.exp(-beta)
+    w = mu.weights
+    w_pre = w[fibres.owner]
+    cut = quintic_cutoff(mu.embedding(), branch, rho)
+    cut_pre = quintic_cutoff(fibres.coords, branch, rho)
+    on_atoms = lib.sums(mu.embedding(), np.stack([cut * w, w], axis=1))
+    on_fibres = lib.sums(fibres.coords, np.stack([cut_pre * w_pre, w_pre], axis=1))
+    k1 = np.abs(ebeta * on_fibres[:, 0] - on_atoms[:, 0])
+    T = on_fibres[:, 1]  # int f~ dmu per function
+    I = on_atoms[:, 1]  # int f dmu per function
+    sups = np.array([f.sup_norm for f in lib.functions])
+    C = float(w_pre.sum())  # int 1~ dmu
+    M = mu.total_mass()
+    viol = np.maximum(ebeta * (sups * C + T) - (sups * M + I), ebeta * (sups * C - T) - (sups * M - I))
+    return k1, float(viol.max(initial=0.0)), float(w[cut < 1.0].sum())
+
+
 def index_founders(z, w, tol: float = DEFAULT_CLUSTER_TOL):
     """Greedy cluster founder of each homogeneous pair under the chordal metric (CellIndex.founders)."""
     index = CellIndex(sphere_cells(z, w, tol))
@@ -588,6 +617,11 @@ def numpy_scalar_roots(p: Poly, tol: float = DEFAULT_ROOT_TOL, max_iter: int = D
     n = len(coeffs) - 1
     if n < 1:
         raise ValueError("root finding needs degree >= 1")
+    zeros = next(k for k in range(n + 1) if coeffs[k] != 0)
+    if zeros:  # exact zero roots come off first, as roots takes them off
+        out = [(0j, zeros)] + (numpy_scalar_roots(Poly(coeffs[zeros:]), tol, max_iter) if zeros < n else [])
+        out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
+        return out
     if n == 1:
         return [(-coeffs[0] / coeffs[1], 1)]
     dcoeffs = [coeffs[k] * k for k in range(1, len(coeffs))]

@@ -207,6 +207,7 @@ def test_error_exit_codes_distinct(capsys):
         (("rat", "analyze", "--map", "z^2+"), "MapSyntaxError"),
         (("rat", "analyze", "--map", "z+1"), "DegreeTooLow"),
         (("rat", "analyze", "--map", "z^68+1"), "DegreeTooHigh"),
+        (("rat", "analyze", "--map", "z^2+2^1100"), "ConstantOutOfRange"),
         (("rat", "analyze", "--map", "z^2/(z-z)"), "DivisionByZeroPolynomial"),
         (("rat", "kms", "--map", "z^2+1", "--beta", "0.3"), None),  # fine: subcritical state
         (("rat", "witness", "--map", "z^2", "--point", "0", "--beta", "0.5"),

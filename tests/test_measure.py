@@ -13,11 +13,14 @@ import pytest
 from kmsdyn import projective
 from kmsdyn.mapexpr import parse_map
 from kmsdyn.kms import kms_measure, lyubich
-from kmsdyn.ifs import hutchinson, preset as ifs_preset
+from kmsdyn.ifs import _image_table, hutchinson, kms_measure_ifs, preset as ifs_preset
+from kmsdyn.kms import _branch_embedding
 from kmsdyn.measure import (
+    DEFAULT_CUTOFF_RADIUS,
     PLANE,
     SPHERE,
     AtomicMeasure,
+    FibreTable,
     TestFunctionLibrary,
     _lexicographic_order,
     apply_F_beta,
@@ -29,9 +32,11 @@ from kmsdyn.measure import (
     pullback_F,
     pullback_G,
     tilde,
+    trace_conditions,
     unseen,
     weak_star_distance,
 )
+from kmsdyn.polyroots import BLOCK_ROWS
 from kmsdyn.projective import (
     SpherePoint,
     chordal_distance,
@@ -41,7 +46,13 @@ from kmsdyn.projective import (
     normalize_rows,
 )
 
-from merge_oracles import _greedy_planar_oracle, collect_fibres, lexsort_merge_planar, list_merge_weighted
+from merge_oracles import (
+    _greedy_planar_oracle,
+    collect_fibres,
+    lexsort_merge_planar,
+    list_merge_weighted,
+    one_shot_trace_conditions,
+)
 from test_ratmap import oracle_level_sets
 
 
@@ -594,6 +605,55 @@ def test_fibre_table_matches_scalar_collect(expr, beta, depth):
     assert np.array_equal(table.degree, ref.degree)
     assert np.all(np.bincount(table.owner, weights=table.degree) == R.n)
     assert np.max(np.abs(table.coords - ref.coords)) <= 1e-12
+
+
+def _sphere_trace_table():
+    R = parse_map("z^2+1")
+    mu = kms_measure(R, aff(0), 1.0, depth=13).measure  # 16,383 atoms, 32,766 fibres
+    return LIB, mu, fibre_table(R, mu), _branch_embedding(R, 1e-8), DEFAULT_CUTOFF_RADIUS
+
+
+def _planar_trace_table():
+    gamma = ifs_preset("sierpinski-twisted")
+    branch = gamma.branch_structure().branch_points
+    mu = kms_measure_ifs(gamma, branch[0], 1.5, depth=8).measure  # 9,841 atoms, 29,523 fibres
+    lib = TestFunctionLibrary.plane(box=gamma.bounding_box())
+    return lib, mu, _image_table(gamma, mu), branch, DEFAULT_CUTOFF_RADIUS * gamma.radius
+
+
+@pytest.mark.parametrize("build", [_sphere_trace_table, _planar_trace_table])
+def test_trace_conditions_equal_the_one_shot_kernel_bit_for_bit(build):
+    # fibre tables longer than three blocks whose anchor is a branch point,
+    # so the cutoff masks atoms and fibres in more than one block
+    lib, mu, table, branch, rho = build()
+    assert len(table.owner) > 3 * BLOCK_ROWS
+    for centers in (branch, ()):
+        k1, k2, masked = trace_conditions(lib, mu, table, 1.5, centers, rho)
+        ref_k1, ref_k2, ref_masked = one_shot_trace_conditions(lib, mu, table, 1.5, centers, rho)
+        assert k1.tobytes() == ref_k1.tobytes()
+        assert (k2.hex(), masked.hex()) == (ref_k2.hex(), ref_masked.hex())
+        assert (0.0 < masked < mu.total_mass()) if len(centers) else masked == 0.0
+
+
+@pytest.mark.parametrize("space", [PLANE, SPHERE])
+def test_trace_conditions_peak_memory_stays_within_24_bytes_per_fibre(space):
+    # 90,000 atoms with three fibres each: besides the owners' weights (8
+    # bytes a fibre), the kernel forms only block-sized arrays; the one-shot
+    # kernel took about 64 bytes a fibre
+    rng = np.random.default_rng(4)
+    n, per = 90_000, 3
+    if space == PLANE:
+        rows, fibres, lib = rng.random((n, 2)), rng.random((n * per, 2)), TestFunctionLibrary.plane()
+        branch = [np.array([0.5, 0.5]), np.array([0.25, 0.0])]
+    else:
+        parts = rng.normal(size=(n * (per + 1), 2)) + 1j * rng.normal(size=(n * (per + 1), 2))
+        rows, fibres, lib = parts[:n], embedding_array(*parts[n:].T), LIB
+        branch = embedding_array(np.array([0j, 1 + 0j]), np.array([1 + 0j, 0j]))
+    mu = AtomicMeasure(space, rows, np.full(n, 1.0 / n))
+    mu.embedding()  # cached on mu before the kernel runs
+    table = FibreTable(np.repeat(np.arange(n), per), np.ones(n * per, dtype=np.int64), fibres)
+    peak = _traced_peak(lambda: trace_conditions(lib, mu, table, 1.5, branch, 0.05))
+    assert peak < 24 * n * per
 
 
 # ---------------------------------------------------------------------------

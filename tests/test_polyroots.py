@@ -292,6 +292,20 @@ def test_roots_equal_numpy_scalar_oracle_on_rows():
             assert got == ref, p
 
 
+@pytest.mark.parametrize("coeffs, expected", [
+    ([0, 0, 0, 0, 0, 1], [(0j, 5)]),
+    ([0, 0, 1, 1], [(-1 + 0j, 1), (0j, 2)]),
+    ([0, -1, 0, 1], [(-1 + 0j, 1), (0j, 1), (1 + 0j, 1)]),
+    ([0, 0, 0, 2], [(0j, 3)]),
+])
+def test_exact_zero_roots_come_off_before_the_solve(coeffs, expected):
+    p = Poly(coeffs)
+    out = roots(p)
+    assert out == expected
+    got, ref = _solve_both(p, DEFAULT_ROOT_TOL)
+    assert got == ref
+
+
 @pytest.fixture
 def recorded_solves(monkeypatch):
     """Every (polynomial, tol) that ratmap hands to roots while the test runs."""

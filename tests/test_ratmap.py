@@ -344,6 +344,27 @@ def test_riemann_hurwitz_on_presets():
         assert total == 2 * R.n - 2
 
 
+@pytest.mark.parametrize("expr, zero_fibre", [("z^5", [(0j, 5)]), ("z^5+1/3", [(0j, 5)]),
+                                               ("z^3+z^2", [(-1 + 0j, 1), (0j, 2)])])
+def test_analysis_of_maps_with_a_multiple_root_at_exactly_zero(expr, zero_fibre):
+    # the preimage form of R(0) has the multiple root 0 exactly; it used to
+    # reach the residual gate as a tiny Aberth root and exit NonConvergence
+    R = parse_map(expr)
+    report = ratmap.analysis_report(R)
+    assert sum(p["index"] - 1 for p in report["branch_points"]) == 2 * R.n - 2
+    assert sum(e - 1 for _p, e in R.branch_data().branch_points) == 2 * R.n - 2
+    fibre = R.preimages(R.evaluate(SpherePoint.zero()))
+    assert [(x.to_affine(), e) for x, e in fibre] == zero_fibre
+    rng = np.random.default_rng(5)
+    targets = list(R.branch_data().branch_values)
+    targets += [SpherePoint.from_affine(complex(*rng.normal(size=2))) for _ in range(10)]
+    for y in targets:
+        assert sum(e for _x, e in R.preimages(y)) == R.n
+    z, w = homogeneous(targets)
+    _xz, _xw, owner, degree = R.fibres(z, w)
+    assert np.array_equal(np.bincount(owner, weights=degree), np.full(len(targets), R.n))
+
+
 # ---------------------------------------------------------------------------
 # backward orbits
 
