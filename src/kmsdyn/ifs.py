@@ -152,7 +152,7 @@ class IFSSystem:
                 np.abs(self.center).max() + np.abs(self.offsets).max()
             )
             self.radius = drift / (1.0 - self.c2) if drift > rounding else 1.0
-        if not (np.all(np.isfinite(self.center)) and math.isfinite(self.radius) and math.isfinite(rounding)):
+        if not (math.isfinite(rounding) and math.isfinite(self.radius)):  # rounding: center and offsets
             raise ValueError("the invariant ball of the system overflows double precision")
         self.tol = PLANAR_MERGE_TOL * self.radius  # the one merge and dedup length
         self.seed = maps[0].fixed_point()

@@ -267,8 +267,8 @@ def roots(p: Poly, tol: float = DEFAULT_ROOT_TOL):
     n = len(coeffs) - 1
     if n < 1:
         raise ValueError("root finding needs degree >= 1")
-    zeros = n - next(k for k in range(n, -1, -1) if coeffs[k] != 0)
-    if zeros:  # an exact root 0 of multiplicity zeros, which the residual gate cannot certify
+    if coeffs[n] == 0:  # an exact root 0, which the residual gate cannot certify
+        zeros = n - next(k for k in range(n, -1, -1) if coeffs[k] != 0)
         out = [(0j, zeros)] + (roots(Poly(p.coeffs[zeros:]), tol) if zeros < n else [])
         out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
         return out

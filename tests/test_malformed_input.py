@@ -23,6 +23,7 @@ README_MAPS = ["z^2", "1/z^2", "z^2+1", "z^2-1", "z^3-z", "z^5-z+3/10", "(z^2+1)
 ALPHABET = list("z i0123456789+-*/^().") + ["z^", "^-", "(z", "))", "x", "$", "1/", "0.", "*i"]
 MAX_GENERATED_DEGREE = 10
 CASE_SECONDS = 2.0
+EXIT_CODES_BY_NAME = {cls.__name__: code for cls, code in EXIT_CODES.items()}
 
 
 def _degree_bound(source):
@@ -74,7 +75,7 @@ def _huge_constants(seed=25, count=8):
 
 
 def _overflow_cases():
-    """(argv, the constant) for each huge constant as a map coefficient and as each kind of point."""
+    """Each huge constant as a map coefficient and as each kind of point."""
     cases = []
     for c in _huge_constants():
         cases += [
@@ -92,21 +93,18 @@ JSON_VALUES = [None, True, False, 0, -1, 2, 0.5, float("nan"), float("inf"), -fl
                "", [], {}, [0.5], [[0.5]], [[[0.5]]], {"linear": [[0.5]]}]
 
 
-def _system_fields():
-    """(path, setter) for each field of the tent system file, the setter replacing it in a copy."""
-    def at(*path):
-        def replace(value):
-            system = json.loads(json.dumps(TENT))
-            node = system
-            for key in path[:-1]:
-                node = node[key]
-            node[path[-1]] = value
-            return system
-        return path, replace
+SYSTEM_FIELDS = [("dim",), ("maps",), ("maps", 0), ("maps", 0, "linear"), ("maps", 0, "offset"),
+                 ("maps", 1, "linear", 0), ("maps", 1, "linear", 0, 0), ("maps", 1, "offset", 0), ("name",)]
 
-    return [at("dim"), at("maps"), at("maps", 0), at("maps", 0, "linear"), at("maps", 0, "offset"),
-            at("maps", 1, "linear", 0), at("maps", 1, "linear", 0, 0), at("maps", 1, "offset", 0),
-            at("name")]
+
+def _replaced(path, value):
+    """A copy of the tent system file with the field at path replaced by value."""
+    system = json.loads(json.dumps(TENT))
+    node = system
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return system
 
 
 BAD_NUMBERS = ["nan", "NaN", "inf", "-inf", "1e400", "-1e400", "abc", "", "0x1p3", "1,5", "-"]
@@ -152,18 +150,18 @@ def test_a_mutated_map_leaves_through_the_error_table(capsys, argv):
     _run(capsys, argv)
 
 
-@pytest.mark.parametrize("argv", _overflow_cases(), ids=lambda argv: f"{argv[1]}-{len(argv)}")
+@pytest.mark.parametrize("argv", _overflow_cases(), ids=lambda argv: argv[1])
 def test_a_constant_past_the_double_range_is_refused_at_parse_time(capsys, argv):
     code, error = _run(capsys, argv)
     assert code == EXIT_CODES_BY_NAME["ConstantOutOfRange"] == 15
     assert error["kind"] == "ConstantOutOfRange"
 
 
-@pytest.mark.parametrize("path, replace", _system_fields(), ids=lambda p: "/".join(map(str, p)) if isinstance(p, tuple) else "")
-def test_each_field_of_a_system_file_as_each_json_type(tmp_path, capsys, path, replace):
+@pytest.mark.parametrize("path", SYSTEM_FIELDS, ids=lambda path: "/".join(map(str, path)))
+def test_each_field_of_a_system_file_as_each_json_type(tmp_path, capsys, path):
     for k, value in enumerate(JSON_VALUES):
         system = tmp_path / f"system-{k}.json"
-        system.write_text(json.dumps(replace(value)))
+        system.write_text(json.dumps(_replaced(path, value)))
         _run(capsys, ("ifs", "analyze", f"--system={system}", "--depth=6"))
 
 
@@ -171,5 +169,3 @@ def test_each_field_of_a_system_file_as_each_json_type(tmp_path, capsys, path, r
 def test_a_bad_number_leaves_through_one_json_error_line(capsys, argv):
     _run(capsys, argv)
 
-
-EXIT_CODES_BY_NAME = {cls.__name__: code for cls, code in EXIT_CODES.items()}

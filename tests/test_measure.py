@@ -12,9 +12,8 @@ import pytest
 
 from kmsdyn import projective
 from kmsdyn.mapexpr import parse_map
-from kmsdyn.kms import kms_measure, lyubich
+from kmsdyn.kms import _branch_embedding, kms_measure, lyubich
 from kmsdyn.ifs import _image_table, hutchinson, kms_measure_ifs, preset as ifs_preset
-from kmsdyn.kms import _branch_embedding
 from kmsdyn.measure import (
     DEFAULT_CUTOFF_RADIUS,
     PLANE,
@@ -639,7 +638,7 @@ def test_trace_conditions_equal_the_one_shot_kernel_bit_for_bit(build):
 def test_trace_conditions_peak_memory_stays_within_24_bytes_per_fibre(space):
     # 90,000 atoms with three fibres each: besides the owners' weights (8
     # bytes a fibre), the kernel forms only block-sized arrays; the one-shot
-    # kernel took about 64 bytes a fibre
+    # kernel took 67 bytes a fibre on the plane and 83 on the sphere
     rng = np.random.default_rng(4)
     n, per = 90_000, 3
     if space == PLANE:
