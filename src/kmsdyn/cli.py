@@ -42,7 +42,7 @@ from .measure import TestFunctionLibrary, integrate
 from .projective import SpherePoint
 from .ratmap import analysis_report
 from .serialize import stable_dumps, write_planar_atoms_csv, write_sphere_atoms_csv
-from .states import DEFAULT_ATOM_BUDGET, FINITE_TYPE, SUPERCRITICAL, ExtremeState
+from .states import DEFAULT_ATOM_BUDGET, FINITE_TYPE, SUPERCRITICAL, ExtremeState, require_budget
 
 SCHEMA_VERSION = 1
 
@@ -173,10 +173,16 @@ def _cmd_rat_phase(args) -> dict:
         raise ValueError(f"--beta-grid needs finite numbers, got {args.beta_grid!r}")
     if step <= 0:
         raise ValueError("grid step must be positive")
+    stuck = f"grid step {step!r} is below the float spacing of the grid's betas, which would stop advancing"
+    if hi + step == hi:
+        raise ValueError(stuck)
+    require_budget((hi - lo) / step + 1, atom_budget(), "--beta-grid")
     grid = []
     beta = lo
     while beta <= hi + 1e-15:
         grid.append(round(beta, 15))
+        if beta + step == beta:  # a rounding tie can hold a beta below hi
+            raise ValueError(stuck)
         beta += step
     reports = [kmsmod.classify(R, beta=b, tol=args.tol).to_jsonable() for b in grid]
     out = {"map": args.map, "grid": reports, "log_degree": math.log(R.n)}
@@ -374,6 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        for dest, value in vars(args).items():
+            # argparse hands `--opt=--` on as [] (the string "--" on newer Pythons); no option takes a list
+            if isinstance(value, list) or value == "--":
+                raise ValueError(f"--{dest.replace('_', '-')} needs a value, got {value!r}")
         tol = getattr(args, "tol", 1.0)
         if not 0.0 < tol < math.inf:
             raise ValueError(f"--tol must be finite and positive, got {tol!r}")

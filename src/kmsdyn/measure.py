@@ -71,16 +71,34 @@ PLANE = "plane"
 def _lexicographic_order(cells):
     """np.lexsort(cells.T[::-1]) and the sorted first keys, from one sort of the first key.
 
-    The first key is argsorted alone, which places every atom whose first
-    key is unique where the full lexicographic order puts it.  Only the
-    order within a run of tied first keys is left open; those atoms, taken
-    in index order, are lexsorted on their whole cells and written back
-    over the run positions, which they fill exactly, since the runs are
-    sorted by the same first key.  Index order breaks full-cell ties, as
-    the stable lexsort does.
+    The first key is sorted alone, which places every atom whose first key
+    is unique where the full lexicographic order puts it.  When the key's
+    span and the row index fit in 63 bits together, the sort is one
+    np.sort of the words (key - min) << b | row, b the bit length of the
+    last row, and the order and the sorted keys are read back from the low
+    and the high bits; the words are distinct, so tied keys stay in row
+    order.  Otherwise the key is argsorted.  Only the order within a run
+    of tied first keys is left open; those atoms, taken in index order,
+    are lexsorted on their whole cells and written back over the run
+    positions, which they fill exactly, since the runs are sorted by the
+    same first key.  Index order breaks full-cell ties, as the stable
+    lexsort does.
     """
-    order = np.argsort(cells[:, 0])
-    first = cells[order, 0]
+    key = cells[:, 0]
+    lo, hi = (int(key.min()), int(key.max())) if len(key) else (0, 0)
+    b = (len(key) - 1).bit_length()
+    if (hi - lo).bit_length() + b <= 63:
+        words = np.subtract(key, lo)
+        words <<= b
+        words |= np.arange(len(key))
+        words.sort()
+        first = words >> b
+        first += lo
+        words &= (1 << b) - 1
+        order = words
+    else:
+        order = np.argsort(key)
+        first = key[order]
     tie = first[1:] == first[:-1]
     if tie.any():
         pos = np.flatnonzero(np.r_[tie, False] | np.r_[False, tie])  # every atom of a tied run

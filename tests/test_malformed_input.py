@@ -5,10 +5,12 @@ stdout, or with a code from cli.EXIT_CODES or 1 and exactly one JSON error
 line on stderr.  The cases: grammar-level mutations of the README maps,
 constants past the double range as map coefficients and as points, system
 files with each field replaced by each JSON type, and NaN, infinite, huge
-and non-numeric betas, grids and points.  Valid maps above degree 10 are
-kept out: their exact analysis time grows with degree, not with malformedness.
+and non-numeric betas, grids and points, every option given as --opt=--,
+and grid steps too fine to end.  Valid maps above degree 10 are kept out:
+their exact analysis time grows with degree, not with malformedness.
 """
 
+import argparse
 import json
 import random
 import time
@@ -16,7 +18,7 @@ import time
 import pytest
 
 from kmsdyn import mapexpr
-from kmsdyn.cli import EXIT_CODES, main
+from kmsdyn.cli import EXIT_CODES, build_parser, main
 from kmsdyn.errors import KmsdynError
 
 README_MAPS = ["z^2", "1/z^2", "z^2+1", "z^2-1", "z^3-z", "z^5-z+3/10", "(z^2+1)/(z^2-1)"]
@@ -129,6 +131,45 @@ def _number_cases():
     return cases
 
 
+# each command with valid arguments, fast to run
+VALID = {
+    ("rat", "analyze"): ["--map=z^2"],
+    ("rat", "kms"): ["--map=z^2+1", "--beta=1.5", "--depth=3"],
+    ("rat", "lyubich"): ["--map=z^2", "--seed=1", "--iters=2"],
+    ("rat", "phase"): ["--map=z^2", "--beta-grid=0:1:0.5"],
+    ("rat", "witness"): ["--map=z^2+1", "--point=0.3", "--beta=0.5", "--depth=2"],
+    ("ifs", "analyze"): ["--preset=tent", "--depth=4"],
+    ("ifs", "kms"): ["--preset=tent", "--beta=1.5", "--depth=4"],
+    ("ifs", "hutchinson"): ["--preset=tent", "--iters=4"],
+    ("ifs", "classify"): ["--preset=tent", "--beta=1.5"],
+}
+
+
+def _subcommands(parser):
+    """(name, subparser) of each subcommand action of parser."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            yield from action.choices.items()
+
+
+def _dash_dash_cases():
+    """Every option of every command given as --opt=--, the command's other arguments valid.
+
+    Python 3.11's argparse hands the value on as an empty list, newer ones as
+    the string "--"; a flag refuses the explicit value itself.
+    """
+    cases = []
+    for group, group_parser in _subcommands(build_parser()):
+        for command, parser in _subcommands(group_parser):
+            for action in parser._actions:
+                option = max(action.option_strings, key=len, default=None)
+                if option is None or option == "--help":
+                    continue
+                kept = [a for a in VALID[group, command] if not a.startswith(option + "=")]
+                cases.append((group, command, *kept, f"{option}=--"))
+    return cases
+
+
 def _run(capsys, argv):
     start = time.perf_counter()
     code = main(list(argv))
@@ -169,3 +210,21 @@ def test_each_field_of_a_system_file_as_each_json_type(tmp_path, capsys, path):
 def test_a_bad_number_leaves_through_one_json_error_line(capsys, argv):
     _run(capsys, argv)
 
+
+
+@pytest.mark.parametrize("argv", _dash_dash_cases(), ids=lambda argv: " ".join(argv[:2] + argv[-1:]))
+def test_an_option_given_as_dash_dash_is_refused(capsys, argv):
+    code, error = _run(capsys, argv)
+    assert code == 1 and error["kind"] == "ValueError"
+
+
+@pytest.mark.parametrize("grid, code", [
+    ("0:1:1e-300", 1),
+    ("0:1:1e-12", EXIT_CODES_BY_NAME["AtomBudgetExceeded"]),
+    ("1:1.0000000000000002:1.1102230246251565e-16", 1),
+])
+def test_a_grid_that_would_not_end_is_refused(capsys, grid, code):
+    # 1e-300 is below the float spacing at 1, so beta would stop advancing;
+    # 1e-12 advances, but 10^12 + 1 points pass the atom budget; 2^-53 moves
+    # hi = 1 + 2^-52 (a rounding tie to even) but not beta = 1
+    assert _run(capsys, ("rat", "phase", "--map=z^2", f"--beta-grid={grid}"))[0] == code

@@ -49,6 +49,7 @@ from merge_oracles import (
     _greedy_planar_oracle,
     collect_fibres,
     lexsort_merge_planar,
+    masked_chaos_samples,
     list_merge_weighted,
     one_shot_trace_conditions,
 )
@@ -483,6 +484,44 @@ def test_merge_planar_tie_runs_match_lexsort_and_greedy_oracle(dim):
     ref = _greedy_planar_oracle(x, w, tol)
     assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
     assert len(got[1]) < len(x)
+
+
+def _no_argsort(*args, **kwargs):
+    raise AssertionError("np.argsort called")
+
+
+def test_lexicographic_order_of_chaos_cells_is_one_sort_of_packed_words(monkeypatch):
+    # 10^5 gasket chaos samples at the system's tol: the first key spans about
+    # 10^9 cells, which fits in 63 bits with 17 index bits, so no argsort runs
+    gamma = ifs_preset("sierpinski")
+    cells = np.round(masked_chaos_samples(gamma, 10**5, 7) / gamma.tol).astype(np.int64)
+    want = np.lexsort(cells.T[::-1])
+    monkeypatch.setattr(np, "argsort", _no_argsort)
+    order, first = _lexicographic_order(cells)
+    assert np.array_equal(order, want) and np.array_equal(first, cells[want, 0])
+    assert order.dtype == want.dtype and first.dtype == cells.dtype
+    assert (first[1:] == first[:-1]).any()  # tied first keys reach the tie-run lexsort
+
+
+@pytest.mark.parametrize("case", ["one-row", "negative", "at-limit", "past-limit"])
+def test_lexicographic_order_packs_words_up_to_the_63_bit_limit(monkeypatch, case):
+    # four rows take b = 2 index bits, so a first-key span of 2^61 - 1 is the
+    # widest that packs; one more cell falls back to np.argsort
+    rng = np.random.default_rng(80)
+    if case == "one-row":
+        cells = np.array([[-5, 7]])
+    elif case == "negative":
+        cells = np.c_[rng.integers(-40, -30, 60), rng.integers(-3, 3, 60)]
+    else:
+        top = 2**60 - 1 if case == "at-limit" else 2**60
+        cells = np.array([[top, 1], [-(2**60), 0], [top, 0], [-(2**60), -1]])
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(1) or argsort(*a, **k))
+    order, first = _lexicographic_order(cells)
+    want = np.lexsort(cells.T[::-1])
+    assert np.array_equal(order, want) and np.array_equal(first, cells[want, 0])
+    assert len(calls) == (case == "past-limit")
 
 
 @pytest.mark.parametrize("build, coords, weights", [
