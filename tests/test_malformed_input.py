@@ -211,7 +211,6 @@ def test_a_bad_number_leaves_through_one_json_error_line(capsys, argv):
     _run(capsys, argv)
 
 
-
 @pytest.mark.parametrize("argv", _dash_dash_cases(), ids=lambda argv: " ".join(argv[:2] + argv[-1:]))
 def test_an_option_given_as_dash_dash_is_refused(capsys, argv):
     code, error = _run(capsys, argv)

@@ -49,8 +49,8 @@ from merge_oracles import (
     _greedy_planar_oracle,
     collect_fibres,
     lexsort_merge_planar,
-    masked_chaos_samples,
     list_merge_weighted,
+    masked_chaos_samples,
     one_shot_trace_conditions,
 )
 from test_ratmap import oracle_level_sets
