@@ -176,10 +176,13 @@ def _cmd_rat_phase(args) -> dict:
     stuck = f"grid step {step!r} is below the float spacing of the grid's betas, which would stop advancing"
     if hi + step == hi:
         raise ValueError(stuck)
-    require_budget((hi - lo) / step + 1, atom_budget(), "--beta-grid")
+    end = hi + 1e-15
+    points = (end - lo) / step + 1  # counted to the loop's own bound
+    # a whole count where a float holds one exactly; past that (and for inf) the float reads better
+    require_budget(math.floor(points) if points < 2**53 else points, atom_budget(), "--beta-grid")
     grid = []
     beta = lo
-    while beta <= hi + 1e-15:
+    while beta <= end:
         grid.append(round(beta, 15))
         if beta + step == beta:  # a rounding tie can hold a beta below hi
             raise ValueError(stuck)
@@ -294,7 +297,18 @@ def _add_ifs_common(p):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose usage errors raise ValueError, to leave as one JSON line like any other."""
+    """An ArgumentParser whose usage errors raise ValueError, to leave as one JSON line like any other.
+
+    It keeps the actions its add_argument made, in order, as .arguments.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self.arguments = []
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        self.arguments.append(super().add_argument(*args, **kwargs))
+        return self.arguments[-1]
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")
@@ -374,6 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=12)
     p.set_defaults(func=_cmd_ifs_classify)
 
+    # (group, command) -> the command's parser
+    parser.commands = {
+        (group, name): p for group, sub in (("rat", rsub), ("ifs", isub)) for name, p in sub.choices.items()
+    }
     return parser
 
 

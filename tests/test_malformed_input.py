@@ -10,7 +10,6 @@ and grid steps too fine to end.  Valid maps above degree 10 are kept out:
 their exact analysis time grows with degree, not with malformedness.
 """
 
-import argparse
 import json
 import random
 import time
@@ -145,13 +144,6 @@ VALID = {
 }
 
 
-def _subcommands(parser):
-    """(name, subparser) of each subcommand action of parser."""
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            yield from action.choices.items()
-
-
 def _dash_dash_cases():
     """Every option of every command given as --opt=--, the command's other arguments valid.
 
@@ -159,14 +151,13 @@ def _dash_dash_cases():
     the string "--"; a flag refuses the explicit value itself.
     """
     cases = []
-    for group, group_parser in _subcommands(build_parser()):
-        for command, parser in _subcommands(group_parser):
-            for action in parser._actions:
-                option = max(action.option_strings, key=len, default=None)
-                if option is None or option == "--help":
-                    continue
-                kept = [a for a in VALID[group, command] if not a.startswith(option + "=")]
-                cases.append((group, command, *kept, f"{option}=--"))
+    for (group, command), parser in build_parser().commands.items():
+        for action in parser.arguments:
+            option = max(action.option_strings, key=len, default=None)
+            if option is None or option == "--help":
+                continue
+            kept = [a for a in VALID[group, command] if not a.startswith(option + "=")]
+            cases.append((group, command, *kept, f"{option}=--"))
     return cases
 
 
@@ -221,9 +212,18 @@ def test_an_option_given_as_dash_dash_is_refused(capsys, argv):
     ("0:1:1e-300", 1),
     ("0:1:1e-12", EXIT_CODES_BY_NAME["AtomBudgetExceeded"]),
     ("1:1.0000000000000002:1.1102230246251565e-16", 1),
+    ("0:0:1e-300", EXIT_CODES_BY_NAME["AtomBudgetExceeded"]),
+    ("0:1e-300:1e-300", EXIT_CODES_BY_NAME["AtomBudgetExceeded"]),
+    ("0:0:1e-22", EXIT_CODES_BY_NAME["AtomBudgetExceeded"]),
 ])
 def test_a_grid_that_would_not_end_is_refused(capsys, grid, code):
     # 1e-300 is below the float spacing at 1, so beta would stop advancing;
     # 1e-12 advances, but 10^12 + 1 points pass the atom budget; 2^-53 moves
-    # hi = 1 + 2^-52 (a rounding tie to even) but not beta = 1
-    assert _run(capsys, ("rat", "phase", "--map=z^2", f"--beta-grid={grid}"))[0] == code
+    # hi = 1 + 2^-52 (a rounding tie to even) but not beta = 1; the loop runs
+    # to hi + 1e-15, so 0:0:1e-300 and 0:0:1e-22 would make 10^285 and 10^7
+    # points though they move hi
+    code_seen, error = _run(capsys, ("rat", "phase", "--map=z^2", f"--beta-grid={grid}"))
+    assert code_seen == code
+    if code == EXIT_CODES_BY_NAME["AtomBudgetExceeded"]:
+        count = error["detail"].split(" could create ")[1].split()[0]
+        assert count.isdigit() or float(count) >= 2**53, error
