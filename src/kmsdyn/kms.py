@@ -74,16 +74,19 @@ from .states import (
 def _exceptional_closed_form(R: RationalMap, w: SpherePoint, beta: float, tol: float):
     """Closed-form geometric sum over the finite backward orbit of w.
 
-    Fixed point: delta_w.  Two-cycle {w, u}: weights e^beta/(e^beta+1) at w
-    and 1/(e^beta+1) at u.  Valid for every beta >= 0.
+    Fixed point: delta_w.  Two-cycle {w, u}, u the partner in w's orbit class
+    of R.exceptional_points: weights e^beta/(e^beta+1) at w and 1/(e^beta+1)
+    at u.  Valid for every beta >= 0.
     """
-    image = R.evaluate(w)
-    if chordal_distance(image, w) <= tol:
+    classes = R.exceptional_points(tol).orbit_classes
+    (orbit,) = [c for c in classes if any(chordal_distance(p, w) <= tol for p in c)]
+    partners = [p for p in orbit if chordal_distance(p, w) > tol]
+    if not partners:
         measure = AtomicMeasure.delta(w)
     else:
         eb = math.exp(beta)
         measure = AtomicMeasure.from_sphere_atoms(
-            [(w, eb / (eb + 1.0)), (image, 1.0 / (eb + 1.0))], tol
+            [(w, eb / (eb + 1.0)), (partners[0], 1.0 / (eb + 1.0))], tol
         )
     return measure, 1.0 - math.exp(-beta)
 
@@ -400,7 +403,7 @@ def classify(
     beta_val, regime = phase(beta, critical, math.log(R.n))
     exc = R.exceptional_points(tol)
     if regime == ZERO:
-        states = [_zero_state(orbit, tol) for orbit in exc.orbit_classes]
+        states = [_zero_state(R, orbit, tol) for orbit in exc.orbit_classes]
     else:
         branched = regime == SUPERCRITICAL
         anchors = [p for p, _e in R.branch_data(tol).branch_points] if branched else exc.points
@@ -416,14 +419,11 @@ def classify(
     return PhaseReport(beta_val, regime, states)
 
 
-def _zero_state(orbit, tol: float) -> ExtremeState:
-    """The invariant trace on one exceptional orbit class: a fixed point or a swapped pair."""
-    if len(orbit) == 1:
-        p = orbit[0]
-        return ExtremeState(ZERO_TYPE, (p,), _point_label(p), AtomicMeasure.delta(p))
-    label = "cycle " + "+".join(_point_label(p) for p in orbit)
-    mixture = AtomicMeasure.from_sphere_atoms([(orbit[0], 0.5), (orbit[1], 0.5)], tol)
-    return ExtremeState(ZERO_TYPE, tuple(orbit), label, mixture)
+def _zero_state(R: RationalMap, orbit, tol: float) -> ExtremeState:
+    """The invariant trace on one exceptional orbit class: the closed form at beta = 0."""
+    label = "+".join(map(_point_label, orbit))
+    return ExtremeState(ZERO_TYPE, tuple(orbit), label if len(orbit) == 1 else "cycle " + label,
+                        _exceptional_closed_form(R, orbit[0], 0.0, tol)[0])
 
 
 def classify_julia(

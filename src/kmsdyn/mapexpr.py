@@ -23,8 +23,9 @@ from . import exact as xq
 from .errors import DegreeTooHigh, DivisionByZeroPolynomial, MapSyntaxError
 from .ratmap import RationalMap
 
-# one below the largest degree at which the float root solves were measured
-# to keep sum e(x) = N and the Wronskian cross-check on z^N + c (65; 66 fails)
+# one below the degree, 66, at which the float root solves once lost sum e(x) = N
+# on z^N + c; they no longer do, but translated high-index points fail the
+# Wronskian cross-check from degree 4 on, so the ceiling waits for that check
 MAX_DEGREE = 64
 
 

@@ -77,12 +77,12 @@ def _lexicographic_order(cells):
     np.sort of the words (key - min) << b | row, b the bit length of the
     last row, and the order and the sorted keys are read back from the low
     and the high bits; the words are distinct, so tied keys stay in row
-    order.  Otherwise the key is argsorted.  Only the order within a run
-    of tied first keys is left open; those atoms, taken in index order,
-    are lexsorted on their whole cells and written back over the run
-    positions, which they fill exactly, since the runs are sorted by the
-    same first key.  Index order breaks full-cell ties, as the stable
-    lexsort does.
+    order.  Otherwise the key is argsorted stably, which keeps them in row
+    order too.  Only the order within a run of tied first keys is left
+    open; those atoms, taken in run order, are lexsorted on their whole
+    cells and written back over the run positions, which they fill
+    exactly, since the runs are sorted by the same first key.  The lexsort
+    is stable, so row order breaks full-cell ties, as in the full lexsort.
     """
     key = cells[:, 0]
     lo, hi = (int(key.min()), int(key.max())) if len(key) else (0, 0)
@@ -97,12 +97,12 @@ def _lexicographic_order(cells):
         words &= (1 << b) - 1
         order = words
     else:
-        order = np.argsort(key)
+        order = np.argsort(key, kind="stable")
         first = key[order]
     tie = first[1:] == first[:-1]
     if tie.any():
         pos = np.flatnonzero(np.r_[tie, False] | np.r_[False, tie])  # every atom of a tied run
-        tied = np.sort(order[pos])
+        tied = order[pos]
         order[pos] = tied[np.lexsort(cells[tied].T[::-1])]
     return order, first
 

@@ -64,7 +64,6 @@ class RationalMap:
         self._hp[: len(self.p.coeffs)] = self.p.coeffs
         self._hq[: len(self.q.coeffs)] = self.q.coeffs
         self._branch_cache = {}  # tol -> BranchData
-        self._exceptional_cache = {}  # tol -> ExceptionalReport
         self._check_coprime()
 
     @classmethod
@@ -309,57 +308,23 @@ class RationalMap:
     # -- exceptional points ------------------------------------------------
 
     def exceptional_points(self, tol: float = DEFAULT_CLUSTER_TOL) -> "ExceptionalReport":
-        if tol not in self._exceptional_cache:
-            self._exceptional_cache[tol] = self._compute_exceptional(tol)
-        return self._exceptional_cache[tol]
+        """The exceptional set: the index-N branch points that R fixes, or the two it swaps.
 
-    def _compute_exceptional(self, tol):
-        """Finite certificate: z with index N is exceptional iff its unique
-        preimage u has a unique preimage v lying back in {z, u}.
-
-        Any longer chain of totally ramified points would break the
-        Riemann-Hurwitz budget, so depth two decides membership.
+        An exceptional point has one preimage, of index N and exceptional
+        too; Riemann-Hurwitz allows at most two points of index N, so the set
+        is the index-N points R fixes, or a pair R swaps (Beardon, Iteration
+        of Rational Functions, 4.1).  No fibre is solved: R is evaluated on
+        the index-N points of the cached branch table.
         """
-        data = self.branch_data(tol)
-        candidates = [pt for pt, e in data.branch_points if e == self.n]
-        points = []
-        for z in candidates:
-            pre_z = self.preimages(z, tol)
-            if len(pre_z) != 1:
-                continue
-            u = pre_z[0][0]
-            pre_u = self.preimages(u, tol)
-            if len(pre_u) != 1:
-                continue
-            v = pre_u[0][0]
-            if chordal_distance(v, z) <= tol or chordal_distance(v, u) <= tol:
-                points.append(z)
-        points = [rep for rep, _m in cluster(points, tol)] if points else []
-        if len(points) > 2:
-            raise InternalConsistencyError(
-                f"{len(points)} exceptional candidates; at most two are possible"
-            )
-        if not points:
-            return ExceptionalReport(points=[], case_tag="Empty", orbit_classes=[])
-        if len(points) == 1:
-            z0 = points[0]
-            if chordal_distance(self.evaluate(z0), z0) > tol:
-                raise InternalConsistencyError("single exceptional point is not fixed")
-            return ExceptionalReport(points=points, case_tag="OneFixed", orbit_classes=[[z0]])
-        z0, z1 = points
-        fixed0 = chordal_distance(self.evaluate(z0), z0) <= tol
-        fixed1 = chordal_distance(self.evaluate(z1), z1) <= tol
-        if fixed0 and fixed1:
-            return ExceptionalReport(
-                points=points, case_tag="TwoFixed", orbit_classes=[[z0], [z1]]
-            )
-        swaps = (
-            chordal_distance(self.evaluate(z0), z1) <= tol
-            and chordal_distance(self.evaluate(z1), z0) <= tol
-        )
-        if not swaps:
-            raise InternalConsistencyError("two exceptional points neither fixed nor swapped")
-        return ExceptionalReport(points=points, case_tag="TwoSwapped", orbit_classes=[[z0, z1]])
+        total = [pt for pt, e in self.branch_data(tol).branch_points if e == self.n]
+        images = [self.evaluate(pt) for pt in total]
+        fixed = [pt for pt, image in zip(total, images) if chordal_distance(image, pt) <= tol]
+        if not fixed and len(total) == 2 and all(
+            chordal_distance(image, pt) <= tol for image, pt in zip(images, total[::-1])
+        ):
+            return ExceptionalReport(points=total, case_tag="TwoSwapped", orbit_classes=[list(total)])
+        return ExceptionalReport(points=fixed, case_tag=("Empty", "OneFixed", "TwoFixed")[len(fixed)],
+                                 orbit_classes=[[pt] for pt in fixed])
 
     def is_exceptional(self, p: SpherePoint, tol: float = DEFAULT_CLUSTER_TOL) -> bool:
         return any(chordal_distance(e, p) <= tol for e in self.exceptional_points(tol).points)

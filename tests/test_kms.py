@@ -143,6 +143,27 @@ def test_exceptional_measures_pass_K1_K2_exactly():
         assert check_K2(R, km.measure, beta, LIB).max_violation <= 1e-12
 
 
+@pytest.mark.parametrize("expr", ["1/z^2", "1/(z-1/3)^2+1/3", "1/(z-2)^3+2",
+                                  "1/(z-(3/7-2*i/9))^4+(3/7-2*i/9)"])
+def test_exceptional_states_sit_on_the_exceptional_points_bit_for_bit(expr):
+    # every state anchored on the swapped pair, the beta = 0 trace included,
+    # has the two points of exceptional_points as its atoms, signed zeros too
+    R = parse_map(expr)
+    exc = R.exceptional_points()
+    assert exc.case_tag == "TwoSwapped"
+    want = sorted(np.array([p.z, p.w]).tobytes() for p in exc.points)
+    for beta in (0.0, 0.5, math.log(R.n), 2.0):
+        measures = []
+        for state in classify(R, beta=beta).extreme_states:
+            if state.anchors and R.is_exceptional(state.anchors[0]):
+                measures.append(state.restriction)
+                if beta > 0:
+                    measures.append(kms_measure(R, state.anchors[0], beta).measure)
+        assert len(measures) == (1 if beta == 0 else 4)
+        for mu in measures:
+            assert sorted(row.tobytes() for row in mu.coords) == want
+
+
 def test_k1_vanishes_on_branch_supported_measure():
     R = parse_map("z^2")
     mu = AtomicMeasure.delta(aff(0))

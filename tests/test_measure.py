@@ -524,6 +524,22 @@ def test_lexicographic_order_packs_words_up_to_the_63_bit_limit(monkeypatch, cas
     assert len(calls) == (case == "past-limit")
 
 
+def test_lexicographic_order_past_63_bits_keeps_tied_first_keys_in_row_order(monkeypatch):
+    # 2,000 rows whose first keys span 2^63 cells take the argsort path; 40
+    # first keys and 3 second keys leave about 17 rows a whole cell, so the
+    # order is np.lexsort's only if that argsort keeps tied keys in row order
+    rng = np.random.default_rng(90)
+    firsts = np.r_[rng.choice(np.arange(-1000, 1000), 38, replace=False), -(2**62), 2**62 - 1]
+    cells = np.c_[firsts[rng.integers(0, 40, 2000)], rng.integers(0, 3, 2000)]
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(1) or argsort(*a, **k))
+    order, first = _lexicographic_order(cells)
+    want = np.lexsort(cells.T[::-1])
+    assert np.array_equal(order, want) and np.array_equal(first, cells[want, 0])
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("build, coords, weights", [
     (merge_planar, [[0.1], [0.2]], [1.0, 1.0, 1.0]),  # a weight without a row
     (merge_planar, [[0.1], [0.2], [0.3]], [1.0, 1.0]),  # a row without a weight
