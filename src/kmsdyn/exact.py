@@ -12,6 +12,7 @@ entry; the zero polynomial is the empty list.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 
 from .errors import ConstantOutOfRange
@@ -92,6 +93,14 @@ QG_I = QG(0, 1)
 
 # A polynomial over Q(i): list[QG], ascending, trimmed.
 ExactPoly = list
+
+
+def xp_exact(coeffs) -> ExactPoly:
+    """Coefficients (QGs, rationals, floats, complexes) as an exact polynomial, a float at its binary value."""
+    out = [c if isinstance(c, (QG, numbers.Rational)) else complex(c) for c in coeffs]
+    if not all(math.isfinite(abs(c)) for c in out if isinstance(c, complex)):
+        raise ValueError(f"coefficients must be finite, not {out}")
+    return xp_trim([QG(c.real, c.imag) if isinstance(c, complex) else c if isinstance(c, QG) else QG(c) for c in out])
 
 
 def xp_trim(p: ExactPoly) -> ExactPoly:

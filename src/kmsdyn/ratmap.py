@@ -5,6 +5,12 @@ sphere.  This module computes everything the measure engine needs from the
 map itself: evaluation in homogeneous coordinates, preimages with local
 degrees, branched points and indices, backward-orbit trees, and the
 exceptional set with its orbit structure.
+
+Every map holds its coefficients exactly, so coprimality and the branch
+indices are exact decisions: the indices are the multiplicities of Yun's
+square-free decomposition of the Wronskian, and the branch points are the
+float roots of its factors.  A Pellet disc count on the fibre of each branch
+value then checks every index against the float map.
 """
 
 from __future__ import annotations
@@ -36,6 +42,10 @@ from .states import DEFAULT_ATOM_BUDGET, level_series, require_count
 # degree drop (a preimage at infinity)
 _DEGREE_DROP_TOL = 1e-12
 
+# radii of the Pellet discs tried about a branch point, in the coordinate its
+# SpherePoint pivots on: 2^-48 up to 1, half an octave apart
+_PELLET_RADII = tuple(2.0 ** (k / 2) for k in range(-96, 1))
+
 SET_COUNT = "set"
 INDEX_WEIGHTED = "index"
 
@@ -43,15 +53,16 @@ INDEX_WEIGHTED = "index"
 class RationalMap:
     """A rational function P/Q with coprime P, Q and degree N >= 2.
 
-    When exact Gaussian-rational coefficients are supplied, coprimality and
-    the branch structure are decided exactly; the floating coefficients are
-    used for all numeric work.
+    The coefficients, ascending, are held exactly (ints, Fractions and QGs
+    as they are, floats and complexes at their binary values), so
+    coprimality and the branch structure are decided exactly; their nearest
+    doubles (a float given is its own) do all numeric work.
     """
 
-    def __init__(self, p_coeffs, q_coeffs, exact=None):
-        self.p = Poly(p_coeffs)
-        self.q = Poly(q_coeffs)
-        self.exact = exact  # (ExactPoly, ExactPoly) or None
+    def __init__(self, p_coeffs, q_coeffs):
+        self.exact = (xq.xp_exact(p_coeffs), xq.xp_exact(q_coeffs))
+        self.p = Poly(xq.xp_to_complex(self.exact[0]))
+        self.q = Poly(xq.xp_to_complex(self.exact[1]))
         n = max(self.p.degree, self.q.degree)
         if n < 2:
             raise DegreeTooLow(
@@ -64,24 +75,8 @@ class RationalMap:
         self._hp[: len(self.p.coeffs)] = self.p.coeffs
         self._hq[: len(self.q.coeffs)] = self.q.coeffs
         self._branch_cache = {}  # tol -> BranchData
-        self._check_coprime()
-
-    @classmethod
-    def from_exact(cls, p_exact, q_exact) -> "RationalMap":
-        return cls(xq.xp_to_complex(p_exact), xq.xp_to_complex(q_exact), exact=(p_exact, q_exact))
-
-    def _check_coprime(self):
-        if self.exact is not None:
-            g = xq.xp_gcd(self.exact[0], self.exact[1])
-            if xq.xp_degree(g) != 0:
-                raise ValueError("P and Q share a common factor; map is not reduced")
-            return
-        # numeric fallback: no root of Q may be a root of P
-        if self.q.degree >= 1:
-            for r, _m in roots(self.q, 1e-9):
-                scale = max(self.p.eval_scale(r), 1e-300)
-                if abs(self.p(r)) <= 1e-7 * scale:
-                    raise ValueError("P and Q appear to share a root; map is not reduced")
+        if xq.xp_degree(xq.xp_gcd(*self.exact)) != 0:
+            raise ValueError("P and Q share a common factor; map is not reduced")
 
     # -- evaluation ------------------------------------------------------
 
@@ -192,10 +187,7 @@ class RationalMap:
         return self._branch_cache[tol]
 
     def _compute_branch_data(self, tol):
-        if self.exact is not None:
-            points = self._branch_points_exact()
-        else:
-            points = self._branch_points_numeric(tol)
+        points, images = self._branch_points_exact()
         # Riemann-Hurwitz bookkeeping must close exactly
         total = sum(e - 1 for _p, e in points)
         if total != 2 * self.n - 2:
@@ -203,67 +195,45 @@ class RationalMap:
                 f"sum of (index - 1) over branched points is {total}, "
                 f"expected {2 * self.n - 2}"
             )
-        for pt, e in points:
+        for (pt, e), y in zip(points, images):
             # the float image sits ~1e-16 off the true branch value, which
-            # can split the order-e root into a cluster of simple roots
-            # within ~eps^(1/e); compare total local multiplicity instead
-            image = self.evaluate(pt)
-            local = sum(
-                m for x, m in self.preimages(image, tol) if chordal_distance(x, pt) <= 1e-5
-            )
-            if local != e:
+            # splits the e-fold root into a cloud of radius about eps^(1/e);
+            # a Pellet disc counts the whole cloud at once
+            if not _pellet_holds(y.w * self._hp - y.z * self._hq, pt, e):
                 raise InternalConsistencyError(
-                    f"branch index at {pt} is {e} by the Wronskian but the local "
-                    f"preimage multiplicity of its image is {local}"
+                    f"branch index at {pt} is {e} by the Wronskian but no Pellet "
+                    f"disc about it holds {e} preimages of its image"
                 )
-        values = [rep for rep, _m in cluster([self.evaluate(pt) for pt, _e in points], tol)]
+        values = [rep for rep, _m in cluster(images, tol)]
         return BranchData(branch_points=points, branch_values=values)
 
-    def _wronskian_exact(self):
-        pe, qe = self.exact
-        return xq.xp_sub(
-            xq.xp_mul(xq.xp_derivative(pe), qe), xq.xp_mul(pe, xq.xp_derivative(qe))
-        )
-
     def _branch_points_exact(self):
-        w = self._wronskian_exact()
-        degw = xq.xp_degree(w)
-        points = []
-        for factor, mult in xq.xp_squarefree_decomposition(w):
-            fpoly = Poly(xq.xp_to_complex(factor))
-            if fpoly.degree >= 1:
-                for r, m in roots(fpoly, 1e-10):
-                    if m != 1:
-                        raise InternalConsistencyError("square-free factor produced a multiple root")
-                    if mult + 1 >= 2:
-                        points.append((SpherePoint.from_affine(r), mult + 1))
-        inf_mult = (2 * self.n - 2) - degw
-        if inf_mult > 0:
-            points.append((SpherePoint.infinity(), inf_mult + 1))
-        return points
+        """The branch points with their indices, and R at each: exactly infinity at a pole.
 
-    def _branch_points_numeric(self, tol):
-        wp = np.polymul(np.polyder(self.p.coeffs[::-1]), self.q.coeffs[::-1])
-        wq = np.polymul(self.p.coeffs[::-1], np.polyder(self.q.coeffs[::-1]))
-        width = max(len(wp), len(wq))
-        w = np.zeros(width, dtype=np.complex128)
-        w[width - len(wp) :] += wp
-        w[width - len(wq) :] -= wq
-        w = w[::-1]  # ascending
-        scale = float(np.max(np.abs(w))) if len(w) else 0.0
-        if scale == 0.0:
-            raise InternalConsistencyError("Wronskian vanished identically")
-        deg = len(w) - 1
-        while deg > 0 and abs(w[deg]) <= _DEGREE_DROP_TOL * scale:
-            deg -= 1
-        points = []
-        if deg >= 1:
-            for r, m in roots(Poly(w[: deg + 1]), tol):
-                points.append((SpherePoint.from_affine(r), m + 1))
-        inf_mult = (2 * self.n - 2) - deg
+        A branch point b with Q(b) = 0 has Q'(b) = 0 too, as P(b) != 0, so the
+        poles among the roots of a square-free factor g_k of the Wronskian are
+        the roots of gcd(g_k, Q, Q'): the deg gcd roots where it is smallest.
+        """
+        pe, qe = self.exact
+        w = xq.xp_sub(xq.xp_mul(xq.xp_derivative(pe), qe), xq.xp_mul(pe, xq.xp_derivative(qe)))
+        multiple_poles = xq.xp_gcd(qe, xq.xp_derivative(qe))
+        points, images = [], []
+        for factor, mult in xq.xp_squarefree_decomposition(w):
+            found = roots(Poly(xq.xp_to_complex(factor)), 1e-10)
+            if any(m != 1 for _r, m in found):
+                raise InternalConsistencyError("square-free factor produced a multiple root")
+            poles = Poly(xq.xp_to_complex(xq.xp_gcd(factor, multiple_poles)))
+            residual = [abs(poles(r)) / (poles.eval_scale(r) or 1.0) for r, _m in found]  # a scale of 0 has poles(r) = 0
+            at_pole = sorted(range(len(found)), key=residual.__getitem__)[: poles.degree]
+            for i, (r, _m) in enumerate(found):
+                pt = SpherePoint.from_affine(r)
+                points.append((pt, mult + 1))
+                images.append(SpherePoint.infinity() if i in at_pole else self.evaluate(pt))
+        inf_mult = (2 * self.n - 2) - xq.xp_degree(w)
         if inf_mult > 0:
             points.append((SpherePoint.infinity(), inf_mult + 1))
-        return points
+            images.append(self.evaluate(SpherePoint.infinity()))
+        return points, images
 
     # -- orbits ----------------------------------------------------------
 
@@ -393,6 +363,25 @@ class ExceptionalReport:
             "case": self.case_tag,
             "orbit_classes": [[p.to_jsonable() for p in cls] for cls in self.orbit_classes],
         }
+
+
+def _pellet_holds(form, pt: SpherePoint, e: int) -> bool:
+    """Whether Pellet's test puts exactly e roots of the binary form in a disc about pt.
+
+    In the coordinate pt pivots on (z at a finite point of modulus at most
+    one, 1/z elsewhere), the form's ascending coefficients in z are
+    Taylor-shifted to pt by repeated Horner division into a_k; a radius r of
+    _PELLET_RADII with |a_e| r^e > sum_{k != e} |a_k| r^k leaves exactly e
+    roots within r (Becker, Sagraloff, Sharma & Yap, J. Symbolic Comput. 86, 2018).
+    """
+    coeffs, b = (form[::-1].tolist(), pt.z) if pt.w == 1.0 else (form.tolist(), pt.w)
+    moduli = []  # |a_0|, |a_1|, ...
+    while coeffs:
+        for i in range(1, len(coeffs)):
+            coeffs[i] += b * coeffs[i - 1]
+        moduli.append(abs(coeffs.pop()))
+    return e < len(moduli) and any(
+        moduli[e] * r**e > sum(m * r**k for k, m in enumerate(moduli) if k != e) for r in _PELLET_RADII)
 
 
 def analysis_report(R: RationalMap, tol: float = DEFAULT_CLUSTER_TOL) -> dict:

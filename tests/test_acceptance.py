@@ -166,7 +166,7 @@ def test_criterion_07_riemann_hurwitz_property_suite():
             continue
         if xq.xp_degree(xq.xp_gcd(p, q)) != 0:
             continue
-        R = RationalMap.from_exact(p, q)
+        R = RationalMap(p, q)
         total = sum(e - 1 for _pt, e in R.branch_data().branch_points)
         assert total == 2 * R.n - 2
         for _ in range(20):

@@ -7,11 +7,7 @@ Gaussian rationals and only the float work can tell it from R.
 
 The totally ramified points of z^N and 1/z^N sit at 0 and infinity, where
 the N-fold roots are exact zeros; their translates put an N-fold root at a
-centre that is not zero.  Some of those maps, and some translates of
-z^N + c, are refused by branch_data's cross-check, whose 1e-5 window misses
-the cloud an N-fold root splits into (ROADMAP item 11).  They are listed
-below as strict expected failures, so the markers must go when that is
-mended.
+centre that is not zero.
 """
 
 import functools
@@ -19,7 +15,6 @@ import math
 
 import pytest
 
-from kmsdyn.errors import InternalConsistencyError
 from kmsdyn.kms import classify
 from kmsdyn.mapexpr import parse_map
 
@@ -29,17 +24,6 @@ MAPS = ["z^2+1", "z^3-z", "1/z^2", "(z^2+1)/(z^2-1)", "z^2", "z^3", "z^4+1/3", "
 CONJUGACIES = ([("translate", c) for c in ("1/3", "-1/5", "i/5", "1/10", "2")]
                + [("scale", c) for c in ("2", "i", "1/3")] + [("invert", None)])
 CENTRES = ("1/3", "-1/5", "i/5", "1/10", "2", "3/7-2*i/9")
-
-ITEM_11 = {
-    "z^4+1/3 translate -1/5", "z^4+1/3 translate i/5", "z^4+1/3 translate 1/10",
-    "z^5+2*i translate -1/5", "z^5+2*i translate i/5", "z^5+2*i translate 1/10",
-    "z^6+1 translate 1/3", "z^6+1 translate -1/5", "z^6+1 translate i/5", "z^6+1 translate 1/10",
-    "z^7-1/4 translate i/5", "z^7-1/4 translate 1/10",
-    "(z-(-1/5))^4+(-1/5)", "(z-(1/10))^4+(1/10)",
-    "(z-(-1/5))^5+(-1/5)", "(z-(i/5))^5+(i/5)", "(z-(1/10))^5+(1/10)", "(z-(2))^5+(2)", "1/(z-(2))^5+(2)",
-    "(z-(-1/5))^6+(-1/5)", "1/(z-(-1/5))^6+(-1/5)", "(z-(1/10))^6+(1/10)",
-    "(z-(-1/5))^7+(-1/5)", "(z-(i/5))^7+(i/5)", "(z-(1/10))^7+(1/10)",
-}
 
 
 def conjugate(expr: str, kind: str, c) -> str:
@@ -61,9 +45,7 @@ def invariants(expr: str):
 
 
 def _case(name, expr, base):
-    marks = [pytest.mark.xfail(strict=True, raises=InternalConsistencyError, reason="ROADMAP item 11")
-             ] if name in ITEM_11 else []
-    return pytest.param(expr, base, id=name, marks=marks)
+    return pytest.param(expr, base, id=name)
 
 
 CASES = [_case(f"{m} {kind} {c}" if c else f"{m} {kind}", conjugate(m, kind, c), m)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kmsdyn import ratmap
-from kmsdyn.errors import AtomBudgetExceeded, DegreeTooLow, ExceptionalSeed
+from kmsdyn.errors import AtomBudgetExceeded, DegreeTooLow, ExceptionalSeed, InternalConsistencyError
 from kmsdyn.kms import lyubich
 from kmsdyn.mapexpr import parse_map
 from kmsdyn import exact as xq
@@ -120,6 +120,12 @@ def test_common_factor_rejected():
         RationalMap([-1, 0, 1], [-1, 1])
 
 
+@pytest.mark.parametrize("c", [float("inf"), float("nan"), complex(1, float("inf"))])
+def test_coefficients_that_are_not_finite_are_refused(c):
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        RationalMap([c, 0, 1], [1])
+
+
 def _forward_orbit(R, z, n):
     """[z, R(z), ..., R^n(z)]."""
     out = [z]
@@ -228,7 +234,7 @@ def _random_maps(count):
             continue
         if xq.xp_degree(xq.xp_gcd(p, q)) != 0:
             continue
-        R = RationalMap.from_exact(p, q) if len(maps) % 2 else RationalMap.from_exact(q, p)
+        R = RationalMap(p, q) if len(maps) % 2 else RationalMap(q, p)
         maps.append((R, rng))
     return maps
 
@@ -342,6 +348,60 @@ def test_riemann_hurwitz_on_presets():
         R = parse_map(expr)
         total = sum(e - 1 for _p, e in R.branch_data().branch_points)
         assert total == 2 * R.n - 2
+
+
+@pytest.mark.parametrize("coeffs, expr", [(([0.5, 0, 1], [1]), "z^2+1/2"),
+                                          (([1, 0, 1], [-1, 0, 1]), "(z^2+1)/(z^2-1)")])
+def test_coefficient_lists_take_the_exact_path_of_the_parser(coeffs, expr):
+    assert ratmap.analysis_report(RationalMap(*coeffs)) == ratmap.analysis_report(parse_map(expr))
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+@pytest.mark.parametrize("template", ["(z-1/5)^{n}+1", "1/(z-(i/5))^{n}+(i/5)"])
+def test_translated_totally_ramified_points_keep_their_index(template, n):
+    # an n-fold root at a centre that is not zero splits into a cloud about
+    # eps^(1/n) wide, which a 1e-5 window around the centre once missed
+    R = parse_map(template.format(n=n))
+    indices = [e for _p, e in R.branch_data().branch_points]
+    assert n in indices and sum(e - 1 for e in indices) == 2 * n - 2
+
+
+@pytest.mark.parametrize("expr, values", [("1/(z-1/5)^3+1/5", ["inf", [0.2, 0.0]]),
+                                          ("1/(z-1/3)^2+1/3", ["inf", [1 / 3, 0.0]]),
+                                          ("1/z^2", ["inf", [0.0, 0.0]])])
+def test_branch_values_at_poles_are_infinity(expr, values):
+    # Q(1/5) in floats is of rounding size, not 0, so evaluate at the
+    # branch point 1/5 gives a finite value near -5.8e17
+    assert ratmap.analysis_report(parse_map(expr))["branch_values"] == values
+
+
+def _near(pt, c):
+    return chordal_distance(pt, aff(c)) <= 1e-12
+
+
+def _alter_branch_points(monkeypatch, change):
+    """Make _branch_points_exact hand change(points) on, each with its image under R."""
+    original = RationalMap._branch_points_exact
+
+    def altered(self):
+        points = change(original(self)[0])
+        return points, [self.evaluate(pt) for pt, _e in points]
+
+    monkeypatch.setattr(RationalMap, "_branch_points_exact", altered)
+
+
+@pytest.mark.parametrize("expr, change", [
+    # z^3-3z branches at -1 and 1 (index 2) and infinity (index 3); each
+    # change keeps the Riemann-Hurwitz sum, so only the Pellet count sees it
+    ("z^3-3*z", lambda pts: [(aff(1.5) if _near(pt, 1) else pt, e) for pt, e in pts]),
+    ("z^3-3*z", lambda pts: [(pt, {2: 3, 3: 2}[e] if pt.is_infinity() or _near(pt, 1) else e) for pt, e in pts]),
+    ("(z-1/5)^5+1", lambda pts: [(pt, 6 if pt.is_infinity() else 4) for pt, _e in pts]),
+], ids=["moved-off-its-cluster", "index-off-by-one", "translated-index-off-by-one"])
+def test_branch_points_the_fibres_do_not_bear_out_are_refused(monkeypatch, expr, change):
+    parse_map(expr).branch_data()  # passes unaltered
+    _alter_branch_points(monkeypatch, change)
+    with pytest.raises(InternalConsistencyError, match="no Pellet disc about it holds"):
+        parse_map(expr).branch_data()
 
 
 @pytest.mark.parametrize("expr, zero_fibre", [("z^5", [(0j, 5)]), ("z^5+1/3", [(0j, 5)]),
