@@ -26,7 +26,11 @@ class DegreeTooHigh(KmsdynError):
 
 
 class ConstantOutOfRange(KmsdynError):
-    """Exact constant whose real or imaginary part is past the double range; refused before float arithmetic."""
+    """Exact constant past the double range, or an expression whose integers could pass mapexpr.MAX_CONSTANT_BITS.
+
+    The first is refused before float arithmetic, the second before the
+    expression is expanded.
+    """
 
 
 class DivisionByZeroPolynomial(KmsdynError):

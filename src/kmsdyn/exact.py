@@ -141,13 +141,15 @@ def xp_mul(p: ExactPoly, q: ExactPoly) -> ExactPoly:
 
 
 def xp_pow(p: ExactPoly, n: int) -> ExactPoly:
+    """p^n for n >= 0; no product of higher degree than p^n is formed."""
     out = [QG_ONE]
     base = p
     while n:
         if n & 1:
             out = xp_mul(out, base)
-        base = xp_mul(base, base)
         n >>= 1
+        if n:
+            base = xp_mul(base, base)
     return out
 
 

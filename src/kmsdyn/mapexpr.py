@@ -5,7 +5,8 @@ with integer exponents.  Expressions evaluate to a pair of coprime
 polynomials over the Gaussian rationals, so degree and coprimality are exact
 decisions; floats enter only when the resulting map does numeric work.
 An expression whose degree, bounded from its parse tree, could pass
-MAX_DEGREE is refused before it is expanded.
+MAX_DEGREE is refused before it is expanded, and so is one whose integers,
+bounded the same way, could pass MAX_CONSTANT_BITS.
 
     expr   := term (('+' | '-') term)*
     term   := unary (('*' | '/') unary)*
@@ -20,13 +21,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exact as xq
-from .errors import DegreeTooHigh, DivisionByZeroPolynomial, MapSyntaxError
+from .errors import ConstantOutOfRange, DegreeTooHigh, DivisionByZeroPolynomial, MapSyntaxError
 from .ratmap import RationalMap
 
 # the float work passes beyond it, translated index-N points included; the
 # ceiling bounds the exact work, Yun's algorithm on the Wronskian, which takes
 # about 4 s on a dense map of degree 20 and 24 s at degree 26 (2-core VM)
 MAX_DEGREE = 64
+# a bound on the bits of the expanded integers: two of 2^16 bits multiply in
+# about 2 ms and take a gcd in about 8 ms (2-core VM), and the exact value of
+# a complex double needs at most about 2,300 bits
+MAX_CONSTANT_BITS = 2**16
+_BIT_SLACK = 9  # 2 (MAX_DEGREE + 1) products and one more sum: under 2^9
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +218,7 @@ def _degree_bound(node):
         return _degree_bound(node.operand)
     if isinstance(node, Power):
         n, d = _degree_bound(node.base)
-        e = abs(node.exponent)
+        e = max(abs(node.exponent), 1)  # a zeroth power still expands its base
         return (n * e, d * e) if node.exponent >= 0 else (d * e, n * e)
     (an, ad), (bn, bd) = _degree_bound(node.left), _degree_bound(node.right)
     if node.op in "+-":
@@ -220,6 +226,28 @@ def _degree_bound(node):
     if node.op == "*":
         return an + bn, ad + bd
     return an + bd, ad + bn
+
+
+def _bit_bound(node):
+    """A bound on the bits of every integer in _eval_ratfunc(node), from the tree alone.
+
+    Over one common integer denominator c the numerator and denominator are
+    A/c and B/c with Gaussian-integer A, B; the bound covers c and the parts
+    of A and B, so every reduced Fraction too.  A literal p/q + (r/s)i is
+    (ps + rqi)/(qs).  Two nodes combine over c1 c2 into sums of at most
+    MAX_DEGREE + 1 products (the degree bound is checked first), whose
+    carries _BIT_SLACK covers; a power multiplies.
+    """
+    if isinstance(node, Num):
+        v = node.value
+        return sum(abs(k).bit_length() for x in (v.re, v.im) for k in (x.numerator, x.denominator))
+    if isinstance(node, Var):
+        return 1
+    if isinstance(node, Unary):
+        return _bit_bound(node.operand)
+    if isinstance(node, Power):
+        return max(abs(node.exponent), 1) * (_bit_bound(node.base) + _BIT_SLACK)
+    return _bit_bound(node.left) + _bit_bound(node.right) + _BIT_SLACK
 
 
 def _eval_ratfunc(node):
@@ -273,11 +301,19 @@ def reduce_ratfunc(num, den):
 
 
 def _reduced(source: str):
-    """The reduced (numerator, denominator) of an expression; DegreeTooHigh before expanding past MAX_DEGREE."""
+    """The reduced (numerator, denominator) of an expression.
+
+    DegreeTooHigh before expanding past MAX_DEGREE, and ConstantOutOfRange
+    before expanding integers past MAX_CONSTANT_BITS.
+    """
     ast = parse_expression(source).ast
     bound = max(_degree_bound(ast))
     if bound > MAX_DEGREE:
         raise DegreeTooHigh(f"expression degree could reach {bound}, more than the ceiling of {MAX_DEGREE}")
+    bits = _bit_bound(ast)
+    if bits > MAX_CONSTANT_BITS:
+        raise ConstantOutOfRange(
+            f"expression constants could reach {bits} bits, more than the ceiling of {MAX_CONSTANT_BITS}")
     return reduce_ratfunc(*_eval_ratfunc(ast))
 
 

@@ -17,12 +17,9 @@ finds its multiple roots.
 
 roots runs on Python complex numbers, not numpy complex128 scalars: it is
 called once per atom of a backward orbit, and a Python complex operation
-costs a fraction of a numpy scalar one.  Python's + - * abs and sqrt round
-as numpy's do, but its complex division does not (it divides where numpy
-multiplies by a reciprocal), so every quotient goes through _div or
-_recip_sum, which round as numpy's complex128 division.  That keeps the
-roots, and every orbit and printed digit built on them, bit for bit what
-they were on numpy scalars.
+costs a fraction of a numpy scalar one.  Its quotients are Python's complex
+division (Smith's method), as accurate as numpy's reciprocal multiply,
+though the two can differ in the last bit.
 
 Degrees here stay small (<= ~10); high-degree or adversarially
 ill-conditioned inputs are out of scope and surface as NonConvergence.
@@ -84,67 +81,6 @@ def derivative(p: Poly) -> Poly:
     return Poly([c[k] * k for k in range(1, len(c))])
 
 
-def _div(a, b) -> complex:
-    """a / b for Python complex a, b, rounded as numpy's complex128 scalar division.
-
-    Python's own complex division divides by the scaled squared modulus
-    (Smith's method); numpy multiplies by its reciprocal, so the two differ
-    in the last bit of about 40% of quotients.  Like numpy, a zero divisor
-    gives inf or nan and a NaN in b gives nan+nanj; nothing raises.
-    """
-    br = b.real
-    bi = b.imag
-    if abs(br) >= abs(bi):
-        if br == 0.0:  # b == 0, which roots never divides by
-            with np.errstate(all="ignore"):
-                return complex(np.complex128(a) / np.complex128(b))
-        rat = bi / br
-        scl = 1.0 / (br + bi * rat)
-        ar = a.real
-        ai = a.imag
-        return complex((ar + ai * rat) * scl, (ai - ar * rat) * scl)
-    if abs(bi) > abs(br):
-        rat = br / bi
-        scl = 1.0 / (bi + br * rat)
-        ar = a.real
-        ai = a.imag
-        return complex((ar * rat + ai) * scl, (ai * rat - ar) * scl)
-    return complex(math.nan, math.nan)
-
-
-def _recip_sum(xs, i):
-    """The Aberth sum over j != i of 1 / (xs[i] - xs[j]), each term rounded as _div(1, d).
-
-    The terms of _div that are exact for a numerator of 1 are left out, and
-    the sum runs on the two parts, as complex addition does.  A zero
-    difference counts as 1e-300.
-    """
-    x = xs[i]
-    sr = si = 0.0
-    for j in range(len(xs)):
-        if j == i:
-            continue
-        d = x - xs[j]
-        if d == 0:
-            d = 1e-300
-        dr = d.real
-        di = d.imag
-        if abs(dr) >= abs(di):
-            rat = di / dr
-            scl = 1.0 / (dr + di * rat)
-            sr += scl
-            si += (0.0 - rat) * scl
-        elif abs(di) > abs(dr):
-            rat = dr / di
-            scl = 1.0 / (di + dr * rat)
-            sr += (rat + 0.0) * scl
-            si -= scl
-        else:
-            sr += math.nan
-            si += math.nan
-    return complex(sr, si)
-
-
 def _initial_circle(acoeffs) -> list:
     n = len(acoeffs) - 1
     radius = 1.0 + max(acoeffs[1:]) / acoeffs[0]
@@ -174,9 +110,16 @@ def _aberth_iterate(coeffs, acoeffs, dcoeffs):
                 xs[i] = xi * (1.0 + 1e-8) + 1e-8
                 max_step = math.inf
                 continue
-            newton = _div(pv, dv)
-            denom = 1.0 - newton * _recip_sum(xs, i)
-            step = newton if denom == 0 else _div(newton, denom)
+            newton = pv / dv
+            s = 0j
+            for j in range(n):
+                if j != i:
+                    d = xi - xs[j]
+                    if d == 0:
+                        d = 1e-300
+                    s += 1 / d
+            denom = 1.0 - newton * s
+            step = newton if denom == 0 else newton / denom
             xs[i] = xi - step
             rel = abs(step) / (1.0 + abs(xs[i]))
             if rel > max_step:
@@ -236,7 +179,7 @@ def _polish(coeffs, dcoeffs, center, mult):
             dv = dv * x + c
         if dv == 0:
             break
-        step = _div(mult * pv, dv)
+        step = mult * pv / dv
         x = x - step
         if abs(step) <= 1e-16 * (1.0 + abs(x)):
             pv = 0j
@@ -257,11 +200,7 @@ def roots(p: Poly, tol: float = DEFAULT_ROOT_TOL):
     |p| and that magnitude are both |c_m r^m| and the gate cannot pass.
 
     The arithmetic runs on Python complex numbers, which cost less per
-    operation than numpy scalars.  Their + - * abs sqrt round as numpy's do;
-    their division does not, so every quotient goes through _div or
-    _recip_sum, which round as numpy's complex128 division.  The results are
-    bit for bit those of the same steps on numpy scalars, which
-    tests/merge_oracles.py keeps.
+    operation than numpy scalars; quotients are Python's complex division.
     """
     coeffs = p.coeffs[::-1].tolist()  # descending: the leading coefficient first
     n = len(coeffs) - 1
@@ -273,7 +212,7 @@ def roots(p: Poly, tol: float = DEFAULT_ROOT_TOL):
         out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
         return out
     if n == 1:
-        r = _div(-coeffs[1], coeffs[0])
+        r = -coeffs[1] / coeffs[0]
         if not cmath.isfinite(r):
             raise NonConvergence(f"linear root {r} is not finite")
         return [(r, 1)]
@@ -297,9 +236,9 @@ def _clusters(coeffs, n, tol):
             s = -s
         q = -0.5 * (c1 + s)
         if q != 0:
-            approx = [_div(q, c2), _div(c0, q)]
+            approx = [q / c2, c0 / q]
         else:
-            approx = [_div(-c1, 2.0 * c2)] * 2
+            approx = [-c1 / (2.0 * c2)] * 2
     else:
         approx = _aberth_iterate(coeffs, acoeffs, dcoeffs)
 
@@ -326,8 +265,7 @@ def _clusters(coeffs, n, tol):
         for x in members:  # a loop, not sum(): newer Pythons sum complex numbers compensated
             center += x
         m = len(members)
-        if m > 1 or not cmath.isfinite(center):  # x / 1 is x for a finite x
-            center = _div(center, m)
+        center /= m
         refined, res = _polish(coeffs, dcoeffs, center, m)
         scale = 0.0
         ax = abs(refined)

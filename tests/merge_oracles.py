@@ -22,8 +22,9 @@ IFS membership test, branch-value clustering and orbit-condition
 certificate as list scans, one inverse solve per point and map, before
 they stepped whole levels and deduplicated with measure.unseen.
 numpy_scalar_roots is polyroots.roots with its helpers as they ran on numpy
-complex128 scalars, before they ran on Python complex numbers (it takes
-exact zero roots off first, as roots now does).
+complex128 scalars, before they ran on Python complex numbers; as roots now
+does, it takes exact zero roots off first and divides as Python does
+(_python_quotient).
 list_merge_weighted is projective.merge_weighted as a loop over
 (SpherePoint, weight) pairs with Python complex sums, before sphere atoms
 were merged as arrays by projective.merge_sphere; its founders are
@@ -488,6 +489,11 @@ def pairs_backward_orbit(R, z, depth, weighting=SET_COUNT, tol: float = DEFAULT_
     return levels
 
 
+def _python_quotient(a, b):
+    """a / b as a numpy complex128 scalar, rounded as Python's complex division rounds it."""
+    return np.complex128(complex(a) / complex(b))
+
+
 def _initial_circle(coeffs) -> list:
     n = len(coeffs) - 1
     lead = abs(coeffs[-1])
@@ -527,16 +533,16 @@ def _aberth_iterate(coeffs, dcoeffs, max_iter):
                 xs[i] = xi * (1.0 + 1e-8) + 1e-8
                 max_step = math.inf
                 continue
-            newton = pv / dv
+            newton = _python_quotient(pv, dv)
             s = 0j
             for j in range(n):
                 if j != i:
                     d = xi - xs[j]
                     if d == 0:
                         d = 1e-300
-                    s += 1.0 / d
+                    s += _python_quotient(1.0, d)
             denom = 1.0 - newton * s
-            step = newton if denom == 0 else newton / denom
+            step = newton if denom == 0 else _python_quotient(newton, denom)
             xs[i] = xi - step
             rel = abs(step) / (1.0 + abs(xs[i]))
             if rel > max_step:
@@ -596,7 +602,7 @@ def _polish(coeffs, dcoeffs, center, mult):
             dv = dv * x + c
         if dv == 0:
             break
-        step = mult * pv / dv
+        step = _python_quotient(mult * pv, dv)
         x = x - step
         if abs(step) <= 1e-16 * (1.0 + abs(x)):
             pv = 0j
@@ -623,7 +629,7 @@ def numpy_scalar_roots(p: Poly, tol: float = DEFAULT_ROOT_TOL, max_iter: int = D
         out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
         return out
     if n == 1:
-        return [(-coeffs[0] / coeffs[1], 1)]
+        return [(_python_quotient(-coeffs[0], coeffs[1]), 1)]
     dcoeffs = [coeffs[k] * k for k in range(1, len(coeffs))]
     if n == 2:
         c0, c1, c2 = coeffs
@@ -633,9 +639,9 @@ def numpy_scalar_roots(p: Poly, tol: float = DEFAULT_ROOT_TOL, max_iter: int = D
             s = -s
         q = -0.5 * (c1 + s)
         if q != 0:
-            approx = [q / c2, c0 / q]
+            approx = [_python_quotient(q, c2), _python_quotient(c0, q)]
         else:
-            approx = [-c1 / (2.0 * c2)] * 2
+            approx = [_python_quotient(-c1, 2.0 * c2)] * 2
     else:
         approx = _aberth_iterate(coeffs, dcoeffs, max_iter)
 
@@ -669,7 +675,7 @@ def numpy_scalar_roots(p: Poly, tol: float = DEFAULT_ROOT_TOL, max_iter: int = D
     out = []
     for members in clusters.values():
         m = len(members)
-        center = sum(members) / m
+        center = _python_quotient(sum(members), m)
         refined = _polish(coeffs, dcoeffs, center, m)
         out.append((refined, m))
 

@@ -8,13 +8,22 @@ Gaussian rationals and only the float work can tell it from R.
 The totally ramified points of z^N and 1/z^N sit at 0 and infinity, where
 the N-fold roots are exact zeros; their translates put an N-fold root at a
 centre that is not zero.
+
+The IFS side: a rigid motion S moves a system gamma to S o gamma o S^-1, whose
+branch points are the images under S of gamma's and whose KMS phase portrait
+is gamma's.  A rotation is not exact in floats, so points match within a
+tolerance relative to the invariant radius.
 """
 
 import functools
 import math
+import warnings
 
+import numpy as np
 import pytest
 
+from kmsdyn.errors import HypothesisUncertified
+from kmsdyn.ifs import AffineMap, IFSSystem, classify_ifs, preset
 from kmsdyn.kms import classify
 from kmsdyn.mapexpr import parse_map
 
@@ -68,3 +77,39 @@ def test_translated_exceptional_points_sit_at_the_centre():
         assert sorted(p.is_infinity() for p in rep.points) == [False, True]
         (p,) = [p for p in rep.points if not p.is_infinity()]
         assert math.isclose(p.to_affine().real, finite, rel_tol=1e-12) and abs(p.to_affine().imag) < 1e-12
+
+
+# S(x) = U x + t, U the rotation by theta
+MOTIONS = [(math.pi / 6, (0.0, 0.0)), (2 * math.pi / 3, (100.0, -37.5)), (-1.1, (-3.25, 7 / 3)),
+           (math.pi, (0.5, 100.0))]
+
+
+def moved(gamma, theta, t):
+    """(S o gamma o S^-1, S) for the motion S of rotation theta and offset t."""
+    U = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    t = np.asarray(t)
+    maps = [AffineMap(U @ m.linear @ U.T, U @ m.offset + t - U @ m.linear @ U.T @ t) for m in gamma.maps]
+    return IFSSystem(maps, name=gamma.name), lambda x: U @ x + t
+
+
+def phase_counts(gamma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HypothesisUncertified)
+        return [classify_ifs(gamma, beta=0.5).counts, classify_ifs(gamma, critical=True).counts,
+                classify_ifs(gamma, beta=1.5).counts]
+
+
+@pytest.mark.parametrize("theta, t", MOTIONS)
+@pytest.mark.parametrize("name", ["sierpinski", "sierpinski-twisted"])
+def test_moved_system_has_the_moved_branch_points_and_phase_counts(name, theta, t):
+    gamma = preset(name)
+    other, S = moved(gamma, theta, t)
+    want = [S(x) for x in gamma.branch_structure().branch_points]
+    got = other.branch_structure().branch_points
+    assert len(got) == len(want) == (3 if name == "sierpinski-twisted" else 0)
+    tol = 1e-9 * gamma.radius
+    for x in got:
+        assert min(np.linalg.norm(x - y) for y in want) <= tol
+    for y in want:
+        assert min(np.linalg.norm(x - y) for x in got) <= tol
+    assert phase_counts(other) == phase_counts(gamma)

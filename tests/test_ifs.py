@@ -630,6 +630,7 @@ ORACLE_SYSTEMS = {
     "witness-depth2": lambda: _line((0.5, 0.5), (-1 / 3, 0.5), (-1 / 3, 1.0)),
     "witness-depth21": lambda: _line((-0.5, 2 / 3), (0.5, 2 / 3), (0.5, 1 / 3)),
     **{f"random{seed}": (lambda seed=seed: _seeded_system(seed)) for seed in range(20)},
+    "one-point": lambda: _one_point_system()[1],
 }
 
 

@@ -3,10 +3,10 @@
 Every case must leave in under 2 s with exit code 0 and one JSON document on
 stdout, or with a code from cli.EXIT_CODES or 1 and exactly one JSON error
 line on stderr.  The cases: grammar-level mutations of the README maps,
-constants past the double range as map coefficients and as points, system
-files with each field replaced by each JSON type, and NaN, infinite, huge
-and non-numeric betas, grids and points, every option given as --opt=--,
-and grid steps too fine to end.  Valid maps above degree 10 are kept out:
+constants past the double range or the bit ceiling as map coefficients and
+as points, system files with each field replaced by each JSON type, and
+NaN, infinite, huge and non-numeric betas, grids and points, every option
+given as --opt=--, and grid steps too fine to end.  Valid maps above degree 10 are kept out:
 their exact analysis time grows with degree, not with malformedness.
 """
 
@@ -75,10 +75,14 @@ def _huge_constants(seed=25, count=8):
     return out
 
 
-def _overflow_cases():
-    """Each huge constant as a map coefficient and as each kind of point."""
+# each within the double range or past it, but seconds of exact expansion away
+BIT_CEILING_CONSTANTS = ["(3/5+4/5*i)^100000", "3^3000000"]
+
+
+def _overflow_cases(constants):
+    """Each constant as a map coefficient and as each kind of point."""
     cases = []
-    for c in _huge_constants():
+    for c in constants:
         cases += [
             ("rat", "analyze", f"--map=z^2+{c}"),
             ("rat", "analyze", f"--map=({c})*z^3+z"),
@@ -182,11 +186,18 @@ def test_a_mutated_map_leaves_through_the_error_table(capsys, argv):
     _run(capsys, argv)
 
 
-@pytest.mark.parametrize("argv", _overflow_cases(), ids=lambda argv: argv[1])
+@pytest.mark.parametrize("argv", _overflow_cases(_huge_constants()), ids=lambda argv: argv[1])
 def test_a_constant_past_the_double_range_is_refused_at_parse_time(capsys, argv):
     code, error = _run(capsys, argv)
     assert code == EXIT_CODES_BY_NAME["ConstantOutOfRange"] == 15
     assert error["kind"] == "ConstantOutOfRange"
+
+
+@pytest.mark.parametrize("argv", _overflow_cases(BIT_CEILING_CONSTANTS), ids=lambda argv: argv[1])
+def test_a_constant_past_the_bit_ceiling_is_refused_before_expansion(capsys, argv):
+    code, error = _run(capsys, argv)
+    assert code == EXIT_CODES_BY_NAME["ConstantOutOfRange"] == 15
+    assert error["kind"] == "ConstantOutOfRange" and "bits" in error["detail"]
 
 
 @pytest.mark.parametrize("path", SYSTEM_FIELDS, ids=lambda path: "/".join(map(str, path)))

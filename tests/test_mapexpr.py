@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from kmsdyn.errors import DegreeTooHigh, DegreeTooLow, DivisionByZeroPolynomial, MapSyntaxError
-from kmsdyn.mapexpr import MAX_DEGREE, parse_constant, parse_expression, parse_map
+from kmsdyn.errors import ConstantOutOfRange, DegreeTooHigh, DegreeTooLow, DivisionByZeroPolynomial, MapSyntaxError
+from kmsdyn.mapexpr import MAX_CONSTANT_BITS, MAX_DEGREE, parse_constant, parse_expression, parse_map
 from kmsdyn.ratmap import analysis_report
 
 
@@ -123,6 +123,7 @@ def test_the_degree_ceiling_analyzes_and_one_more_is_refused():
     ("(z^-70+1)*z^2", 72),
     # a sum of fractions multiplies the denominators: degree 65, though each term has degree 1
     ("+".join(f"1/(z-{k})" for k in range(1, 66)), 65),
+    ("z^2+(z^100000)^0", 100000),  # a zeroth power still expands its base
 ])
 def test_a_degree_past_the_ceiling_is_refused_before_expansion(source, bound):
     start = time.perf_counter()
@@ -130,6 +131,17 @@ def test_a_degree_past_the_ceiling_is_refused_before_expansion(source, bound):
         parse_map(source)
     with pytest.raises(DegreeTooHigh):
         parse_constant(source)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_the_bit_ceiling_expands_and_one_more_power_is_refused():
+    # (3/5+4/5i)^n has modulus 1 and parts of about 4.6 n bits; the tree bounds them by 67 n
+    assert abs(parse_constant("(3/5+4/5*i)^978")) == pytest.approx(1.0)
+    start = time.perf_counter()
+    with pytest.raises(ConstantOutOfRange, match=f"reach 65593 bits, more than the ceiling of {MAX_CONSTANT_BITS}$"):
+        parse_constant("(3/5+4/5*i)^979")
+    with pytest.raises(ConstantOutOfRange, match="bits"):
+        parse_map("z^2+3^3000000*z")
     assert time.perf_counter() - start < 1.0
 
 

@@ -2,7 +2,8 @@
 
 numpy.roots (companion-matrix eigenvalues) serves as the independent oracle
 for simple-root positions.  roots itself must equal, bit for bit, the same
-steps run on numpy complex128 scalars (merge_oracles.numpy_scalar_roots).
+steps run on numpy complex128 scalars with Python's complex quotients
+(merge_oracles.numpy_scalar_roots).
 """
 
 import math
@@ -17,8 +18,6 @@ from kmsdyn.mapexpr import parse_map
 from kmsdyn.polyroots import (
     DEFAULT_ROOT_TOL,
     Poly,
-    _div,
-    _recip_sum,
     derivative,
     roots,
     roots_batch,
@@ -203,56 +202,6 @@ def test_roots_batch_rows_are_independent():
 
 # ---------------------------------------------------------------------------
 # Python complex arithmetic against the numpy complex128 scalars it replaced
-
-
-def _same(a, b):
-    """Equal real and imaginary parts, signed zeros included; NaN matches NaN."""
-    return all(
-        (x != x and y != y) or (x == y and math.copysign(1.0, x) == math.copysign(1.0, y))
-        for x, y in ((a.real, b.real), (a.imag, b.imag))
-    )
-
-
-def _division_cases():
-    rng = np.random.default_rng(41)
-    mags = [10.0**k for k in range(-160, 161, 20)]
-    parts = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]
-    parts += [float(s * m * rng.uniform(0.5, 2.0)) for m in mags for s in (1, -1)]
-    values = [complex(a, b) for a in parts[::3] for b in parts[1::2]]
-    values += [complex(a, a) for a in parts] + [complex(a, -a) for a in parts]  # |re| = |im|
-    values += [complex(a, 0.0) for a in parts] + [complex(0.0, a) for a in parts]
-    values += [complex(a, -0.0) for a in parts] + [complex(-0.0, a) for a in parts]
-    values += list(rng.normal(size=300) * 10.0 ** rng.integers(-150, 150, 300)
-                   + 1j * rng.normal(size=300) * 10.0 ** rng.integers(-150, 150, 300))
-    return [complex(v) for v in values]
-
-
-def test_division_rounds_as_numpy_complex128():
-    values = _division_cases()
-    rng = np.random.default_rng(5)
-    with np.errstate(all="ignore"):
-        for b in values:
-            for a in [1.0 + 0j] + [values[k] for k in rng.integers(0, len(values), 40)]:
-                assert _same(_div(a, b), np.complex128(a) / np.complex128(b)), (a, b)
-            # the reciprocal form: the Aberth sum has one term 1 / (b - 0) here
-            ref = 0j + 1.0 / np.complex128(b if b != 0 else 1e-300)
-            assert _same(_recip_sum([b, 0j], 0), ref), b
-        assert _same(_div(1 + 1j, complex(math.nan, 0.0)), complex(math.nan, math.nan))
-
-
-def test_aberth_sum_rounds_as_numpy_complex128():
-    rng = np.random.default_rng(9)
-    for n in range(2, 8):
-        for _ in range(50):
-            xs = (rng.normal(size=n) + 1j * rng.normal(size=n)).tolist()  # Python complex
-            xs[-1] = xs[0]  # a zero difference counts as 1e-300
-            for i in range(n):
-                ref = 0j
-                for j in range(n):
-                    if j != i:
-                        d = np.complex128(xs[i]) - np.complex128(xs[j])
-                        ref += 1.0 / (d if d != 0 else 1e-300)
-                assert _same(_recip_sum(xs, i), ref)
 
 
 def _solve_both(p, tol):

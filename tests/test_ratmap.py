@@ -272,7 +272,7 @@ def test_fibres_fallback_reads_stored_pairs_as_they_are(monkeypatch):
     R = parse_map("z^2")
     c = lyubich(R, aff(1), 12).coords
     z, w = c[(c[:, 0] == 1.0) & (np.abs(c[:, 1]) > 1.0)].T
-    assert len(z) == 234
+    assert len(z) == 206
     batch = ratmap.roots_batch
     monkeypatch.setattr(ratmap, "roots_batch", lambda C, tol: (batch(C, tol)[0], np.ones(len(C), dtype=bool)))
     xz, xw, owner, degree = R.fibres(z, w)
