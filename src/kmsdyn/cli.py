@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ifs_common(p)
     p.add_argument("--beta", type=float)
     p.add_argument("--critical", action="store_true")
-    p.add_argument("--depth", type=int, default=14)
+    p.add_argument("--depth", type=int, help="word length (default: planned from beta)")
     p.add_argument("--branch-point", help="anchor as 'x,y' (default: every branch point)")
     p.add_argument("--atoms-csv")
     p.add_argument("--skip-residuals", action="store_true")

@@ -55,6 +55,7 @@ from .states import (
     PhaseReport,
     level_series,
     phase,
+    plan_depth,
     require_budget,
     require_count,
 )
@@ -476,7 +477,7 @@ def kms_measure_ifs(
     gamma: IFSSystem,
     b,
     beta: float,
-    depth: int = 16,
+    depth: int | None = None,
     atom_budget: int = DEFAULT_ATOM_BUDGET,
 ) -> KMSMeasure:
     """Word-sum KMS measure anchored at a branch point b, for beta > log N.
@@ -484,11 +485,13 @@ def kms_measure_ifs(
     (1 - N e^{-beta}) sum_n e^{-n beta} sum_{words w of length n}
     delta_{gamma_w(b)}; colliding words merge.  Word counts are exactly N^n
     per level, so the truncated mass deficit is exactly the geometric tail
-    (N e^{-beta})^{depth+1}, recorded as the tail bound.  beta must be
-    supercritical (states.phase); a beta that is None, negative or not
-    finite is refused with ValueError.
+    (N e^{-beta})^{depth+1}, recorded as the tail bound.  An explicit depth
+    wins; otherwise states.plan_depth picks one, as for kms.kms_measure.
+    beta must be supercritical (states.phase); a beta that is None,
+    negative or not finite is refused with ValueError.
     """
-    require_count("depth", depth)
+    if depth is not None:
+        require_count("depth", depth)
     log_n = math.log(gamma.n)
     regime = phase(beta, False, log_n)[1]
     b = _as_point(gamma, b, "branch point")
@@ -499,6 +502,8 @@ def kms_measure_ifs(
         raise OutOfRegime(
             f"no finite-type state at beta={beta:.6g} <= log N={log_n:.6g}"
         )
+    if depth is None:
+        depth = plan_depth(gamma.n, beta, atom_budget)
     q = gamma.n * math.exp(-beta)
     prefactor = 1.0 - q
     ebeta = math.exp(-beta)

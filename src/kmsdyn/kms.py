@@ -19,7 +19,6 @@ exceptional orbit structure.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +62,7 @@ from .states import (
     ResidualReport,
     ViolationReport,
     phase,
+    plan_depth,
     require_count,
 )
 
@@ -91,29 +91,6 @@ def _exceptional_closed_form(R: RationalMap, w: SpherePoint, beta: float, tol: f
     return measure, 1.0 - math.exp(-beta)
 
 
-def _budget_depth(degree: int, atom_budget: int) -> int:
-    """Deepest full backward tree (levels of size N^k) within the budget."""
-    total = 1
-    d = 0
-    while total + degree ** (d + 1) <= atom_budget:
-        total += degree ** (d + 1)
-        d += 1
-    return d
-
-
-def _auto_depth(degree: int, beta: float, atom_budget: int) -> int:
-    """Smallest depth whose tail (N e^{-beta})^{depth+1}/(1 - N e^{-beta}) is <= 1e-6, capped.
-
-    The cap is the budget depth of at most 131,072 atoms; beta > log N.
-    """
-    cap = _budget_depth(degree, min(atom_budget, 131072))
-    q = degree * math.exp(-beta)
-    depth = 0
-    while depth < cap and q ** (depth + 1) / (1.0 - q) > 1e-6:
-        depth += 1
-    return depth
-
-
 def kms_measure(
     R: RationalMap,
     w: SpherePoint,
@@ -128,9 +105,10 @@ def kms_measure(
     levels of w.  Exceptional anchors sum in closed form (any beta > 0);
     other anchors require a supercritical beta (states.phase), where the
     truncated series carries an explicit geometric tail bound.  An explicit
-    depth wins; otherwise the depth is chosen so the tail bound reaches 1e-6
-    where the atom budget permits, with a warning when it cannot.  A beta
-    that is None, negative or not finite is refused with ValueError.
+    depth wins; otherwise states.plan_depth picks one whose tail bound
+    reaches 1e-6 within at most 131,072 atoms, with a warning when it
+    cannot.  A beta that is None, negative or not finite is refused with
+    ValueError.
     """
     if depth is not None:
         require_count("depth", depth)
@@ -150,18 +128,7 @@ def kms_measure(
             "non-exceptional anchor"
         )
     if depth is None:
-        # auto-selection spends at most ~131k atoms; pass depth explicitly to
-        # spend up to the full atom budget
-        depth = _auto_depth(R.n, beta, atom_budget)
-        q = R.n * math.exp(-beta)
-        residual_tail = q ** (depth + 1) / (1.0 - q)
-        if residual_tail > 1e-6:
-            warnings.warn(
-                f"tail target 1e-6 not attainable at depth {depth}: bound is "
-                f"{residual_tail:.3e} before normalization; pass an explicit "
-                "depth to spend more atoms",
-                stacklevel=2,
-            )
+        depth = plan_depth(R.n, beta, atom_budget)
     tree = R.backward_orbit(w, depth, SET_COUNT, tol, atom_budget)
     q = math.exp(-beta)
     norm = 1.0 / sum(q**k * tree.level_mass(k) for k in range(depth + 1))

@@ -17,6 +17,7 @@ bounded the same way, could pass MAX_CONSTANT_BITS.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,7 +33,6 @@ MAX_DEGREE = 64
 # about 2 ms and take a gcd in about 8 ms (2-core VM), and the exact value of
 # a complex double needs at most about 2,300 bits
 MAX_CONSTANT_BITS = 2**16
-_BIT_SLACK = 9  # 2 (MAX_DEGREE + 1) products and one more sum: under 2^9
 
 
 # ---------------------------------------------------------------------------
@@ -208,46 +208,43 @@ def parse_expression(source: str) -> MapExpression:
 # evaluation to a rational map
 
 
-def _degree_bound(node):
-    """Bounds on the degrees of _eval_ratfunc(node)'s numerator and denominator, from the tree alone."""
-    if isinstance(node, Num):
-        return 0, 0
-    if isinstance(node, Var):
-        return 1, 0
-    if isinstance(node, Unary):
-        return _degree_bound(node.operand)
-    if isinstance(node, Power):
-        n, d = _degree_bound(node.base)
-        e = max(abs(node.exponent), 1)  # a zeroth power still expands its base
-        return (n * e, d * e) if node.exponent >= 0 else (d * e, n * e)
-    (an, ad), (bn, bd) = _degree_bound(node.left), _degree_bound(node.right)
-    if node.op in "+-":
-        return max(an + bd, bn + ad), ad + bd
-    if node.op == "*":
-        return an + bn, ad + bd
-    return an + bd, ad + bn
+def _bounds(node):
+    """Bounds on the numerator and denominator degrees and on the integer bits of _eval_ratfunc(node).
 
-
-def _bit_bound(node):
-    """A bound on the bits of every integer in _eval_ratfunc(node), from the tree alone.
-
-    Over one common integer denominator c the numerator and denominator are
-    A/c and B/c with Gaussian-integer A, B; the bound covers c and the parts
-    of A and B, so every reduced Fraction too.  A literal p/q + (r/s)i is
-    (ps + rqi)/(qs).  Two nodes combine over c1 c2 into sums of at most
-    MAX_DEGREE + 1 products (the degree bound is checked first), whose
-    carries _BIT_SLACK covers; a power multiplies.
+    From the tree alone.  Over one common integer denominator c the
+    numerator and denominator are A/c and B/c with Gaussian-integer A, B;
+    the bit bound covers c and the parts of A and B, so every reduced
+    Fraction too.  Two nodes combine over c1 c2, each part of a coefficient
+    a sum of t integer products, t two per Gaussian product times the
+    shorter factor's term count, read off the degree bounds, and twice that
+    for a sum of fractions; it carries ceil(log2 t) = (t - 1).bit_length()
+    bits past the products.  A power of e is e - 1 such products.
     """
     if isinstance(node, Num):
-        v = node.value
-        return sum(abs(k).bit_length() for x in (v.re, v.im) for k in (x.numerator, x.denominator))
+        re, im = node.value.re, node.value.im
+        c = math.lcm(re.denominator, im.denominator)
+        return 0, 0, max(abs(k).bit_length() for k in (c, re.numerator * c // re.denominator,
+                                                       im.numerator * c // im.denominator))
     if isinstance(node, Var):
-        return 1
+        return 1, 0, 1
     if isinstance(node, Unary):
-        return _bit_bound(node.operand)
+        return _bounds(node.operand)
     if isinstance(node, Power):
-        return max(abs(node.exponent), 1) * (_bit_bound(node.base) + _BIT_SLACK)
-    return _bit_bound(node.left) + _bit_bound(node.right) + _BIT_SLACK
+        n, d, bits = _bounds(node.base)
+        e = max(abs(node.exponent), 1)  # a zeroth power still expands its base
+        bits = e * bits + (e - 1) * (2 * max(n, d) + 1).bit_length()
+        return (n * e, d * e, bits) if node.exponent >= 0 else (d * e, n * e, bits)
+    (an, ad, abits), (bn, bd, bbits) = _bounds(node.left), _bounds(node.right)
+    if node.op in "+-":
+        n, d = max(an + bd, bn + ad), ad + bd
+        terms = max(2 * (min(an, bd) + min(bn, ad) + 2), 2 * (min(ad, bd) + 1))
+    elif node.op == "*":
+        n, d = an + bn, ad + bd
+        terms = 2 * (max(min(an, bn), min(ad, bd)) + 1)
+    else:
+        n, d = an + bd, ad + bn
+        terms = 2 * (max(min(an, bd), min(ad, bn)) + 1)
+    return n, d, abits + bbits + (terms - 1).bit_length()
 
 
 def _eval_ratfunc(node):
@@ -307,10 +304,9 @@ def _reduced(source: str):
     before expanding integers past MAX_CONSTANT_BITS.
     """
     ast = parse_expression(source).ast
-    bound = max(_degree_bound(ast))
-    if bound > MAX_DEGREE:
-        raise DegreeTooHigh(f"expression degree could reach {bound}, more than the ceiling of {MAX_DEGREE}")
-    bits = _bit_bound(ast)
+    *degrees, bits = _bounds(ast)
+    if max(degrees) > MAX_DEGREE:
+        raise DegreeTooHigh(f"expression degree could reach {max(degrees)}, more than the ceiling of {MAX_DEGREE}")
     if bits > MAX_CONSTANT_BITS:
         raise ConstantOutOfRange(
             f"expression constants could reach {bits} bits, more than the ceiling of {MAX_CONSTANT_BITS}")

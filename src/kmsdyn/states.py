@@ -2,7 +2,8 @@
 
 phase decides beta and its regime, require_count a count and require_budget
 a step against the atom budget, each before any work, also in level_series,
-the level loop of the rational backward orbit and of the IFS word sum.
+the level loop of the rational backward orbit and of the IFS word sum;
+plan_depth picks the depth of a KMS state's level sum when none is given.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import warnings
 from dataclasses import asdict, dataclass, field
 
 from .errors import AtomBudgetExceeded
@@ -48,6 +50,29 @@ def level_series(seed, step, depth: int, growth: int, atom_budget: int, what: st
         require_budget(sum(len(w) for _c, w in levels) + growth * len(levels[-1][1]), atom_budget, what)
         levels.append(step(*levels[-1]))
     return levels
+
+
+def plan_depth(degree: int, beta: float, atom_budget: int) -> int:
+    """The depth of a KMS state's level sum when none is given, for beta > log N.
+
+    The smallest depth whose tail (N e^{-beta})^{depth+1}/(1 - N e^{-beta})
+    is at most 1e-6, capped at the deepest full tree (levels of N^k atoms)
+    of at most min(atom_budget, 131,072) atoms, with a warning, attributed
+    to the builder's caller, when the cap leaves the tail above 1e-6.
+    """
+    q = degree * math.exp(-beta)
+    atoms, depth = 1, 0
+    while q ** (depth + 1) / (1.0 - q) > 1e-6 and atoms + degree ** (depth + 1) <= min(atom_budget, 131072):
+        atoms += degree ** (depth + 1)
+        depth += 1
+    tail = q ** (depth + 1) / (1.0 - q)
+    if tail > 1e-6:
+        warnings.warn(
+            f"tail target 1e-6 not attainable at depth {depth}: bound is {tail:.3e} before "
+            "normalization; pass an explicit depth to spend more atoms",
+            stacklevel=3,
+        )
+    return depth
 
 
 def phase(beta, critical: bool, log_n: float):

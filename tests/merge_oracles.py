@@ -35,9 +35,10 @@ stored as arrays.  hand_counted_classify, hand_counted_classify_julia and
 hand_counted_classify_ifs are the three classifiers as they were written
 out one regime at a time, each keeping its (finite, infinite) counts by
 hand, before states.phase decided every regime and PhaseReport derived the
-counts from the states; two_branch_depth is kms_measure's automatic depth
-as the two rules it was, the tail-target depth above log N + 0.05 and 20
-below, each capped by the budget depth, before it was one loop.
+counts from the states; two_branch_depth is the automatic depth of
+kms_measure as the two rules it was, the tail-target depth above
+log N + 0.05 and 20 below, each capped by the budget depth, before it was
+one loop, now states.plan_depth.
 """
 
 import cmath
@@ -50,7 +51,7 @@ import numpy as np
 
 from kmsdyn.errors import HypothesisUncertified, NonConvergence, NotABranchPoint, OutOfRegime
 from kmsdyn.ifs import IFSBranchData, OrbitConditionEntry, OrbitConditionReport, orbit_condition
-from kmsdyn.kms import _budget_depth, _exceptional_closed_form, _point_label
+from kmsdyn.kms import _exceptional_closed_form, _point_label
 from kmsdyn.measure import (
     DEFAULT_CUTOFF_RADIUS,
     PLANAR_MERGE_TOL,
@@ -828,8 +829,14 @@ def _min_depth_for_tail(degree: int, beta: float) -> int:
 
 
 def two_branch_depth(degree: int, beta: float, atom_budget: int) -> int:
-    """kms_measure's automatic depth for beta > log N: the tail-target depth, or 20 near log N, capped."""
-    cap = _budget_depth(degree, min(atom_budget, 131072))
+    """The automatic depth for beta > log N: the tail-target depth, or 20 near log N, capped.
+
+    The cap is the deepest full tree, levels of N^k atoms, of at most
+    min(atom_budget, 131072) atoms: a tree of depth d has (N^{d+1} - 1)/(N - 1).
+    """
+    cap = 0
+    while (degree ** (cap + 2) - 1) // (degree - 1) <= min(atom_budget, 131072):
+        cap += 1
     if beta > math.log(degree) + 0.05:
         return min(_min_depth_for_tail(degree, beta), cap)
     return min(20, cap)

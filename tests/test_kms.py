@@ -543,6 +543,7 @@ def test_kms_measure_warns_near_critical_auto_depth():
         warnings.simplefilter("always")
         km = kms_measure(R, aff(0), beta, atom_budget=2000)
     assert any("tail" in str(w.message) for w in caught)
+    assert all(w.filename == __file__ for w in caught)
     assert km.measure.total_mass() == pytest.approx(1.0, abs=1e-12)
 
 

@@ -30,7 +30,7 @@ EXIT_CODES_BY_NAME = {cls.__name__: code for cls, code in EXIT_CODES.items()}
 def _degree_bound(source):
     """The parse tree's degree bound of a source that parses, else 0."""
     try:
-        return max(mapexpr._degree_bound(mapexpr.parse_expression(source).ast))
+        return max(mapexpr._bounds(mapexpr.parse_expression(source).ast)[:2])
     except KmsdynError:
         return 0
 

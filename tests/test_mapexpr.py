@@ -1,12 +1,17 @@
 """Expression parsing: exact coefficients, precedence, errors."""
 
+import math
+import random
 import time
 from fractions import Fraction
 
 import pytest
 
+from kmsdyn import mapexpr
 from kmsdyn.errors import ConstantOutOfRange, DegreeTooHigh, DegreeTooLow, DivisionByZeroPolynomial, MapSyntaxError
-from kmsdyn.mapexpr import MAX_CONSTANT_BITS, MAX_DEGREE, parse_constant, parse_expression, parse_map
+from kmsdyn.exact import QG, QG_I, xp_degree
+from kmsdyn.mapexpr import (MAX_CONSTANT_BITS, MAX_DEGREE, Binary, Num, Power, Unary, Var, parse_constant,
+                            parse_expression, parse_map)
 from kmsdyn.ratmap import analysis_report
 
 
@@ -135,14 +140,66 @@ def test_a_degree_past_the_ceiling_is_refused_before_expansion(source, bound):
 
 
 def test_the_bit_ceiling_expands_and_one_more_power_is_refused():
-    # (3/5+4/5i)^n has modulus 1 and parts of about 4.6 n bits; the tree bounds them by 67 n
-    assert abs(parse_constant("(3/5+4/5*i)^978")) == pytest.approx(1.0)
+    # (3/5+4/5i)^n has modulus 1 and parts of about 4.6 n bits; the tree bounds them by 18 n - 1
+    assert abs(abs(parse_constant("(3/5+4/5*i)^979")) - 1.0) <= 1e-12
+    assert abs(abs(parse_constant("(3/5+4/5*i)^3640")) - 1.0) <= 1e-12
     start = time.perf_counter()
-    with pytest.raises(ConstantOutOfRange, match=f"reach 65593 bits, more than the ceiling of {MAX_CONSTANT_BITS}$"):
-        parse_constant("(3/5+4/5*i)^979")
+    with pytest.raises(ConstantOutOfRange, match=f"reach 65537 bits, more than the ceiling of {MAX_CONSTANT_BITS}$"):
+        parse_constant("(3/5+4/5*i)^3641")
     with pytest.raises(ConstantOutOfRange, match="bits"):
         parse_map("z^2+3^3000000*z")
     assert time.perf_counter() - start < 1.0
+
+
+def _random_tree(rng, depth):
+    """A random expression tree of constants, i, z, + - * / and small integer powers."""
+    if depth == 0 or rng.random() < 0.2:
+        leaf = rng.randrange(4)
+        if leaf == 0:
+            return Var()
+        if leaf == 1:
+            return Num(QG_I)
+        if leaf == 2:  # all-ones parts make products and sums carry as far as they can
+            ones = Fraction(2 ** rng.randint(1, 40) - 1, rng.choice([1, 2 ** rng.randint(1, 20) - 1]))
+            return Num(QG(ones, ones))
+        return Num(QG(*(Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**8)) for _ in range(2))))
+    kind = rng.randrange(6)
+    if kind == 0:
+        return Unary("-", _random_tree(rng, depth - 1))
+    if kind == 1:
+        return Power(_random_tree(rng, depth - 1), rng.randint(-3, 4))
+    return Binary(rng.choice("+-*/"), _random_tree(rng, depth - 1), _random_tree(rng, depth - 1))
+
+
+def _subtrees(node):
+    yield node
+    for child in (getattr(node, name, None) for name in ("operand", "base", "left", "right")):
+        if child is not None:
+            yield from _subtrees(child)
+
+
+def _common_denominator_bits(num, den):
+    """The largest bit length of c and of the parts of A and B, where num = A/c and den = B/c over the least c."""
+    parts = [x for coeff in num + den for x in (coeff.re, coeff.im)]
+    c = math.lcm(*(x.denominator for x in parts))
+    return max(abs(k).bit_length() for k in [c] + [x.numerator * (c // x.denominator) for x in parts])
+
+
+def test_the_tree_bounds_hold_at_every_node_of_random_expressions():
+    rng = random.Random(29)
+    checked = 0
+    for _ in range(400):
+        tree = _random_tree(rng, rng.randint(1, 5))
+        for node in _subtrees(tree):
+            try:
+                num, den = mapexpr._eval_ratfunc(node)
+            except DivisionByZeroPolynomial:
+                continue
+            num_degree, den_degree, bits = mapexpr._bounds(node)
+            assert xp_degree(num) <= num_degree and xp_degree(den) <= den_degree, node
+            assert _common_denominator_bits(num, den) <= bits, node
+            checked += 1
+    assert checked > 1000
 
 
 def test_division_by_zero_polynomial():

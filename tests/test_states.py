@@ -99,12 +99,35 @@ def test_auto_depth_is_the_two_branch_rule():
             for beta in betas:
                 if beta - log_n < 1e-12:
                     continue  # critical to states.phase: no automatic depth there
-                assert kms._auto_depth(n, beta, budget) == two_branch_depth(n, beta, budget), (n, beta, budget)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    depth = states.plan_depth(n, beta, budget)
+                assert depth == two_branch_depth(n, beta, budget), (n, beta, budget)
 
 
 def _twisted_branch_point():
     gamma = ifs.preset("sierpinski-twisted")
     return gamma, gamma.branch_structure().branch_points[0]
+
+
+@pytest.mark.parametrize("name, beta, budget, depth", [
+    ("sierpinski-twisted", 1.5, states.DEFAULT_ATOM_BUDGET, 10),  # 131,072 atoms hold the levels up to 3^10
+    ("tent", 1.0, states.DEFAULT_ATOM_BUDGET, 16),  # and up to 2^16
+    ("sierpinski-twisted", 1.5, 500, 5),  # 1 + 3 + ... + 3^5 = 364 <= 500 < 1,093
+])
+def test_kms_measure_ifs_plans_the_depth_within_the_budget(name, beta, budget, depth):
+    gamma = ifs.preset(name)
+    b = gamma.branch_structure().branch_points[0]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        km = ifs.kms_measure_ifs(gamma, b, beta, atom_budget=budget)
+    # one warning, attributed to the builder's caller
+    assert [(w.category, w.filename) for w in caught] == [(UserWarning, __file__)]
+    assert f"not attainable at depth {depth}:" in str(caught[0].message)
+    assert km.truncation_depth == depth
+    assert km.tail_bound == (gamma.n * math.exp(-beta)) ** (depth + 1)
+    explicit = ifs.kms_measure_ifs(gamma, b, beta, depth=depth, atom_budget=budget).measure
+    assert np.array_equal(km.measure.coords, explicit.coords) and np.array_equal(km.measure.weights, explicit.weights)
 
 
 def test_kms_measure_ifs_refuses_beta_within_the_critical_tolerance():
